@@ -67,10 +67,15 @@ obs-check:
 
 ## relay-check: the fan-out scale-out gate — race-enabled serialize-once
 ## wire-compat suites (byte identity, CRC combine, interleaved seq),
-## slow-subscriber isolation, egress churn leak checks, and the netsim
-## stall/resume tests backing them.
+## slow-subscriber isolation, egress churn leak checks, the newest-wins
+## dequeue suites (all under the TestRelay prefix:
+## TestRelayTiersNewestWinsAfterStall, TestRelayNewestWinsKeepsControlInOrder,
+## TestRelayNewestWinsNeverSkipsDeltas, TestRelayTrunkSupersedesWholeLadders,
+## TestRelayTiersStarvedLegHoldsTierZero), the queue's evict-vs-shed
+## accounting hammer, and the netsim stall/resume tests backing them.
 relay-check:
 	$(GO) test -race -run 'TestRelay|TestSharedFrame|TestWriteSharedFrame|TestSendShared|TestCRCShift|TestLinkStall|TestLinkClose' ./internal/core ./internal/transport ./internal/netsim
+	$(GO) test -race -count=10 -run 'TestQueueShedAndEvictAccounting|TestQueueTryGet' ./internal/queue
 
 ## bench-relay: serial vs serialize-once fan-out microbenchmarks, plus
 ## the multi-party relay load benchmark JSON record via the bench CLI.
@@ -133,10 +138,16 @@ bench-trace:
 ## suites (rung ordering, per-tier state reuse, ladder-of-one byte
 ## identity), the tier wire-extension compat suites, the TierSelector
 ## signal/backoff unit tests, the mid-stream switch decode regression
-## (byte-identical to a cold decode at the switch boundary), and the
-## two-leg heterogeneous-link relay convergence test.
+## (byte-identical to a cold decode at the switch boundary), the
+## newest-wins dequeue suites that feed the selector
+## (TestRelayTiersNewestWinsAfterStall, TestRelayTiersStarvedLegHoldsTierZero,
+## TestRelayTrunkSupersedesWholeLadders), and the two-leg
+## heterogeneous-link relay convergence test — run five times, since it
+## is the wall-clock test that catches a starved leg probing upward
+## when its shedding stops reaching the TierSelector.
 tier-check:
-	$(GO) test -race -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport
+	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport
+	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
 ## bench-tiering: the per-subscriber tiering record — one publisher's
 ## three-rung ladder through the relay to a 25 Mbps and a 200 kbps leg,

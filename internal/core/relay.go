@@ -42,6 +42,17 @@ import (
 // peer fills and sheds only its own queue (drops counted per peer)
 // while everyone else keeps receiving at full rate.
 //
+// Egress is newest-wins at dequeue: a self-contained media frame (every
+// wire frame a keyframe, the media frame complete in one queue entry)
+// is worth nothing once a later one from the same publisher is already
+// waiting, so the egress loop sheds it and serves the newest instead of
+// working through a standing backlog. A leg slower than the offered
+// rate therefore delivers frames at most one dequeue old, not a full
+// queue old. Control frames, delta-coded frames and the pieces of
+// multi-channel frames are never skipped or reordered; the queue bound
+// and Put's evict-oldest remain the memory limit for that residue and
+// for a peer that stopped draining altogether.
+//
 // Lifecycle: every Attach starts one pump and one egress goroutine. A
 // pump exits when its session errors, its peer closes, the peer is
 // Detached, or the relay's context is canceled; its exit closes the
@@ -86,8 +97,12 @@ type Relay struct {
 // RelayOptions tunes a relay.
 type RelayOptions struct {
 	// QueueDepth bounds each subscriber's egress queue (latest-frame-wins;
-	// default 16). Deeper queues ride out longer stalls at the cost of
-	// staler frames for recovering peers.
+	// default 16). It does not set media latency: self-contained media
+	// frames are superseded at dequeue however deep the queue is. Depth
+	// bounds what cannot be superseded — control frames, delta-coded
+	// streams, multi-channel pieces — and the memory a stalled peer pins;
+	// a deeper queue lets that residue ride out a longer stall before
+	// Put starts evicting it.
 	QueueDepth int
 	// Registry, when non-nil, receives the relay's fan-out metrics
 	// (equivalent to calling Instrument).
@@ -126,13 +141,42 @@ const ParticipantChannelStride uint16 = 1000
 // egressItem is one broadcast unit in flight to one subscriber, stamped
 // at ingress so the egress goroutine can observe fan-out latency.
 // Exactly one of sf (a plain frame) or set (one media frame at every
-// ladder rung) is non-nil; from is the originating peer, the upstream a
-// tier-switch keyframe request goes to.
+// ladder rung) is non-nil; from is the peer it entered the relay
+// through, the upstream a tier-switch keyframe request goes to.
 type egressItem struct {
 	sf   *transport.SharedFrame
 	set  *transport.SharedFrameSet
 	from *relayPeer
 	at   time.Time
+	// selfContained marks a whole media frame a receiver can cold-start
+	// from, decided once at ingress: a set whose every rung is
+	// all-keyframe, or a plain semantic frame that is both a keyframe and
+	// its media frame's closing wire frame. Only such an item can be
+	// superseded by a later one.
+	selfContained bool
+}
+
+// leadChannel is the channel of the item's first wire frame. Channels
+// are re-homed into the publishing participant's block at the home
+// relay, so together with from it identifies the stream an item belongs
+// to even on a trunk-ingress peer carrying many publishers.
+func (it egressItem) leadChannel() uint16 {
+	if it.sf != nil {
+		return it.sf.Channel
+	}
+	return it.set.Tier(0)[0].Channel
+}
+
+// supersededBy reports whether next, queued behind it, makes it not
+// worth sending: both are self-contained media frames of the same
+// stream (and, for plain tier-stamped frames forwarded verbatim, the
+// same rung — a tier-transparent relay must not collapse a ladder).
+func (it egressItem) supersededBy(next egressItem) bool {
+	if !it.selfContained || !next.selfContained || it.from != next.from ||
+		(it.set == nil) != (next.set == nil) || it.leadChannel() != next.leadChannel() {
+		return false
+	}
+	return it.set != nil || it.sf.Tier == next.sf.Tier
 }
 
 // traceID attributes a shed item in flight-recorder events.
@@ -148,6 +192,10 @@ func (it egressItem) traceID() uint64 {
 
 type relayPeer struct {
 	name string
+	// site is the flight-recorder label of this peer's events
+	// ("relay:<name>"), built once at attach: concatenating it per event
+	// would allocate on every frame of every leg.
+	site string
 	idx  int
 	sess *transport.Session
 	// trunkEgress marks a relay-to-relay downlink: the egress loop
@@ -323,7 +371,7 @@ func (r *Relay) AttachPeer(name string, sess *transport.Session, opt AttachOptio
 		return 0, fmt.Errorf("core: relay already has participant %q", name)
 	}
 	p := &relayPeer{
-		name: name, idx: r.nextIdx, sess: sess,
+		name: name, site: "relay:" + name, idx: r.nextIdx, sess: sess,
 		trunkEgress: opt.TrunkEgress, trunkIngress: opt.TrunkIngress,
 		out:  queue.NewQueue[egressItem](r.queueDepth, false),
 		done: make(chan struct{}), egressDone: make(chan struct{}),
@@ -337,11 +385,12 @@ func (r *Relay) AttachPeer(name string, sess *transport.Session, opt AttachOptio
 		}
 		p.est = transport.NewBandwidthEstimator()
 	}
-	// Shed frames become flight-recorder events carrying the dropped
-	// frame's trace ID, so a missing frame in a waterfall is attributable
-	// to the exact queue that shed it.
+	// Shed frames — evicted by a full Put or superseded at dequeue —
+	// become flight-recorder events carrying the dropped frame's trace
+	// ID, so a missing frame in a waterfall is attributable to the exact
+	// queue that shed it.
 	p.out.OnDrop = func(ev egressItem) {
-		obs.Flight.Record(obs.EvQueueDrop, "relay:"+p.name, ev.traceID(), int64(r.queueDepth), 0)
+		obs.Flight.Record(obs.EvQueueDrop, p.site, ev.traceID(), int64(r.queueDepth), 0)
 	}
 	r.nextIdx++
 	r.peers[name] = p
@@ -386,8 +435,9 @@ type RelayPeerStats struct {
 	// Delivered counts frames written to the subscriber's session.
 	Delivered uint64
 	// Dropped counts frames shed by the subscriber's latest-frame-wins
-	// queue (a slow or stalled consumer sheds its own frames; nobody
-	// else's are delayed).
+	// queue — superseded at dequeue by a newer self-contained frame, or
+	// evicted by a Put on a full queue (a slow or stalled consumer sheds
+	// its own frames; nobody else's are delayed).
 	Dropped uint64
 	// Tier is the ladder rung this leg currently serves (-1 before the
 	// first tiered frame or when the relay is not tiering).
@@ -474,10 +524,10 @@ func (r *Relay) pump(p *relayPeer) {
 					Kind: obs.HopRelayIngress, Site: r.site,
 					RecvMicros: recvUS, SendMicros: obs.NowMicros(),
 				}) {
-					obs.Flight.Record(obs.EvHopDropped, "relay:"+p.name,
+					obs.Flight.Record(obs.EvHopDropped, p.site,
 						f.TraceID, int64(obs.HopRelayIngress), int64(len(sf.Hops())))
 				}
-				obs.Flight.Record(obs.EvRelayIngress, "relay:"+p.name, f.TraceID, int64(len(f.Payload)), 0)
+				obs.Flight.Record(obs.EvRelayIngress, p.site, f.TraceID, int64(len(f.Payload)), 0)
 			}
 			if r.tierLevels != nil && sf.Flags&transport.FlagTier != 0 {
 				// Tiered ingress: assemble the rungs into one set and
@@ -496,7 +546,7 @@ func (r *Relay) pump(p *relayPeer) {
 					continue
 				}
 				r.ingress.Add(1)
-				r.broadcastSet(p, curSet)
+				r.broadcast(p, egressItem{set: curSet, selfContained: setSelfContained(curSet)})
 				curSet = nil
 				continue
 			}
@@ -512,54 +562,81 @@ func (r *Relay) pump(p *relayPeer) {
 			continue
 		}
 		r.ingress.Add(1)
-		r.broadcast(p, sf)
+		const whole = transport.FlagKeyframe | transport.FlagEndOfFrame
+		r.broadcast(p, egressItem{
+			sf:            sf,
+			selfContained: sf.Type == transport.TypeSemantic && sf.Flags&whole == whole,
+		})
 	}
 }
 
-// broadcast enqueues one shared frame onto every other subscriber's
-// egress queue: a lock-free walk of the copy-on-write peer snapshot with
-// non-blocking puts, so ingress cost is O(peers) queue operations no
-// matter how slow any consumer is.
-func (r *Relay) broadcast(from *relayPeer, sf *transport.SharedFrame) {
-	start := time.Now()
+// broadcast enqueues one item — a plain shared frame, or a complete
+// tiered media frame, in which case the queue unit is the whole ladder
+// and shedding drops entire media frames, never a single rung of one —
+// onto every other subscriber's egress queue: a lock-free walk of the
+// copy-on-write peer snapshot with non-blocking puts, so ingress cost is
+// O(peers) queue operations no matter how slow any consumer is.
+func (r *Relay) broadcast(from *relayPeer, it egressItem) {
+	it.from, it.at = from, time.Now()
 	for _, p := range *r.snap.Load() {
 		if p == from {
 			continue
 		}
 		// Latest-frame-wins Put never blocks; a full queue sheds its
 		// oldest frame into the peer's drop counter.
-		_ = p.out.Put(r.ctx, egressItem{sf: sf, at: start})
+		_ = p.out.Put(r.ctx, it)
 	}
 	if m := r.m.Load(); m != nil {
-		m.broadcastSeconds.Observe(time.Since(start).Seconds())
+		m.broadcastSeconds.Observe(time.Since(it.at).Seconds())
 	}
 }
 
-// broadcastSet enqueues one complete tiered media frame onto every
-// other subscriber's egress queue. Like broadcast, but the queue unit
-// is the whole ladder: latest-frame-wins shedding drops entire media
-// frames, never a single rung of one.
-func (r *Relay) broadcastSet(from *relayPeer, set *transport.SharedFrameSet) {
-	start := time.Now()
-	for _, p := range *r.snap.Load() {
-		if p == from {
-			continue
+// egressCursor is one leg's consumer end of its queue. next is the
+// look-ahead: an item taken off the queue to see whether it superseded
+// the one in hand, and found not to; it is served by the following
+// take, so nothing is ever reordered. Held by value — a pointer here
+// would escape and cost an allocation per dequeue.
+type egressCursor struct {
+	next     egressItem
+	haveNext bool
+}
+
+// take blocks for the leg's next item, then serves the newest
+// self-contained frame already waiting: while the entry behind the one
+// in hand supersedes it, the older is shed and the newer taken.
+// superseded counts the sheds.
+func (c *egressCursor) take(ctx context.Context, q *queue.Queue[egressItem]) (it egressItem, superseded int, err error) {
+	if c.haveNext {
+		it, c.next, c.haveNext = c.next, egressItem{}, false
+	} else if it, err = q.Get(ctx); err != nil {
+		return it, 0, err
+	}
+	for it.selfContained {
+		n, ok := q.TryGet()
+		if !ok {
+			break
 		}
-		_ = p.out.Put(r.ctx, egressItem{set: set, from: from, at: start})
+		if !it.supersededBy(n) {
+			c.next, c.haveNext = n, true
+			break
+		}
+		q.Shed(it)
+		superseded++
+		it = n
 	}
-	if m := r.m.Load(); m != nil {
-		m.broadcastSeconds.Observe(time.Since(start).Seconds())
-	}
+	return it, superseded, nil
 }
 
 // egress is the per-subscriber delivery loop: it drains the peer's queue
-// and writes frames with the peer's own session sequence numbers.
+// newest-wins and writes frames with the peer's own session sequence
+// numbers.
 func (r *Relay) egress(p *relayPeer) {
 	defer r.wg.Done()
 	defer close(p.egressDone)
 	st := tierEgressState{applied: -1, kfRequested: -1}
+	var cur egressCursor
 	for {
-		it, err := p.out.Get(r.ctx)
+		it, superseded, err := cur.take(r.ctx, p.out)
 		if err != nil {
 			return // queue closed and drained, or relay shutting down
 		}
@@ -570,7 +647,7 @@ func (r *Relay) egress(p *relayPeer) {
 				}
 				continue
 			}
-			if r.egressTiered(p, it, &st) != nil {
+			if r.egressTiered(p, it, superseded, &st) != nil {
 				// Broken peer: its own pump observes the session error
 				// and detaches it.
 				return
@@ -585,7 +662,7 @@ func (r *Relay) egress(p *relayPeer) {
 			// is recorded before the write, so anyone who has received the
 			// frame is guaranteed to find it in the recorder.
 			deq := obs.NowMicros()
-			obs.Flight.Record(obs.EvRelayEgress, "relay:"+p.name, it.sf.TraceID,
+			obs.Flight.Record(obs.EvRelayEgress, p.site, it.sf.TraceID,
 				int64(deq)-it.at.UnixMicro(), 0)
 			err = p.sess.SendSharedEgress(it.sf, obs.Hop{
 				Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq,
@@ -605,9 +682,9 @@ func (r *Relay) egress(p *relayPeer) {
 	}
 }
 
-// tierSignalEvery is the coarse cadence (in dequeued media frames) at
-// which an egress leg refreshes its drop-rate window and pings the
-// subscriber for a fresh RTT sample.
+// tierSignalEvery is the coarse cadence (in served media frames) at
+// which an egress leg pings the subscriber for a fresh RTT sample and,
+// absent any shedding, refreshes its drop-rate window.
 const tierSignalEvery = 16
 
 // tierEgressState is one egress leg's tier-serving state, local to its
@@ -624,26 +701,36 @@ type tierEgressState struct {
 
 // egressTiered delivers one tiered media frame to one subscriber: it
 // samples the leg's congestion signals, lets the leg's TierSelector
-// pick a rung, and writes only that rung's frames. A rung change is
+// pick a rung, and writes only that rung's frames. superseded is how
+// many older frames this dequeue shed to reach it. A rung change is
 // applied mid-stream only on a frame set the receiver can cold-start
 // from (every frame a keyframe); otherwise the leg keeps serving its
 // old rung and asks the publisher for a tier keyframe, switching when
 // it arrives. The first frame of an applied switch carries the
 // tier-switch marker so the receiver resets its decoder state on
 // exactly that boundary.
-func (r *Relay) egressTiered(p *relayPeer, it egressItem, st *tierEgressState) error {
+func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *tierEgressState) error {
 	now := time.Now()
 	st.items++
-	if st.items%tierSignalEvery == 1 {
-		// Refresh the drop-rate window from the queue's shed counter and
-		// keep the RTT sample fresh (the subscriber's Recv loop answers
-		// the ping; a stalled subscriber inflates RTT, which is itself a
-		// congestion signal).
+	cadence := st.items%tierSignalEvery == 1
+	if cadence || superseded > 0 {
+		// Refresh the drop-rate window from the queue's shed counter. A
+		// newest-wins leg keeps no standing backlog for the selector to
+		// see, so a dequeue that superseded frames is itself the
+		// congestion evidence and must reach this very Decide — waiting
+		// for the cadence would let a starved leg look calm long enough
+		// to probe upward.
 		dropped, delivered := p.out.Dropped(), p.sent.Load()
 		if dd, ds := dropped-st.baseDropped, delivered-st.baseDelivered; dd+ds > 0 {
 			st.dropRate = float64(dd) / float64(dd+ds)
 		}
 		st.baseDropped, st.baseDelivered = dropped, delivered
+	}
+	if cadence {
+		// Keep the RTT sample fresh (the subscriber's Recv loop answers
+		// the ping; a stalled subscriber inflates RTT, which is itself a
+		// congestion signal). Cadence only: a ping per shed would spend a
+		// starved link's bytes on probes instead of frames.
 		_ = p.sess.Ping()
 	}
 	target, _ := p.sel.Decide(now, transport.TierSignals{
@@ -686,11 +773,11 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, st *tierEgressState) e
 	// the recorder.
 	if switching {
 		p.tierSwitches.Add(1)
-		obs.Flight.Record(obs.EvTierSwitch, "relay:"+p.name, it.set.TraceID(),
+		obs.Flight.Record(obs.EvTierSwitch, p.site, it.set.TraceID(),
 			int64(st.applied), int64(actual))
 	}
 	if tid := it.set.TraceID(); tid != 0 {
-		obs.Flight.Record(obs.EvRelayEgress, "relay:"+p.name, tid,
+		obs.Flight.Record(obs.EvRelayEgress, p.site, tid,
 			int64(deq)-it.at.UnixMicro(), int64(actual))
 	}
 	for i, sf := range frames {
@@ -725,7 +812,7 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, st *tierEgressState) e
 func (r *Relay) egressTrunkSet(p *relayPeer, it egressItem) error {
 	deq := obs.NowMicros()
 	if tid := it.set.TraceID(); tid != 0 {
-		obs.Flight.Record(obs.EvRelayEgress, "relay:"+p.name, tid,
+		obs.Flight.Record(obs.EvRelayEgress, p.site, tid,
 			int64(deq)-it.at.UnixMicro(), int64(it.set.TierCount()))
 	}
 	for t := 0; t < it.set.TierCount(); t++ {
@@ -744,6 +831,18 @@ func (r *Relay) egressTrunkSet(p *relayPeer, it egressItem) error {
 		m.egressSeconds.Observe(time.Since(it.at).Seconds())
 	}
 	return nil
+}
+
+// setSelfContained reports whether a receiver can cold-start from any
+// rung of a complete set — the condition under which a later set makes
+// this one worthless to every leg, whichever rung that leg serves.
+func setSelfContained(set *transport.SharedFrameSet) bool {
+	for t := 0; t < set.TierCount(); t++ {
+		if !allKeyframes(set.Tier(t)) {
+			return false
+		}
+	}
+	return true
 }
 
 // allKeyframes reports whether every wire frame of a rung is a keyframe

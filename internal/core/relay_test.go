@@ -23,7 +23,16 @@ type relayParticipant struct {
 
 func attachParticipant(t *testing.T, r *Relay, name string) *relayParticipant {
 	t.Helper()
-	a, b, link := netsim.Pipe(netsim.LinkConfig{})
+	return attachPeer(t, r, name, netsim.LinkConfig{}, AttachOptions{})
+}
+
+// attachPeer dials one test client into the relay over an asymmetric
+// link — the relay→client direction (the leg that carries the fan-out)
+// gets down; the uplink stays unconstrained so control frames and pongs
+// return promptly — and attaches it in the given role.
+func attachPeer(t *testing.T, r *Relay, name string, down netsim.LinkConfig, opt AttachOptions) *relayParticipant {
+	t.Helper()
+	a, b, link := netsim.AsymmetricPipe(netsim.LinkConfig{}, down)
 	type hs struct {
 		s   *transport.Session
 		err error
@@ -41,7 +50,7 @@ func attachParticipant(t *testing.T, r *Relay, name string) *relayParticipant {
 	if h.err != nil {
 		t.Fatal(h.err)
 	}
-	if _, err := r.Attach(name, h.s); err != nil {
+	if _, err := r.AttachPeer(name, h.s, opt); err != nil {
 		t.Fatal(err)
 	}
 	return &relayParticipant{name: name, sess: sess, link: link}

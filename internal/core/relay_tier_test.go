@@ -9,36 +9,6 @@ import (
 	"semholo/internal/transport"
 )
 
-// attachParticipantLink is attachParticipant with an asymmetric link:
-// the relay→participant direction (the leg that actually carries the
-// fan-out) gets the given config; the uplink stays unconstrained so
-// control frames and pongs return promptly.
-func attachParticipantLink(t *testing.T, r *Relay, name string, down netsim.LinkConfig) *relayParticipant {
-	t.Helper()
-	a, b, link := netsim.AsymmetricPipe(netsim.LinkConfig{}, down)
-	type hs struct {
-		s   *transport.Session
-		err error
-	}
-	ch := make(chan hs, 1)
-	go func() {
-		s, _, err := transport.Accept(b, transport.Hello{Peer: "relay"})
-		ch <- hs{s, err}
-	}()
-	sess, _, err := transport.Dial(a, transport.Hello{Peer: name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := <-ch
-	if h.err != nil {
-		t.Fatal(h.err)
-	}
-	if _, err := r.Attach(name, h.s); err != nil {
-		t.Fatal(err)
-	}
-	return &relayParticipant{name: name, sess: sess, link: link}
-}
-
 // TestRelayTiersPerSubscriber is the heterogeneous-link end-to-end
 // test: one publisher ships a three-rung semantic ladder through a
 // tiering relay to two subscribers — one on a 25 Mbps broadband leg,
@@ -66,9 +36,9 @@ func TestRelayTiersPerSubscriber(t *testing.T) {
 
 	// Publisher first: channel block 0, so subscriber channels arrive
 	// un-shifted.
-	pub := attachParticipantLink(t, relay, "pub", netsim.LinkConfig{})
-	fast := attachParticipantLink(t, relay, "fast", netsim.LinkConfig{Bandwidth: 25e6, Delay: 5 * time.Millisecond})
-	slow := attachParticipantLink(t, relay, "slow", netsim.LinkConfig{Bandwidth: 200e3, Delay: 20 * time.Millisecond})
+	pub := attachParticipant(t, relay, "pub")
+	fast := attachPeer(t, relay, "fast", netsim.LinkConfig{Bandwidth: 25e6, Delay: 5 * time.Millisecond}, AttachOptions{})
+	slow := attachPeer(t, relay, "slow", netsim.LinkConfig{Bandwidth: 200e3, Delay: 20 * time.Millisecond}, AttachOptions{})
 	defer pub.link.Close()
 	defer fast.link.Close()
 	defer slow.link.Close()

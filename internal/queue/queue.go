@@ -18,8 +18,14 @@ var ErrClosed = errors.New("queue: closed")
 // latest-frame-wins mode, Put never blocks: when the queue is full the
 // oldest entry is evicted and counted as a drop — real-time telepresence
 // prefers a fresh frame late-joining the queue over a stale frame at its
-// head. In lossless mode Put blocks until there is room (or the context
-// ends), preserving every frame for deterministic replay.
+// head. Eviction only bounds memory, though: a consumer that drains
+// slower than the producer fills would still be served entries a full
+// queue old. Latest-frame-wins therefore has a consumer half too — a
+// consumer that knows a later entry makes the one in its hand worthless
+// looks ahead with TryGet and discards the stale one through Shed, which
+// feeds the same drop counter and hook as eviction. In lossless mode Put
+// blocks until there is room (or the context ends), preserving every
+// frame for deterministic replay.
 type Queue[T any] struct {
 	ch       chan T
 	lossless bool
@@ -30,12 +36,16 @@ type Queue[T any] struct {
 
 	dropped atomic.Uint64
 
-	// OnDrop, when set, observes each entry evicted by latest-frame-wins
-	// Put — the hook feeding queue-drop events into the flight recorder
-	// with the dropped frame's identity. Called synchronously under the
-	// Put lock, so it must be cheap and must not touch the queue. Set it
-	// before the queue is shared between goroutines.
-	OnDrop func(evicted T)
+	// OnDrop, when set, observes each dropped entry — evicted by a
+	// latest-frame-wins Put or discarded by the consumer through Shed —
+	// the hook feeding queue-drop events into the flight recorder with
+	// the dropped frame's identity. It runs synchronously on whichever
+	// goroutine dropped the entry: under the Put lock for an eviction, on
+	// the consumer's goroutine with no queue lock held for a Shed. The
+	// two can run concurrently, so it must be safe for concurrent use,
+	// cheap, and must not touch the queue. Set it before the queue is
+	// shared between goroutines.
+	OnDrop func(dropped T)
 }
 
 // NewQueue builds a queue holding up to depth items (minimum 1).
@@ -94,10 +104,7 @@ func (q *Queue[T]) Put(ctx context.Context, v T) error {
 			// race us to it, in which case the next insert attempt wins.
 			select {
 			case ev := <-q.ch:
-				q.dropped.Add(1)
-				if q.OnDrop != nil {
-					q.OnDrop(ev)
-				}
+				q.Shed(ev)
 			default:
 			}
 		}
@@ -130,6 +137,30 @@ func (q *Queue[T]) Get(ctx context.Context) (T, error) {
 	}
 }
 
+// TryGet dequeues the next item if one is already waiting and never
+// blocks — the consumer's look-ahead: having taken one entry with Get,
+// it asks whether a later one is queued behind it.
+func (q *Queue[T]) TryGet() (T, bool) {
+	select {
+	case v := <-q.ch:
+		return v, true
+	default:
+		var zero T
+		return zero, false
+	}
+}
+
+// Shed counts v — an entry already taken off the queue that will not be
+// delivered — as a drop, exactly as a Put eviction would: it feeds
+// Dropped and OnDrop, so every entry put is either delivered or
+// accounted for.
+func (q *Queue[T]) Shed(v T) {
+	q.dropped.Add(1)
+	if q.OnDrop != nil {
+		q.OnDrop(v)
+	}
+}
+
 // Close marks the end of the stream: pending items remain Gettable,
 // further Puts fail with ErrClosed. Idempotent.
 func (q *Queue[T]) Close() { q.once.Do(func() { close(q.closed) }) }
@@ -137,8 +168,8 @@ func (q *Queue[T]) Close() { q.once.Do(func() { close(q.closed) }) }
 // Len reports the current queue depth.
 func (q *Queue[T]) Len() int { return len(q.ch) }
 
-// Dropped reports how many stale entries latest-frame-wins eviction has
-// discarded.
+// Dropped reports how many stale entries latest-frame-wins has
+// discarded: Put evictions plus consumer Sheds.
 func (q *Queue[T]) Dropped() uint64 { return q.dropped.Load() }
 
 // Instrument registers the queue's live depth and drop count into reg,
@@ -152,6 +183,6 @@ func (q *Queue[T]) Instrument(reg *obs.Registry, site, name string) {
 		"Live depth of a stage-connecting pipeline queue.", "site", "queue").
 		Func(func() float64 { return float64(q.Len()) }, site, name)
 	reg.Counter("semholo_pipeline_dropped_frames_total",
-		"Stale frames evicted by the latest-frame-wins queue policy.", "site", "queue").
+		"Stale frames dropped by the latest-frame-wins queue policy (evicted by a full Put or shed by the consumer).", "site", "queue").
 		Func(func() float64 { return float64(q.Dropped()) }, site, name)
 }

@@ -105,12 +105,17 @@ func (s *SharedFrameSet) TraceID() uint64 {
 // at dequeue time.
 type TierSignals struct {
 	// QueueDepth and QueueCap describe the leg's bounded egress queue
-	// (latest-frame-wins): a standing backlog is the earliest congestion
-	// signal.
+	// (latest-frame-wins). Self-contained media frames are superseded at
+	// dequeue and never stand in the queue, so a backlog here is what
+	// cannot be superseded — a delta-coded stream, control frames — and
+	// a standing one still marks congestion.
 	QueueDepth int
 	QueueCap   int
 	// DropRate is the fraction of frames the leg's queue shed over the
-	// recent window — the hard evidence that the leg cannot keep up.
+	// recent window — the hard evidence that the leg cannot keep up, and
+	// on a self-contained media stream the only local one: the relay
+	// refreshes the window on every dequeue that superseded a frame, so
+	// the shedding is visible to the very decision it coincides with.
 	DropRate float64
 	// RTT is the leg's most recent ping round-trip (0 = unknown).
 	RTT time.Duration
