@@ -66,7 +66,9 @@ obs-check:
 	$(GO) test -race ./internal/obs ./internal/transport
 
 ## relay-check: the fan-out scale-out gate — race-enabled serialize-once
-## wire-compat suites (byte identity, CRC combine, interleaved seq),
+## wire-compat suites (byte identity, CRC combine, interleaved seq), the
+## batch-send suites (TestBatch*/TestSendBatch*: one write per media
+## frame, bytes identical to frame-by-frame, a pong never inside a batch),
 ## slow-subscriber isolation, egress churn leak checks, the newest-wins
 ## dequeue suites (all under the TestRelay prefix:
 ## TestRelayTiersNewestWinsAfterStall, TestRelayNewestWinsKeepsControlInOrder,
@@ -74,7 +76,7 @@ obs-check:
 ## TestRelayTiersStarvedLegHoldsTierZero), the queue's evict-vs-shed
 ## accounting hammer, and the netsim stall/resume tests backing them.
 relay-check:
-	$(GO) test -race -run 'TestRelay|TestSharedFrame|TestWriteSharedFrame|TestSendShared|TestCRCShift|TestLinkStall|TestLinkClose' ./internal/core ./internal/transport ./internal/netsim
+	$(GO) test -race -run 'TestRelay|TestSharedFrame|TestWriteSharedFrame|TestSendShared|TestBatch|TestSendBatch|TestCRCShift|TestLinkStall|TestLinkClose' ./internal/core ./internal/transport ./internal/netsim
 	$(GO) test -race -count=10 -run 'TestQueueShedAndEvictAccounting|TestQueueTryGet' ./internal/queue
 
 ## bench-relay: serial vs serialize-once fan-out microbenchmarks, plus
@@ -161,8 +163,9 @@ bench-tiering:
 ## cascade / churn suites (bounded-load ring vs rendezvous, depth-2
 ## byte identity, depth-3 hop-cap drop, trunk-reconnect seq contiguity,
 ## admission), the payload-adoption wire suites, and the seeded-jitter
-## mesh tests. The trunk-vs-subscriber alloc-parity regression runs on
-## its own non-race line: race instrumentation perturbs alloc counts.
+## mesh tests. The trunk-vs-subscriber alloc-parity regression and the
+## zero-alloc pin on batch sends (TestTrunkLegAllocsBatchSend) run on
+## their own non-race line: race instrumentation perturbs alloc counts.
 cluster-check:
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestTrunkReshare|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim

@@ -206,6 +206,10 @@ type relayPeer struct {
 	// re-homing (the home shard already re-homed at origin) and adopts
 	// the received payload buffer + CRC instead of re-copying.
 	trunkIngress bool
+	// ladder is a trunk-egress leg's batch scratch — every rung's wire
+	// frames of one media frame, in ladder order — reused across media
+	// frames and touched only by the leg's egress goroutine.
+	ladder []*transport.SharedFrame
 	// out is the subscriber's bounded latest-frame-wins egress queue: the
 	// broadcast loop's non-blocking handoff to this peer's egress
 	// goroutine.
@@ -780,16 +784,17 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 		obs.Flight.Record(obs.EvRelayEgress, p.site, tid,
 			int64(deq)-it.at.UnixMicro(), int64(actual))
 	}
-	for i, sf := range frames {
-		o := transport.SharedSendOpts{TierSwitch: switching && i == 0}
-		if sf.Flags&transport.FlagHops != 0 {
-			o.Egress = &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq}
-		}
-		if err := p.sess.SendSharedLeg(sf, o); err != nil {
-			return err
-		}
-		p.est.Observe(time.Now(), sf.WireLen())
+	// The rung leaves as one batch — one connection write when it spans
+	// several wire frames — and the leg's estimator sees the bytes that
+	// write actually carried (egress hops included), once per media frame.
+	n, err := p.sess.SendSharedBatch(frames, transport.SharedSendOpts{
+		Egress:     &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq},
+		TierSwitch: switching,
+	})
+	if err != nil {
+		return err
 	}
+	p.est.Observe(time.Now(), n)
 	if st.kfRequested == actual {
 		st.kfRequested = -1
 	}
@@ -805,26 +810,27 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 // egressTrunkSet forwards one complete tiered media frame down a trunk
 // leg: every rung, in ladder order, so the downstream shard re-shares
 // the full ladder and its own subscriber legs keep tiering
-// independently. Each wire frame costs exactly what a subscriber leg's
-// does — the shared payload and its cached CRC are reused, only the
-// 32-byte header is rebuilt per leg — so adding a trunk to a hot room
-// is no more expensive than adding one subscriber per rung.
+// independently. The whole ladder is one batch — one connection write —
+// and each wire frame in it costs what a subscriber leg's does: the
+// shared payload's cached CRC is reused, only the 32-byte header is
+// rebuilt per leg.
 func (r *Relay) egressTrunkSet(p *relayPeer, it egressItem) error {
 	deq := obs.NowMicros()
 	if tid := it.set.TraceID(); tid != 0 {
 		obs.Flight.Record(obs.EvRelayEgress, p.site, tid,
 			int64(deq)-it.at.UnixMicro(), int64(it.set.TierCount()))
 	}
+	ladder := p.ladder[:0]
 	for t := 0; t < it.set.TierCount(); t++ {
-		for _, sf := range it.set.Tier(t) {
-			var o transport.SharedSendOpts
-			if sf.Flags&transport.FlagHops != 0 {
-				o.Egress = &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq}
-			}
-			if err := p.sess.SendSharedLeg(sf, o); err != nil {
-				return err
-			}
-		}
+		ladder = append(ladder, it.set.Tier(t)...)
+	}
+	_, err := p.sess.SendSharedBatch(ladder, transport.SharedSendOpts{
+		Egress: &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq},
+	})
+	clear(ladder) // keep the array, not the sent ladder's payloads
+	p.ladder = ladder
+	if err != nil {
+		return err
 	}
 	p.sent.Add(1)
 	if m := r.m.Load(); m != nil {

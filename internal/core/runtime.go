@@ -58,10 +58,13 @@ type Sender struct {
 	OnKeyframeRequest func(tier int)
 
 	traceSeq atomic.Uint64
-	// hopScratch is the reused one-hop path Transmit stamps per wire
-	// frame (SendTracedHops serializes before returning, so the array is
-	// safe to reuse with a single transmitting goroutine).
+	// hopScratch is the one-hop sender path every wire frame of a media
+	// frame shares, and frames the media frame's wire frames handed to
+	// Session.SendBatch. Both are reused across media frames: the batch is
+	// serialized before SendBatch returns, so they are safe to reuse with
+	// a single transmitting goroutine.
 	hopScratch [1]obs.Hop
+	frames     []transport.Frame
 }
 
 // SendFrame encodes and transmits one capture, taking "now" as the
@@ -105,32 +108,58 @@ func (s *Sender) EncodeFrame(c capture.Capture) (EncodedFrame, error) {
 
 // Transmit runs the send stage alone: it ships an already-encoded media
 // frame, stamping the trace extension (capture timestamp + fresh trace
-// ID) when Obs is set. Session writes are internally serialized, but
-// trace IDs stay ordered only with a single transmitting goroutine.
+// ID) when Obs is set. Not safe for concurrent use with itself or
+// TransmitLadder: the wire frames are built in a scratch the Sender
+// reuses across media frames, so one goroutine transmits (as trace-ID
+// ordering needs anyway).
 func (s *Sender) Transmit(enc EncodedFrame, capturedAt time.Time) error {
+	tiers := [1]EncodedFrame{enc}
+	return s.transmit(tiers[:], capturedAt)
+}
+
+// transmit ships one media frame — a ladder of len(tiers) rungs,
+// cheapest first, or a single untiered encoding — as one session batch:
+// every channel of every rung leaves in a single connection write. Only
+// a ladder of more than one rung is tier-stamped.
+func (s *Sender) transmit(tiers []EncodedFrame, capturedAt time.Time) error {
 	if s.Tracer != nil {
 		defer s.Tracer.Start("send")()
 	}
+	base := transport.Frame{Type: transport.TypeSemantic}
+	if len(tiers) > 1 {
+		base.Flags |= transport.FlagTier
+		base.TierCount = uint8(len(tiers))
+	}
 	if s.Obs != nil {
-		captureTS := uint64(capturedAt.UnixMicro())
-		traceID := s.traceSeq.Add(1)
-		bytes := 0
+		// One trace ID and one HopSender record span the whole media frame
+		// — every tier of it — so the flight recorder and hop traces
+		// attribute all rungs to the same capture instant: capture stamp as
+		// recv, send stamped by the session at write time (SendMicros == 0).
+		base.Flags |= transport.FlagTrace | transport.FlagHops
+		base.CaptureTS = uint64(capturedAt.UnixMicro())
+		base.TraceID = s.traceSeq.Add(1)
+		s.hopScratch[0] = obs.Hop{Kind: obs.HopSender, Site: s.Site, RecvMicros: base.CaptureTS}
+		base.Hops = s.hopScratch[:]
+	}
+	frames, bytes := s.frames[:0], 0
+	for ti, enc := range tiers {
 		for _, ch := range enc.Channels {
-			// One HopSender record per wire frame: capture stamp as recv,
-			// send stamped by the session at write time (SendMicros == 0).
-			s.hopScratch[0] = obs.Hop{Kind: obs.HopSender, Site: s.Site, RecvMicros: captureTS}
-			if err := s.Session.SendTracedHops(ch.Channel, ch.Flags, ch.Payload, captureTS, traceID, s.hopScratch[:]); err != nil {
-				return fmt.Errorf("core: send channel %d: %w", ch.Channel, err)
-			}
+			f := base
+			f.Channel, f.Flags, f.Payload, f.Tier = ch.Channel, base.Flags|ch.Flags, ch.Payload, uint8(ti)
+			frames = append(frames, f)
 			bytes += len(ch.Payload)
 		}
-		obs.Flight.Record(obs.EvFrameSent, "sender", traceID, int64(bytes), 0)
-		return nil
 	}
-	for _, ch := range enc.Channels {
-		if err := s.Session.Send(ch.Channel, ch.Flags, ch.Payload); err != nil {
-			return fmt.Errorf("core: send channel %d: %w", ch.Channel, err)
-		}
+	_, err := s.Session.SendBatch(frames)
+	// Keep the array, drop the payload references: the scratch must not
+	// pin encoder buffers between media frames.
+	clear(frames)
+	s.frames = frames[:0]
+	if err != nil {
+		return fmt.Errorf("core: send media frame: %w", err)
+	}
+	if s.Obs != nil {
+		obs.Flight.Record(obs.EvFrameSent, "sender", base.TraceID, int64(bytes), int64(base.TierCount))
 	}
 	return nil
 }
@@ -162,46 +191,13 @@ func (s *Sender) HandleControl(f transport.Frame) error {
 // TransmitLadder ships one media frame at every rung of a tier ladder,
 // tier-stamping each wire frame so a relay can assemble a
 // SharedFrameSet and serve each subscriber its own rung. A one-rung
-// ladder takes the plain Transmit path — no tier extension, wire bytes
-// identical to the untiered sender.
+// ladder is the plain Transmit — no tier extension, wire bytes identical
+// to the untiered sender. Like Transmit, one goroutine at a time.
 func (s *Sender) TransmitLadder(lf LadderFrame, capturedAt time.Time) error {
-	if len(lf.Tiers) == 1 {
-		return s.Transmit(lf.Tiers[0], capturedAt)
-	}
 	if len(lf.Tiers) == 0 || len(lf.Tiers) > transport.MaxTiers {
 		return fmt.Errorf("core: ladder frame with %d tiers (want 1..%d)", len(lf.Tiers), transport.MaxTiers)
 	}
-	if s.Tracer != nil {
-		defer s.Tracer.Start("send")()
-	}
-	tierCount := uint8(len(lf.Tiers))
-	if s.Obs != nil {
-		// One trace ID spans the whole media frame — every tier of it —
-		// so the flight recorder and hop traces attribute all rungs to
-		// the same capture instant.
-		captureTS := uint64(capturedAt.UnixMicro())
-		traceID := s.traceSeq.Add(1)
-		bytes := 0
-		for ti, enc := range lf.Tiers {
-			for _, ch := range enc.Channels {
-				s.hopScratch[0] = obs.Hop{Kind: obs.HopSender, Site: s.Site, RecvMicros: captureTS}
-				if err := s.Session.SendTierTracedHops(ch.Channel, ch.Flags, ch.Payload, uint8(ti), tierCount, captureTS, traceID, s.hopScratch[:]); err != nil {
-					return fmt.Errorf("core: send tier %d channel %d: %w", ti, ch.Channel, err)
-				}
-				bytes += len(ch.Payload)
-			}
-		}
-		obs.Flight.Record(obs.EvFrameSent, "sender", traceID, int64(bytes), int64(tierCount))
-		return nil
-	}
-	for ti, enc := range lf.Tiers {
-		for _, ch := range enc.Channels {
-			if err := s.Session.SendTier(ch.Channel, ch.Flags, ch.Payload, uint8(ti), tierCount); err != nil {
-				return fmt.Errorf("core: send tier %d channel %d: %w", ti, ch.Channel, err)
-			}
-		}
-	}
-	return nil
+	return s.transmit(lf.Tiers, capturedAt)
 }
 
 // Receiver drives the other direction: it collects channel payloads

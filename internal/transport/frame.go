@@ -195,8 +195,23 @@ var (
 	ErrBadHeader = errors.New("transport: malformed header")
 )
 
+// maxBatchBytes bounds what BufferFrame / bufferSharedFrameLeg accumulate
+// before the writer flushes on its own: a batch is flushed at a
+// wire-frame boundary before it would pass this size, so a session's
+// buffer stays bounded however many frames one media frame spans. 64 KiB
+// holds the whole three-rung ladder (≈12 kB at res 64) several times over
+// and is one write's worth for a kernel socket buffer.
+const maxBatchBytes = 64 << 10
+
 // FrameWriter serializes frames to an io.Writer through one reusable
 // buffer. Not safe for concurrent use; Session serializes access.
+//
+// A frame is either written on its own (WriteFrame, WriteSharedFrame*)
+// or buffered behind the frames before it (BufferFrame,
+// bufferSharedFrameLeg) and handed to the writer with them in a single
+// Write by Flush — the wire bytes are the same either way, a batch is
+// only fewer writes. Buffered frames live in buf; every direct write
+// flushes them first, so the two styles interleave in call order.
 type FrameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -292,8 +307,9 @@ func checkTierExt(tier, tierCount uint8) error {
 	return nil
 }
 
-// WriteFrame serializes and writes one frame.
-func (fw *FrameWriter) WriteFrame(f *Frame) error {
+// checkFrame validates what WriteFrame and BufferFrame refuse to put on
+// the wire.
+func checkFrame(f *Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(f.Payload))
 	}
@@ -301,16 +317,61 @@ func (fw *FrameWriter) WriteFrame(f *Frame) error {
 		return err
 	}
 	if f.Flags&FlagTier != 0 {
-		if err := checkTierExt(f.Tier, f.TierCount); err != nil {
+		return checkTierExt(f.Tier, f.TierCount)
+	}
+	return nil
+}
+
+// reserve makes room for n more bytes behind whatever is buffered,
+// growing to exactly that: a session's buffer settles at the largest
+// write it has made, not at the next power of two above it.
+func (fw *FrameWriter) reserve(n int) {
+	if cap(fw.buf)-len(fw.buf) >= n {
+		return
+	}
+	grown := make([]byte, len(fw.buf), len(fw.buf)+n)
+	copy(grown, fw.buf)
+	fw.buf = grown
+}
+
+// makeRoom is reserve for one more buffered wire frame of n bytes, first
+// flushing what is buffered if the frame would carry it past
+// maxBatchBytes.
+func (fw *FrameWriter) makeRoom(n int) error {
+	if len(fw.buf) > 0 && len(fw.buf)+n > maxBatchBytes {
+		if err := fw.Flush(); err != nil {
 			return err
 		}
 	}
-	need := headerLen + traceExtLen + maxHopExtLen + tierExtLen + len(f.Payload) + trailerLen
-	if cap(fw.buf) < need {
-		fw.buf = make([]byte, 0, need)
+	fw.reserve(n)
+	return nil
+}
+
+// Flush hands every buffered frame to the writer in one Write. A no-op
+// when nothing is buffered. The buffer is empty afterwards whether or
+// not the write succeeded.
+func (fw *FrameWriter) Flush() error {
+	if len(fw.buf) == 0 {
+		return nil
 	}
-	b := fw.buf[:0]
-	b = appendHeader(b, f.Type, f.Channel, f.Flags, f.Seq, f.Timestamp, len(f.Payload))
+	b := fw.buf
+	fw.buf = b[:0]
+	_, err := fw.w.Write(b)
+	return err
+}
+
+// BufferFrame serializes one frame behind the frames already buffered;
+// Flush sends them together. A frame that does not validate leaves the
+// buffer as it was.
+func (fw *FrameWriter) BufferFrame(f *Frame) error {
+	if err := checkFrame(f); err != nil {
+		return err
+	}
+	if err := fw.makeRoom(wireLen(f)); err != nil {
+		return err
+	}
+	start := len(fw.buf)
+	b := appendHeader(fw.buf, f.Type, f.Channel, f.Flags, f.Seq, f.Timestamp, len(f.Payload))
 	if f.Flags&FlagTrace != 0 {
 		b = appendTraceExt(b, f.CaptureTS, f.SendTS, f.TraceID)
 	}
@@ -321,11 +382,17 @@ func (fw *FrameWriter) WriteFrame(f *Frame) error {
 		b = appendTierExt(b, f.Tier, f.TierCount)
 	}
 	b = append(b, f.Payload...)
-	crc := crc32.ChecksumIEEE(b)
-	b = binary.BigEndian.AppendUint32(b, crc)
-	fw.buf = b[:0]
-	_, err := fw.w.Write(b)
-	return err
+	fw.buf = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+	return nil
+}
+
+// WriteFrame serializes and writes one frame (behind anything buffered),
+// in a single Write.
+func (fw *FrameWriter) WriteFrame(f *Frame) error {
+	if err := fw.BufferFrame(f); err != nil {
+		return err
+	}
+	return fw.Flush()
 }
 
 // FrameReader decodes frames from an io.Reader. The returned Frame's

@@ -9,7 +9,11 @@
 // themselves are written with scatter-gather I/O (net.Buffers), so
 // per-subscriber cost is O(header), not O(payload), while the wire
 // bytes stay exactly what FrameWriter.WriteFrame would have produced —
-// including per-(subscriber,channel) sequence numbers.
+// including per-(subscriber,channel) sequence numbers. A media frame
+// that spans several wire frames trades the by-reference write for one
+// memcpy per leg: bufferSharedFrameLeg lays the same bytes out
+// contiguously so the whole media frame is a single connection write
+// (still no re-hash — the cached CRC is spliced in either way).
 package transport
 
 import (
@@ -257,6 +261,16 @@ func (sf *SharedFrame) WireLenEgress() int {
 	return sf.WireLen() + hopRecordLen
 }
 
+// legWireLen is the on-the-wire size of one per-leg emission: with the
+// egress hop when one is given and the frame is hop-traced, without
+// otherwise.
+func (sf *SharedFrame) legWireLen(egress *obs.Hop) int {
+	if egress != nil && sf.Flags&FlagHops != 0 {
+		return sf.WireLenEgress()
+	}
+	return sf.WireLen()
+}
+
 // WriteSharedFrame emits sf with the given sequence number and sender
 // timestamp (and, for traced frames, send wall clock), byte-identical to
 // FrameWriter.WriteFrame of the equivalent Frame. Only the header (and
@@ -265,7 +279,7 @@ func (sf *SharedFrame) WireLenEgress() int {
 // writer by reference and its cached CRC is spliced in via the shift
 // tables. Not safe for concurrent use, like WriteFrame.
 func (fw *FrameWriter) WriteSharedFrame(sf *SharedFrame, seq uint32, timestamp, sendTS uint64) error {
-	return fw.writeShared(sf, seq, timestamp, sendTS, nil, 0)
+	return fw.WriteSharedFrameLeg(sf, seq, timestamp, sendTS, nil, 0)
 }
 
 // WriteSharedFrameEgress is WriteSharedFrame for hop-traced broadcast:
@@ -279,10 +293,7 @@ func (fw *FrameWriter) WriteSharedFrame(sf *SharedFrame, seq uint32, timestamp, 
 // hop is dropped — never a malformed frame — and an obs.EvHopDropped
 // flight event records the truncation.
 func (fw *FrameWriter) WriteSharedFrameEgress(sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress obs.Hop) error {
-	if egress.SendMicros == 0 {
-		egress.SendMicros = sendTS
-	}
-	return fw.writeShared(sf, seq, timestamp, sendTS, &egress, 0)
+	return fw.WriteSharedFrameLeg(sf, seq, timestamp, sendTS, &egress, 0)
 }
 
 // WriteSharedFrameLeg is the general per-leg emission: egress, when
@@ -292,49 +303,21 @@ func (fw *FrameWriter) WriteSharedFrameEgress(sf *SharedFrame, seq uint32, times
 // bytes — today that is FlagTierSwitch, the per-leg tier-change marker a
 // relay stamps on the first frame after switching a subscriber's tier.
 // The shared payload and its cached CRC are untouched either way.
+//
+// The payload goes out by reference: header, payload and trailer are
+// three scatter-gather segments, which on anything but a TCP socket are
+// three sequential writes. On a saturated leg that is a feature — the
+// trailing 4-byte write returns only once the link has taken the whole
+// frame, so the caller picks its next frame at the last moment instead
+// of committing to one a serialisation time early.
 func (fw *FrameWriter) WriteSharedFrameLeg(sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress *obs.Hop, orFlags uint16) error {
-	if orFlags&^FlagTierSwitch != 0 {
-		return fmt.Errorf("%w: per-leg flags %#x gate extension bytes", ErrBadHeader, orFlags)
+	if err := checkSharedLeg(sf, orFlags); err != nil {
+		return err
 	}
-	if egress != nil && egress.SendMicros == 0 {
-		e := *egress
-		e.SendMicros = sendTS
-		egress = &e
+	if err := fw.Flush(); err != nil {
+		return err
 	}
-	return fw.writeShared(sf, seq, timestamp, sendTS, egress, orFlags)
-}
-
-func (fw *FrameWriter) writeShared(sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress *obs.Hop, orFlags uint16) error {
-	if egress != nil && len(sf.hops) >= obs.MaxTraceHops {
-		// A forwarded frame may arrive already carrying a wire-valid full
-		// path (SharedFromFrame keeps it verbatim; only AppendHop reserves
-		// the egress slot). Mirror AppendHop's drop-don't-fail policy:
-		// forward the carried path unchanged rather than emit a 9-hop frame
-		// no reader accepts.
-		obs.Flight.Record(obs.EvHopDropped, "transport:egress", sf.TraceID,
-			int64(egress.Kind), int64(len(sf.hops)))
-		egress = nil
-	}
-	flags := sf.Flags | orFlags
-	if flags&FlagTierSwitch != 0 && flags&FlagTier == 0 {
-		// A switch marker on an untiered frame would be rejected by every
-		// reader; emitting it is a caller bug.
-		return fmt.Errorf("%w: FlagTierSwitch without FlagTier", ErrBadHeader)
-	}
-	b := fw.buf[:0]
-	b = appendHeader(b, sf.Type, sf.Channel, flags, seq, timestamp, len(sf.payload))
-	if sf.Flags&FlagTrace != 0 {
-		b = appendTraceExt(b, sf.CaptureTS, sendTS, sf.TraceID)
-	}
-	if sf.Flags&FlagHops != 0 {
-		b = appendHops(b, sf.hops, egress)
-	}
-	if sf.Flags&FlagTier != 0 {
-		if err := checkTierExt(sf.Tier, sf.TierCount); err != nil {
-			return err
-		}
-		b = appendTierExt(b, sf.Tier, sf.TierCount)
-	}
+	b := appendSharedHead(fw.buf, sf, seq, timestamp, sendTS, egress, orFlags)
 	crc := crcCombine(crc32.ChecksumIEEE(b), sf.payloadCRC, len(sf.payload))
 	full := binary.BigEndian.AppendUint32(b, crc) // header ∥ trailer, contiguous in fw.buf
 	fw.buf = full[:0]
@@ -350,4 +333,78 @@ func (fw *FrameWriter) writeShared(sf *SharedFrame, seq uint32, timestamp, sendT
 	fw.bufs = nil
 	fw.vec[0], fw.vec[1], fw.vec[2] = nil, nil, nil
 	return err
+}
+
+// bufferSharedFrameLeg is WriteSharedFrameLeg into the batch buffer: the
+// same bytes — header rebuilt per leg, cached payload CRC spliced in,
+// never re-hashed — but copied contiguously behind the frames already
+// buffered, so Flush sends the whole batch in one Write. A single frame
+// larger than maxBatchBytes is not worth copying: it is written at once,
+// by reference, after the frames before it.
+func (fw *FrameWriter) bufferSharedFrameLeg(sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress *obs.Hop, orFlags uint16) error {
+	n := sf.legWireLen(egress)
+	if n > maxBatchBytes {
+		return fw.WriteSharedFrameLeg(sf, seq, timestamp, sendTS, egress, orFlags)
+	}
+	if err := checkSharedLeg(sf, orFlags); err != nil {
+		return err
+	}
+	if err := fw.makeRoom(n); err != nil {
+		return err
+	}
+	start := len(fw.buf)
+	b := appendSharedHead(fw.buf, sf, seq, timestamp, sendTS, egress, orFlags)
+	crc := crcCombine(crc32.ChecksumIEEE(b[start:]), sf.payloadCRC, len(sf.payload))
+	b = append(b, sf.payload...)
+	fw.buf = binary.BigEndian.AppendUint32(b, crc)
+	return nil
+}
+
+// checkSharedLeg validates one per-leg emission of sf before any byte
+// of it is serialized.
+func checkSharedLeg(sf *SharedFrame, orFlags uint16) error {
+	if orFlags&^FlagTierSwitch != 0 {
+		return fmt.Errorf("%w: per-leg flags %#x gate extension bytes", ErrBadHeader, orFlags)
+	}
+	if sf.Flags&FlagTier == 0 {
+		if (sf.Flags|orFlags)&FlagTierSwitch != 0 {
+			// A switch marker on an untiered frame would be rejected by every
+			// reader; emitting it is a caller bug.
+			return fmt.Errorf("%w: FlagTierSwitch without FlagTier", ErrBadHeader)
+		}
+		return nil
+	}
+	return checkTierExt(sf.Tier, sf.TierCount)
+}
+
+// appendSharedHead serializes everything of a per-leg emission that
+// precedes the payload — header and extensions, egress hop included —
+// onto b. The caller has run checkSharedLeg.
+func appendSharedHead(b []byte, sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress *obs.Hop, orFlags uint16) []byte {
+	b = appendHeader(b, sf.Type, sf.Channel, sf.Flags|orFlags, seq, timestamp, len(sf.payload))
+	if sf.Flags&FlagTrace != 0 {
+		b = appendTraceExt(b, sf.CaptureTS, sendTS, sf.TraceID)
+	}
+	if sf.Flags&FlagHops != 0 {
+		if egress != nil && len(sf.hops) >= obs.MaxTraceHops {
+			// A forwarded frame may arrive already carrying a wire-valid full
+			// path (SharedFromFrame keeps it verbatim; only AppendHop reserves
+			// the egress slot). Mirror AppendHop's drop-don't-fail policy:
+			// forward the carried path unchanged rather than emit a 9-hop frame
+			// no reader accepts.
+			obs.Flight.Record(obs.EvHopDropped, "transport:egress", sf.TraceID,
+				int64(egress.Kind), int64(len(sf.hops)))
+			egress = nil
+		}
+		if egress != nil && egress.SendMicros == 0 {
+			e := *egress
+			e.SendMicros = sendTS
+			egress = &e
+		}
+		b = appendHops(b, sf.hops, egress)
+	}
+	if sf.Flags&FlagTier != 0 {
+		b = appendTierExt(b, sf.Tier, sf.TierCount)
+	}
+	return b
 }

@@ -199,29 +199,96 @@ func (s *Session) send(f *Frame) error {
 	return s.sendLocked(f)
 }
 
-// sendLocked is send's body; the caller holds wmu.
-func (s *Session) sendLocked(f *Frame) error {
-	f.Seq = s.seq[f.Channel]
-	s.seq[f.Channel]++
-	f.Timestamp = uint64(time.Since(s.t0).Microseconds())
+// stampLocked assigns f its channel's next sequence number, the session
+// clock and — on traced frames — the wall-clock send stamp; the caller
+// holds wmu. sendTS is taken at the last possible moment before the
+// write so the receiver's network span excludes sender-side queueing.
+// Hop records still awaiting their send stamp (SendMicros == 0) get the
+// same instant — the local site's hand-off time.
+func (s *Session) stampLocked(f *Frame, timestamp, sendTS uint64) {
+	f.Seq = s.nextSeq(f.Channel)
+	f.Timestamp = timestamp
 	if f.Flags&FlagTrace != 0 {
-		// Stamp the wall-clock send time at the last possible moment so
-		// the receiver's network span excludes sender-side queueing. Hop
-		// records still awaiting their send stamp (SendMicros == 0) get
-		// the same instant — the local site's hand-off time.
-		f.SendTS = obs.NowMicros()
+		f.SendTS = sendTS
 		for i := range f.Hops {
 			if f.Hops[i].SendMicros == 0 {
-				f.Hops[i].SendMicros = f.SendTS
+				f.Hops[i].SendMicros = sendTS
 			}
 		}
 	}
+}
+
+// now reads the two clocks a write stamps: the session clock every frame
+// carries, and the wall clock for trace extensions (skipped, zero, when
+// flags carries no FlagTrace).
+func (s *Session) now(flags uint16) (timestamp, sendTS uint64) {
+	timestamp = uint64(time.Since(s.t0).Microseconds())
+	if flags&FlagTrace != 0 {
+		sendTS = obs.NowMicros()
+	}
+	return timestamp, sendTS
+}
+
+// sendLocked is send's body; the caller holds wmu.
+func (s *Session) sendLocked(f *Frame) error {
+	ts, sendTS := s.now(f.Flags)
+	s.stampLocked(f, ts, sendTS)
 	if err := s.fw.WriteFrame(f); err != nil {
 		return s.wrapErr(err)
 	}
-	s.stats.bytesSent.Add(int64(wireLen(f)))
-	s.stats.framesSent.Add(1)
+	s.sent(wireLen(f), 1)
 	return nil
+}
+
+// sent accounts bytes and wire frames written.
+func (s *Session) sent(bytes, frames int) {
+	s.stats.bytesSent.Add(int64(bytes))
+	s.stats.framesSent.Add(int64(frames))
+}
+
+// SendBatch transmits the wire frames of one media frame — every channel
+// of every rung a sender ships — as one unit: all of them are stamped
+// and serialized under a single hold of the write lock and handed to the
+// connection in one Write (one per 64 KiB for a batch larger than that),
+// where sending them one by one costs a write, and on a real socket a
+// syscall and a segment, per wire frame. The bytes on the wire are
+// exactly those of sending each frame in turn: per-channel sequence
+// numbers advance frame by frame, and nothing from another goroutine
+// (a pong, a control frame) can land inside the batch. One session
+// timestamp and — for traced frames — one SendTS are taken for the whole
+// batch, immediately before it is serialized; hop records awaiting their
+// send stamp get that SendTS. A batch of one frame is one write of the
+// bytes Send would have written.
+//
+// The batch is validated whole first: an invalid frame fails the call
+// with nothing stamped and nothing written. frames is stamped in place
+// (Seq, Timestamp, SendTS, hop send stamps) and not retained. Returns the
+// wire bytes written.
+func (s *Session) SendBatch(frames []Frame) (int, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	var flags uint16
+	total := 0
+	for i := range frames {
+		if err := checkFrame(&frames[i]); err != nil {
+			return 0, err
+		}
+		flags |= frames[i].Flags
+		total += wireLen(&frames[i])
+	}
+	s.fw.reserve(min(total, maxBatchBytes))
+	ts, sendTS := s.now(flags)
+	for i := range frames {
+		s.stampLocked(&frames[i], ts, sendTS)
+		if err := s.fw.BufferFrame(&frames[i]); err != nil {
+			return 0, s.wrapErr(err)
+		}
+	}
+	if err := s.fw.Flush(); err != nil {
+		return 0, s.wrapErr(err)
+	}
+	s.sent(total, len(frames))
+	return total, nil
 }
 
 // wireLen is the on-the-wire size of a frame.
@@ -267,28 +334,6 @@ func (s *Session) SendTracedHops(channel uint16, flags uint16, payload []byte, c
 	})
 }
 
-// SendTier transmits one rung of a semantic tier ladder: a semantic
-// payload stamped with the tier extension (tier index + ladder size) so
-// relays can assemble the full ladder per media frame and pick a tier
-// per egress leg.
-func (s *Session) SendTier(channel uint16, flags uint16, payload []byte, tier, tierCount uint8) error {
-	return s.send(&Frame{
-		Type: TypeSemantic, Channel: channel, Flags: flags | FlagTier,
-		Tier: tier, TierCount: tierCount, Payload: payload,
-	})
-}
-
-// SendTierTracedHops is SendTier with the hop-annotated trace extension
-// of SendTracedHops: the frame carries capture stamp, trace ID, and hop
-// path alongside its tier identity.
-func (s *Session) SendTierTracedHops(channel uint16, flags uint16, payload []byte, tier, tierCount uint8, captureTS, traceID uint64, hops []obs.Hop) error {
-	return s.send(&Frame{
-		Type: TypeSemantic, Channel: channel, Flags: flags | FlagTier | FlagTrace | FlagHops,
-		Tier: tier, TierCount: tierCount,
-		CaptureTS: captureTS, TraceID: traceID, Hops: hops, Payload: payload,
-	})
-}
-
 // SendControl transmits a control payload.
 func (s *Session) SendControl(payload []byte) error {
 	return s.send(&Frame{Type: TypeControl, Channel: ChannelControl, Payload: payload})
@@ -303,7 +348,7 @@ func (s *Session) SendControl(payload []byte) error {
 // concurrent use with Send/SendControl (writes serialize on the same
 // lock).
 func (s *Session) SendShared(sf *SharedFrame) error {
-	return s.sendShared(sf, nil, 0)
+	return s.SendSharedLeg(sf, SharedSendOpts{})
 }
 
 // SendSharedEgress is SendShared for hop-traced broadcast frames: each
@@ -312,10 +357,7 @@ func (s *Session) SendShared(sf *SharedFrame) error {
 // queue dwell and write instant without perturbing the shared payload.
 // Falls back to SendShared semantics when sf carries no hop extension.
 func (s *Session) SendSharedEgress(sf *SharedFrame, egress obs.Hop) error {
-	if sf.Flags&FlagHops == 0 {
-		return s.sendShared(sf, nil, 0)
-	}
-	return s.sendShared(sf, &egress, 0)
+	return s.SendSharedLeg(sf, SharedSendOpts{Egress: &egress})
 }
 
 // SharedSendOpts tunes one per-leg SharedFrame emission.
@@ -330,52 +372,87 @@ type SharedSendOpts struct {
 	TierSwitch bool
 }
 
+// orFlags is the per-leg flag bits the options add to the header of the
+// i-th frame of an emission: the switch marker rides on the first only.
+func (o SharedSendOpts) orFlags(i int) uint16 {
+	if o.TierSwitch && i == 0 {
+		return FlagTierSwitch
+	}
+	return 0
+}
+
 // SendSharedLeg is SendShared/SendSharedEgress generalized to per-leg
 // options: each egress leg of a fan-out can carry its own final hop
 // record and its own tier-switch marker without perturbing the shared
 // payload or its cached CRC.
 func (s *Session) SendSharedLeg(sf *SharedFrame, o SharedSendOpts) error {
-	egress := o.Egress
-	if sf.Flags&FlagHops == 0 {
-		egress = nil
-	}
-	var orFlags uint16
-	if o.TierSwitch {
-		orFlags = FlagTierSwitch
-	}
-	return s.sendShared(sf, egress, orFlags)
-}
-
-func (s *Session) sendShared(sf *SharedFrame, egress *obs.Hop, orFlags uint16) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	seq := s.seq[sf.Channel]
-	s.seq[sf.Channel]++
-	ts := uint64(time.Since(s.t0).Microseconds())
-	var sendTS uint64
-	if sf.Flags&FlagTrace != 0 {
-		sendTS = obs.NowMicros()
+	_, err := s.sendSharedLocked(sf, o)
+	return err
+}
+
+// nextSeq hands out channel's next sequence number; the caller holds wmu.
+func (s *Session) nextSeq(channel uint16) uint32 {
+	seq := s.seq[channel]
+	s.seq[channel]++
+	return seq
+}
+
+// sendSharedLocked writes one shared frame by reference — header, shared
+// payload, trailer — and returns the wire bytes written; the caller
+// holds wmu.
+func (s *Session) sendSharedLocked(sf *SharedFrame, o SharedSendOpts) (int, error) {
+	ts, sendTS := s.now(sf.Flags)
+	if err := s.fw.WriteSharedFrameLeg(sf, s.nextSeq(sf.Channel), ts, sendTS, o.Egress, o.orFlags(0)); err != nil {
+		return 0, s.wrapErr(err)
 	}
-	wire := sf.WireLen()
-	var err error
-	switch {
-	case orFlags != 0:
-		if egress != nil {
-			wire = sf.WireLenEgress()
+	n := sf.legWireLen(o.Egress)
+	s.sent(n, 1)
+	return n, nil
+}
+
+// SendSharedBatch is SendBatch for pre-serialized broadcast frames: the
+// wire frames of one media frame as a relay leg forwards it — one rung to
+// a subscriber, the whole ladder down a trunk — stamped under one hold of
+// the write lock and handed to the connection in one Write, byte for
+// byte what SendSharedLeg would have emitted frame by frame (per-channel
+// sequence numbers, one SendTS for the batch, cached payload CRCs
+// spliced in, never re-hashed). o.Egress is appended to every hop-traced
+// frame of the batch; o.TierSwitch marks the first frame only — the
+// boundary a receiver resets its decoder on.
+//
+// A batch of one frame is SendSharedLeg's own path, scatter-gather
+// writes included, on purpose: see WriteSharedFrameLeg. The batch is
+// validated whole before anything is written. Returns the wire bytes
+// written.
+func (s *Session) SendSharedBatch(frames []*SharedFrame, o SharedSendOpts) (int, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if len(frames) == 1 {
+		return s.sendSharedLocked(frames[0], o)
+	}
+	var flags uint16
+	total := 0
+	for i, sf := range frames {
+		if err := checkSharedLeg(sf, o.orFlags(i)); err != nil {
+			return 0, err
 		}
-		err = s.fw.WriteSharedFrameLeg(sf, seq, ts, sendTS, egress, orFlags)
-	case egress != nil:
-		wire = sf.WireLenEgress()
-		err = s.fw.WriteSharedFrameEgress(sf, seq, ts, sendTS, *egress)
-	default:
-		err = s.fw.WriteSharedFrame(sf, seq, ts, sendTS)
+		flags |= sf.Flags
+		total += sf.legWireLen(o.Egress)
 	}
-	if err != nil {
-		return s.wrapErr(err)
+	s.fw.reserve(min(total, maxBatchBytes))
+	ts, sendTS := s.now(flags)
+	for i, sf := range frames {
+		if err := s.fw.bufferSharedFrameLeg(sf, s.nextSeq(sf.Channel), ts, sendTS, o.Egress, o.orFlags(i)); err != nil {
+			return 0, s.wrapErr(err)
+		}
 	}
-	s.stats.bytesSent.Add(int64(wire))
-	s.stats.framesSent.Add(1)
-	return nil
+	if err := s.fw.Flush(); err != nil {
+		return 0, s.wrapErr(err)
+	}
+	s.sent(total, len(frames))
+	return total, nil
 }
 
 // CaptureShared captures a frame just returned by Recv as a

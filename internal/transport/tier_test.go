@@ -159,6 +159,14 @@ func TestSharedFrameTierByteIdentity(t *testing.T) {
 	if err := NewFrameWriter(&bytes.Buffer{}).WriteSharedFrameLeg(plain, 0, 0, 0, nil, FlagTierSwitch); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("switch marker on untiered frame: err = %v, want ErrBadHeader", err)
 	}
+	// ... whether the marker arrives per leg or on the frame itself.
+	plain.Flags |= FlagTierSwitch
+	if err := NewFrameWriter(&bytes.Buffer{}).WriteSharedFrameLeg(plain, 0, 0, 0, nil, 0); !errors.Is(err, ErrBadHeader) {
+		t.Errorf("untiered frame carrying the switch marker: err = %v, want ErrBadHeader", err)
+	}
+	if err := NewFrameWriter(&bytes.Buffer{}).bufferSharedFrameLeg(plain, 0, 0, 0, nil, 0); !errors.Is(err, ErrBadHeader) {
+		t.Errorf("untiered frame carrying the switch marker, buffered: err = %v, want ErrBadHeader", err)
+	}
 }
 
 // tierSF builds one tiered shared frame for set tests.
