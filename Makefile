@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel ci cache-determinism bench-cache obs-check pipeline-check bench-pipeline relay-check bench-relay service-check bench-multitenant field-check bench-field trace-check bench-trace tier-check bench-tiering cluster-check bench-cluster
+.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -32,6 +32,12 @@ bench:
 bench-parallel:
 	$(GO) test -run xxx -bench 'Parallel' -benchmem .
 
+## bench-m2p: the motion-to-photon benchmark BENCHMARK.json declares —
+## all four workloads end to end through bench/run.sh. Not chained into
+## ci: it is ≈2.5 min of wall clock and refuses an oversubscribed box.
+bench-m2p:
+	bash bench/run.sh --trace 0
+
 ## ci: the full gate — vet, build, race-enabled tests, the
 ## temporal-coherence determinism suite (warm/cached output must stay
 ## byte-identical to cold reconstruction), and the observability gate.
@@ -52,11 +58,6 @@ ci: vet build
 ## byte-identity regression.
 pipeline-check:
 	$(GO) test -race -run 'TestStaged|TestQueue|TestGroup|TestConcurrentShutdown|TestRelay|TestCancel|TestClose|TestPing|TestSession' ./internal/pipeline ./internal/queue ./internal/core ./internal/transport
-
-## bench-pipeline: sequential vs staged motion-to-photon latency, plus
-## the JSON record via the bench CLI.
-bench-pipeline:
-	$(GO) run ./cmd/semholo-bench -exp pipeline -pipeout BENCH_pipeline.json
 
 ## obs-check: the observability gate — vet plus the race-enabled metric
 ## registry / wire-trace suites (concurrent counters, histograms,
@@ -79,12 +80,6 @@ relay-check:
 	$(GO) test -race -run 'TestRelay|TestSharedFrame|TestWriteSharedFrame|TestSendShared|TestBatch|TestSendBatch|TestCRCShift|TestLinkStall|TestLinkClose' ./internal/core ./internal/transport ./internal/netsim
 	$(GO) test -race -count=10 -run 'TestQueueShedAndEvictAccounting|TestQueueTryGet' ./internal/queue
 
-## bench-relay: serial vs serialize-once fan-out microbenchmarks, plus
-## the multi-party relay load benchmark JSON record via the bench CLI.
-bench-relay:
-	$(GO) test -run xxx -bench 'RelayFanout' -benchmem ./internal/transport
-	$(GO) run ./cmd/semholo-bench -exp relay -relayout BENCH_relay.json
-
 ## service-check: the multi-tenant decode-service gate — race-enabled
 ## worker-pool suites (budget, FIFO fairness, cancel races), the
 ## single-flight mesh-cache suites, the service byte-identity regression
@@ -94,21 +89,9 @@ service-check:
 	$(GO) test -race ./internal/par ./internal/service
 	$(GO) test -race -run 'TestMeshCache|TestHybridGazeAnchor' ./internal/avatar ./internal/core
 
-## bench-multitenant: the shared-service scaling record — correlated vs
-## independent vs isolated arms at 1/8/32/64 tenants, written as
-## BENCH_multitenant.json via the bench CLI.
-bench-multitenant:
-	$(GO) run ./cmd/semholo-bench -exp multitenant -mtout BENCH_multitenant.json
-
 ## cache-determinism: the warm-vs-cold byte-identity regression tests.
 cache-determinism:
 	$(GO) test -run 'Temporal|Anchored|WarmStart|MeshCache|CacheAndWarm' ./internal/mesh ./internal/avatar
-
-## bench-cache: the temporal-coherence benchmarks (cold vs warm vs LRU
-## hit), plus the JSON record via the bench CLI.
-bench-cache:
-	$(GO) test -run xxx -bench 'ReconstructParallel|ReconstructWarm|ReconstructCacheHit' -benchmem .
-	$(GO) run ./cmd/semholo-bench -exp cache -cacheout BENCH_cache.json
 
 ## field-check: the SDF-acceleration gate — race-enabled pruned-vs-brute
 ## bitwise identity (property + fuzz seed corpus), the 50-frame motion
@@ -119,22 +102,14 @@ field-check:
 	$(GO) test -race -run 'TestFieldPruned|TestFieldPruning|TestFieldDense|TestFieldEmpty|TestSparseBatch|TestDenseBatch|TestSegDist|TestDistSqBox' ./internal/avatar ./internal/mesh ./internal/geom
 
 ## trace-check: the hop-tracing gate — race-enabled flight-recorder /
-## trace-store / waterfall / exemplar suites and the bounded-reservoir
-## tracer regression (full packages), plus the hop-extension wire-compat
-## suites (golden bytes, per-hop CRC corruption, truncation, shared-frame
-## egress-slot reservation), the relay hop-stamping e2e test, and the
-## tracewaterfall attribution experiment.
+## trace-store / waterfall / exemplar suites (full package), plus the
+## hop-extension wire-compat suites (golden bytes, per-hop CRC
+## corruption, truncation, shared-frame egress-slot reservation) and the
+## relay hop-stamping e2e test (hop-sum vs e2e, exemplar → stored trace →
+## rendered waterfall).
 trace-check:
-	$(GO) test -race ./internal/obs ./internal/trace
-	$(GO) test -race -run 'TestHop|TestGoldenWireBytes|TestTruncatedHop|TestAppendHop|TestPerHopRecord|TestSessionSendTracedHops|TestSharedFrameAppendHop|TestSharedFromFrameFullPathEgressDrop|TestSendSharedTraced|TestRelayHopStamping|TestTraceWaterfall' ./internal/transport ./internal/core ./internal/experiments
-
-## bench-trace: the hop-trace attribution + observability-overhead
-## record — a relayed run over an impaired link (per-frame waterfalls,
-## hop-sum drift, worst-frame exemplar) and the traced / recorder-off /
-## untraced per-frame ablation, written as BENCH_trace.json via the
-## bench CLI. Budget: full tracing stack ≤2% per frame at res 128.
-bench-trace:
-	$(GO) run ./cmd/semholo-bench -exp tracewaterfall -traceout BENCH_trace.json
+	$(GO) test -race ./internal/obs
+	$(GO) test -race -run 'TestHop|TestGoldenWireBytes|TestTruncatedHop|TestAppendHop|TestPerHopRecord|TestSessionSendTracedHops|TestSharedFrameAppendHop|TestSharedFromFrameFullPathEgressDrop|TestSendSharedTraced|TestRelayHopStamping' ./internal/transport ./internal/core
 
 ## tier-check: the adaptive-tiering gate — race-enabled ladder encode
 ## suites (rung ordering, per-tier state reuse, ladder-of-one byte
@@ -151,16 +126,8 @@ tier-check:
 	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport
 	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
-## bench-tiering: the per-subscriber tiering record — one publisher's
-## three-rung ladder through the relay to a 25 Mbps and a 200 kbps leg,
-## per-leg converged tier / switches / motion-to-photon p50+p95 and
-## per-rung delivered quality, written as BENCH_tiering.json via the
-## bench CLI.
-bench-tiering:
-	$(GO) run ./cmd/semholo-bench -exp tiering -tierout BENCH_tiering.json
-
 ## cluster-check: the sharded-cluster gate — race-enabled placement /
-## cascade / churn suites (bounded-load ring vs rendezvous, depth-2
+## cascade / churn suites (bounded-load ring, depth-2
 ## byte identity, depth-3 hop-cap drop, trunk-reconnect seq contiguity,
 ## admission), the payload-adoption wire suites, and the seeded-jitter
 ## mesh tests. The trunk-vs-subscriber alloc-parity regression and the
@@ -170,18 +137,3 @@ cluster-check:
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestTrunkReshare|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
 	$(GO) test -run 'TestTrunkLegAllocs' ./internal/transport
-
-## bench-cluster: the sharded-cluster scaling record — 8 shards × 256
-## subscribers/shard over a seeded netsim mesh at cascade depth 0/1/2:
-## per-depth fan-out CPU, trunk-vs-subscriber allocs/frame parity, and
-## p95 delivery latency vs the flat single-relay baseline, written as
-## BENCH_cluster.json via the bench CLI.
-bench-cluster:
-	$(GO) run ./cmd/semholo-bench -exp cluster -clusterout BENCH_cluster.json
-
-## bench-field: pruned vs unpruned reconstruction microbenchmarks plus
-## the field-acceleration JSON record (cold/warm/dense arms at several
-## resolutions and the 64-tenant aggregate delta) via the bench CLI.
-bench-field:
-	$(GO) test -run xxx -bench 'ReconstructCold|SegDist' -benchmem ./internal/avatar ./internal/geom
-	$(GO) run ./cmd/semholo-bench -exp field -fieldout BENCH_fieldaccel.json

@@ -53,7 +53,7 @@ func TestPublicAPISession(t *testing.T) {
 	if peer.Peer != "bob" {
 		t.Fatalf("peer = %+v", peer)
 	}
-	sender := &Sender{Session: sess, Encoder: enc, Tracer: &Tracer{}}
+	sender := &Sender{Session: sess, Encoder: enc}
 	for i := 0; i < 3; i++ {
 		if err := sender.SendFrame(world.FrameAt(i)); err != nil {
 			t.Fatal(err)

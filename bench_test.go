@@ -7,7 +7,6 @@ package semholo
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -16,10 +15,8 @@ import (
 	"semholo/internal/experiments"
 	"semholo/internal/geom"
 	"semholo/internal/nerf"
-	"semholo/internal/netsim"
 	"semholo/internal/pointcloud"
 	"semholo/internal/render"
-	"semholo/internal/transport"
 )
 
 // benchEnv is shared across benchmarks (construction renders the rig).
@@ -283,107 +280,4 @@ func BenchmarkAblationTextDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.TextDelta(benchEnv, 5)
 	}
-}
-
-// benchLadder is one media frame of the three-rung semantic ladder as
-// the sender ships it at res 64: six tier-stamped wire frames (1 + 2 + 3
-// channels), ≈11.5 kB of payload.
-func benchLadder() []transport.Frame {
-	rungs := [][]int{{1100}, {1500, 1100}, {1500, 1100, 5200}}
-	var frames []transport.Frame
-	for tier, rung := range rungs {
-		for ch, size := range rung {
-			flags := transport.FlagKeyframe | transport.FlagTier
-			if ch == len(rung)-1 {
-				flags |= transport.FlagEndOfFrame
-			}
-			frames = append(frames, transport.Frame{
-				Type: transport.TypeSemantic, Channel: uint16(ch + 1), Flags: flags,
-				Tier: uint8(tier), TierCount: uint8(len(rungs)), Payload: make([]byte, size),
-			})
-		}
-	}
-	return frames
-}
-
-// BenchmarkLadderSend is the send layer's number without the 30 s
-// harness: one media frame's six wire frames written one write each
-// (per-frame) or serialized into the writer's buffer and handed over in
-// one (batch). Over io.Discard it is serialization cost alone — ns and
-// allocs per media frame, the same for both since the bytes are the
-// same. Over a 100 Mbps netsim.Pipe (no propagation delay, receiver
-// draining) ns/op is how long the sender is blocked per media frame:
-// the link serializes 11.5 kB in 0.9 ms either way, and every further
-// write is a rendezvous with the link's pump on top.
-func BenchmarkLadderSend(b *testing.B) {
-	frames := benchLadder()
-	b.Run("discard/per-frame", func(b *testing.B) {
-		fw := transport.NewFrameWriter(io.Discard)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range frames {
-				if err := fw.WriteFrame(&frames[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("discard/batch", func(b *testing.B) {
-		fw := transport.NewFrameWriter(io.Discard)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range frames {
-				if err := fw.BufferFrame(&frames[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := fw.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	pipe := func(b *testing.B, send func(*transport.Session) error) {
-		a, z, link := netsim.Pipe(netsim.LinkConfig{Bandwidth: 100e6})
-		defer link.Close()
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			sess, _, err := transport.Accept(z, transport.Hello{Peer: "sink"})
-			for err == nil {
-				_, err = sess.Recv()
-			}
-		}()
-		sess, _, err := transport.Dial(a, transport.Hello{Peer: "bench"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := send(sess); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/frame")
-		_ = sess.Close()
-		<-drained
-	}
-	b.Run("pipe100/per-frame", func(b *testing.B) {
-		pipe(b, func(s *transport.Session) error {
-			for j := range frames {
-				// A batch of one is the single-frame send path.
-				if _, err := s.SendBatch(frames[j : j+1]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	})
-	b.Run("pipe100/batch", func(b *testing.B) {
-		pipe(b, func(s *transport.Session) error {
-			_, err := s.SendBatch(frames)
-			return err
-		})
-	})
 }

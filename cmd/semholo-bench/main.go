@@ -1,6 +1,6 @@
-// Command semholo-bench regenerates every table and figure of the paper
-// plus the design ablations. Each experiment prints the series the paper
-// reports; EXPERIMENTS.md records paper-vs-measured for all of them.
+// Command semholo-bench regenerates the paper's tables, figures and
+// ablations. Each experiment prints the series the paper reports;
+// EXPERIMENTS.md records paper-vs-measured for all of them.
 //
 // Usage:
 //
@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,29 +26,13 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig2|fig3|fig4|cache|field|pipeline|relay|cluster|multitenant|tiering|tracewaterfall|foveated|keypoints|finetune|slimmable|textdelta|codecs|qoe|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig2|fig3|fig4|foveated|keypoints|finetune|slimmable|textdelta|codecs|qoe|all")
 		resArg    = flag.String("res", "", "comma-separated reconstruction resolutions (fig2/fig4)")
 		frames    = flag.Int("frames", 5, "frames per measurement")
 		full      = flag.Bool("full", false, "include the paper's full resolution sweep up to 1024 (slow)")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		par       = flag.Int("par", 0, "worker goroutines per kernel (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cache     = flag.Bool("cache", false, "enable warm-start reconstruction and the pose-keyed mesh LRU in pipeline decoders (output identical, faster)")
-		cacheOut  = flag.String("cacheout", "BENCH_cache.json", "output path for the cache experiment's JSON record")
-		fieldOut  = flag.String("fieldout", "BENCH_fieldaccel.json", "output path for the field experiment's JSON record")
-		fieldTen  = flag.Int("fieldtenants", 64, "tenant count for the field experiment's multi-tenant arm (0 skips it)")
-		pipeOut   = flag.String("pipeout", "BENCH_pipeline.json", "output path for the pipeline experiment's JSON record")
-		pipeRes   = flag.Int("piperes", 128, "reconstruction resolution for the pipeline experiment (high enough to overload the decode stage)")
-		relayOut  = flag.String("relayout", "BENCH_relay.json", "output path for the relay experiment's JSON record")
-		relaySubs = flag.String("relaysubs", "4,64,256", "comma-separated subscriber counts for the relay experiment")
-		clusOut   = flag.String("clusterout", "BENCH_cluster.json", "output path for the cluster experiment's JSON record")
-		clusN     = flag.Int("clustershards", 8, "shard count for the cluster experiment")
-		clusSubs  = flag.Int("clustersubs", 256, "subscribers per shard for the cluster experiment")
-		mtOut     = flag.String("mtout", "BENCH_multitenant.json", "output path for the multitenant experiment's JSON record")
-		mtTenants = flag.String("mttenants", "1,8,32,64", "comma-separated tenant counts for the multitenant experiment")
-		mtRes     = flag.Int("mtres", 40, "reconstruction resolution for the multitenant experiment")
-		tierOut   = flag.String("tierout", "BENCH_tiering.json", "output path for the tiering experiment's JSON record")
-		traceOut  = flag.String("traceout", "BENCH_trace.json", "output path for the tracewaterfall experiment's JSON record")
-		traceRes  = flag.Int("traceres", 128, "reconstruction resolution for the tracewaterfall overhead ablation")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz and pprof on this address while experiments run")
 	)
 	flag.Parse()
@@ -78,34 +61,24 @@ func main() {
 		fn()
 	}
 	experimentsByName := map[string]func(){
-		"table1":   func() { printTable1(env, *frames) },
-		"table2":   func() { printTable2(env, *frames) },
-		"fig2":     func() { printFig2(env, resolutions) },
-		"fig3":     func() { printFig3(env) },
-		"fig4":     func() { printFig4(env, resolutions) },
-		"cache":    func() { printCacheBench(env, *frames, *cacheOut) },
-		"field":    func() { printFieldBench(env, resolutions, *frames*4, *fieldTen, *fieldOut, *mtOut) },
-		"pipeline": func() { printPipelineBench(env, *pipeRes, *frames*8, *pipeOut) },
-		"relay":    func() { printRelayBench(env, parseSubscribers(*relaySubs), *frames*8, *relayOut) },
-		"cluster":  func() { printClusterBench(env, *clusN, *clusSubs, *frames*4, *clusOut) },
-		"multitenant": func() {
-			printMultiTenantBench(env, parseSubscribers(*mtTenants), *frames*5, *mtRes, *mtOut)
-		},
-		"tiering":        func() { printTieringBench(env, *frames*24, *tierOut) },
-		"tracewaterfall": func() { printTraceWaterfall(env, *traceRes, *frames*4, *traceOut) },
-		"foveated":       func() { printFoveated(env) },
-		"keypoints":      func() { printKeypointCount(env) },
-		"finetune":       func() { printFineTune(env) },
-		"slimmable":      func() { printSlimmable(env) },
-		"textdelta":      func() { printTextDelta(env, *frames*4) },
-		"codecs":         func() { printCodecs(env) },
-		"qoe":            func() { printQoE(env) },
+		"table1":    func() { printTable1(env, *frames) },
+		"table2":    func() { printTable2(env, *frames) },
+		"fig2":      func() { printFig2(env, resolutions) },
+		"fig3":      func() { printFig3(env) },
+		"fig4":      func() { printFig4(env, resolutions) },
+		"foveated":  func() { printFoveated(env) },
+		"keypoints": func() { printKeypointCount(env) },
+		"finetune":  func() { printFineTune(env) },
+		"slimmable": func() { printSlimmable(env) },
+		"textdelta": func() { printTextDelta(env, *frames*4) },
+		"codecs":    func() { printCodecs(env) },
+		"qoe":       func() { printQoE(env) },
 	}
 	if *exp == "all" {
 		// Fixed, readable order.
 		for _, name := range []string{
-			"table1", "table2", "fig2", "fig3", "fig4", "cache", "field", "pipeline", "relay", "cluster", "multitenant",
-			"tiering", "tracewaterfall", "foveated", "keypoints", "finetune", "slimmable", "textdelta", "codecs", "qoe",
+			"table1", "table2", "fig2", "fig3", "fig4",
+			"foveated", "keypoints", "finetune", "slimmable", "textdelta", "codecs", "qoe",
 		} {
 			run(name, experimentsByName[name])
 		}
@@ -201,251 +174,6 @@ func printFig4(env *experiments.Env, resolutions []int) {
 		fmt.Printf("%10d %14.3f %10.2f %14s %10s %10s %14.3f %10.2f %10.2f %18s\n",
 			p.Resolution, p.SecondsPerFrame, p.FPS, parSec, parFPS, speedup,
 			p.WarmSecondsPerFrame, p.WarmFPS, p.CacheHitRate, dense)
-	}
-}
-
-func printCacheBench(env *experiments.Env, frames int, outPath string) {
-	fmt.Println("Temporal-coherence reconstruction cache (warm start + pose-keyed mesh LRU).")
-	r := experiments.CacheBench(env, 64, frames*6)
-	fmt.Printf("resolution %d, %d workers, %d-frame window\n", r.Resolution, r.Workers, r.Frames)
-	fmt.Printf("cold: %.4f s/frame  (%.0f allocs/frame)\n", r.ColdSecPerFrame, r.ColdAllocsPerFrame)
-	fmt.Printf("warm: %.4f s/frame  (%.0f allocs/frame)  %.2fx speedup, %.0f%% samples reused\n",
-		r.WarmSecPerFrame, r.WarmAllocsPerFrame, r.WarmSpeedup, 100*r.SampleReuseRate)
-	fmt.Printf("LRU replay: %.6f s/frame at %.0f%% hit rate\n", r.CacheHitSecPerFrame, 100*r.CacheHitRate)
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cache record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func printFieldBench(env *experiments.Env, resolutions []int, frames, tenants int, outPath, mtPath string) {
-	fmt.Println("SDF field acceleration: capsule culling grid + batched evaluation (byte-identical meshes).")
-	fmt.Println("pruned: per-bin candidate fold; unpruned: full fold over every capsule (ablation baseline).")
-	r := experiments.FieldBench(env, resolutions, frames, tenants)
-	fmt.Printf("%d capsules, %d workers, GOMAXPROCS %d\n", r.Capsules, r.Workers, r.GOMAXPROCS)
-	fmt.Printf("%10s %-7s %8s %12s %12s %14s %12s %10s %10s\n",
-		"resolution", "mode", "pruned", "ms/frame", "allocs/frm", "tests/sample", "cands/bin", "speedup", "test redux")
-	for _, rr := range r.Resolutions {
-		for _, a := range rr.Arms {
-			speedup, redux := "-", "-"
-			if a.Pruned {
-				speedup = fmt.Sprintf("%.2fx", a.Speedup)
-				redux = fmt.Sprintf("%.1fx", a.TestReduction)
-			}
-			fmt.Printf("%10d %-7s %8v %12.2f %12.1f %14.2f %12.1f %10s %10s\n",
-				rr.Resolution, a.Mode, a.Pruned, a.MsPerFrame, a.AllocsPerFrame,
-				a.TestsPerSample, a.CandidatesPerBin, speedup, redux)
-		}
-	}
-	if r.Tenants > 0 {
-		fmt.Printf("%d tenants @ res %d: %.1f fps pruned vs %.1f fps unpruned (%.2fx)\n",
-			r.Tenants, r.TenantResolution, r.TenantAggregateFPS, r.TenantAggregateFPSUnpruned, r.TenantSpeedup)
-		// Cross-reference the standing multi-tenant record when one exists:
-		// its independent-pose arm at the same tenant count ran this same
-		// workload before the acceleration layer landed in its default-on
-		// form.
-		if data, err := os.ReadFile(mtPath); err == nil {
-			var mt experiments.MultiTenantBenchResult
-			if json.Unmarshal(data, &mt) == nil && mt.Resolution == r.TenantResolution {
-				for _, leg := range mt.Legs {
-					if leg.Tenants == r.Tenants && leg.AggregateFPSIndependent > 0 {
-						fmt.Printf("vs %s %d-tenant independent arm: %.1f fps (%.2fx)\n",
-							mtPath, leg.Tenants, leg.AggregateFPSIndependent,
-							r.TenantAggregateFPS/leg.AggregateFPSIndependent)
-					}
-				}
-			}
-		}
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "field record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func printPipelineBench(env *experiments.Env, res, frames int, outPath string) {
-	fmt.Println("Staged pipeline runtime vs sequential loop under decode overload.")
-	fmt.Println("sequential: every frame decoded, backlog compounds; staged: stale frames dropped, latency bounded.")
-	r := experiments.PipelineBench(env, res, frames)
-	fmt.Printf("keypoint res %d, %d frames at %.0f FPS over %.0f Mbps / %s link\n",
-		r.Resolution, r.Frames, r.FPS, r.LinkMbps, r.LinkDelay)
-	leg := func(name string, s experiments.PipelineLegStats) {
-		fmt.Printf("%-11s rendered %3d  e2e p50 %8.1f ms  p95 %8.1f ms  max %8.1f ms  %5.1f FPS  dropped %d\n",
-			name, s.Frames, s.E2EP50Ms, s.E2EP95Ms, s.E2EMaxMs, s.DeliveredFPS, s.Dropped)
-	}
-	leg("sequential:", r.Sequential)
-	leg("staged:", r.Staged)
-	fmt.Printf("p95 motion-to-photon speedup: %.2fx\n", r.P95SpeedUp)
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func parseSubscribers(arg string) []int {
-	var out []int
-	for _, tok := range strings.Split(arg, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "bad subscriber count %q\n", tok)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func printRelayBench(env *experiments.Env, subs []int, frames int, outPath string) {
-	fmt.Println("Relay fan-out scale-out: serialize-once broadcast + per-subscriber egress queues.")
-	fmt.Println("serial: per-subscriber re-serialize (old broadcast loop); fanout: one SharedFrame for all.")
-	r := experiments.RelayBench(env, subs, frames, 0)
-	fmt.Printf("payload %d B, %d frames, egress queue depth %d\n", r.PayloadBytes, r.Frames, r.QueueDepth)
-	fmt.Printf("%6s %14s %14s %9s %13s %13s %12s %12s %10s %14s\n",
-		"subs", "serial ms/frm", "fanout ms/frm", "speedup", "serial allocs", "fanout allocs",
-		"healthy p95", "deliv frac", "slow drop", "legacy p95(ms)")
-	for _, leg := range r.Legs {
-		fmt.Printf("%6d %14.4f %14.4f %8.1fx %13.1f %13.1f %10.1fms %12.3f %10d %14.1f\n",
-			leg.Subscribers, leg.SerialCPUMsPerFrame, leg.FanoutCPUMsPerFrame, leg.CPUSpeedup,
-			leg.SerialAllocsPerFrame, leg.FanoutAllocsPerFrame,
-			leg.HealthyP95Ms, leg.HealthyDeliveredFrac, leg.SlowPeerDrops, leg.LegacyHealthyP95Ms)
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "relay record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func printClusterBench(env *experiments.Env, shards, subsPerShard, frames int, outPath string) {
-	fmt.Println("Sharded relay cluster: consistent-hash room placement + cascading trunk fan-out.")
-	fmt.Println("depth 0: one flat relay hosting every subscriber; depth 1/2: the shard fleet wired")
-	fmt.Println("into a trunk tree, equal total subscribers, trunk legs re-sharing without re-serializing.")
-	r := experiments.ClusterBench(env, shards, subsPerShard, frames, 0)
-	fmt.Printf("payload %d B, %d frames, %d shards × %d subs/shard; mesh links %.1f ms ± %.1f ms\n",
-		r.PayloadBytes, r.Frames, r.ShardCount, r.SubsPerShard, r.LinkDelayMs, r.LinkJitterMs)
-	fmt.Printf("per-leg write allocs/frame: subscriber %.2f, trunk %.2f (must be equal)\n",
-		r.SubscriberLegWriteAllocs, r.TrunkLegWriteAllocs)
-	fmt.Printf("%6s %7s %7s %7s %6s %12s %12s %12s %9s %9s %9s %11s %9s\n",
-		"depth", "shards", "fanout", "trunks", "subs", "cpu ms/frm", "cpu allocs", "live allocs",
-		"p50(ms)", "p95(ms)", "max(ms)", "deliv frac", "p95/flat")
-	for _, leg := range r.Legs {
-		fmt.Printf("%6d %7d %7d %7d %6d %12.3f %12.1f %12.1f %9.2f %9.2f %9.2f %11.3f %8.2fx\n",
-			leg.Depth, leg.Shards, leg.Fanout, leg.TrunkLegs, leg.Subscribers,
-			leg.FanoutCPUMsPerFrame, leg.FanoutAllocsPerFrame, leg.LiveAllocsPerFrame,
-			leg.P50Ms, leg.P95Ms, leg.MaxMs, leg.DeliveredFrac, leg.P95VsFlat)
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func printMultiTenantBench(env *experiments.Env, tenants []int, frames, res int, outPath string) {
-	fmt.Println("Multi-tenant decode service: N avatar streams over one worker pool + shared mesh cache.")
-	fmt.Println("correlated: tenants arrive in pose-groups (cross-tenant dedup); independent: all distinct;")
-	fmt.Println("isolated: pre-service baseline, one full worker pool and private cache per stream.")
-	r := experiments.MultiTenantBench(env, tenants, frames, res)
-	fmt.Printf("resolution %d, %d frames/tenant, GOMAXPROCS %d, pool capacity %d, group size %d\n",
-		r.Resolution, r.FramesPerTenant, r.GOMAXPROCS, r.PoolCapacity, r.CorrelGroup)
-	fmt.Printf("%8s %12s %12s %12s %12s %10s %10s %12s %10s %9s\n",
-		"tenants", "corr fps", "indep fps", "isolated", "allocs/frm", "p50(ms)", "p95(ms)",
-		"xtenant hit", "hit rate", "speedup")
-	for _, leg := range r.Legs {
-		fmt.Printf("%8d %12.1f %12.1f %12.1f %12.1f %10.2f %10.2f %12d %10.3f %8.2fx\n",
-			leg.Tenants, leg.AggregateFPS, leg.AggregateFPSIndependent, leg.IsolatedFPS,
-			leg.AllocsPerFrame, leg.DecodeP50Ms, leg.DecodeP95Ms,
-			leg.CrossTenantHits, leg.CacheHitRate, leg.SpeedupVsSolo)
-	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "multitenant record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func printTieringBench(env *experiments.Env, frames int, outPath string) {
-	fmt.Println("Per-subscriber adaptive semantic tiering: one encode, independent per-egress rate selection.")
-	fmt.Println("broadband (25 Mbps) and starved (200 kbps) legs share one relay ingress and converge separately.")
-	r := experiments.TieringBench(env, frames)
-	fmt.Print(r.String())
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tiering record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-}
-
-func printTraceWaterfall(env *experiments.Env, res, frames int, outPath string) {
-	fmt.Println("Hop-annotated frame tracing: per-hop latency attribution + observability overhead.")
-	fmt.Println("leg 1: traced frames sender→relay→receiver over an impaired link, waterfall vs e2e;")
-	fmt.Println("leg 2: direct pipeline with tracing on / recorder off / untraced (overhead budget ≤2%).")
-	r := experiments.TraceWaterfall(env, res, frames)
-	fmt.Printf("relayed: %d/%d hop-traced frames, e2e p50 %.1f ms p95 %.1f ms, max hop-sum drift %.4f ms\n",
-		r.HopFrames, r.Frames, r.E2EP50Ms, r.E2EP95Ms, r.MaxHopDriftMs)
-	if r.WorstTraceID != 0 {
-		fmt.Printf("worst frame (exemplar): trace %d at %.1f ms\n%s",
-			r.WorstTraceID, r.WorstE2EMs, r.Waterfall)
-	}
-	fmt.Printf("overhead @ res %d: traced %.3f ms/frame, recorder-off %.3f, untraced %.3f\n",
-		r.Resolution, r.TracedMsPerFrame, r.RecorderOffMsPerFrame, r.UntracedMsPerFrame)
-	fmt.Printf("full tracing stack: %+.2f%%  (flight recorder alone: %+.2f%%)\n",
-		100*r.TraceOverheadFrac, 100*r.RecorderOverheadFrac)
-	if outPath != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err == nil {
-			err = os.WriteFile(outPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", outPath)
 	}
 }
 

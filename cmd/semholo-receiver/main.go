@@ -2,12 +2,11 @@
 // accepts a semholo-sender session over TCP, reconstructs every media
 // frame with the selected semantics, and reports throughput, decode
 // timing, and reconstruction statistics. Reconstructions can optionally
-// be dumped as OBJ files for inspection. By default it runs the staged
-// pipeline runtime — recv, decode, and render overlap in separate
-// goroutines connected by latest-frame-wins queues, so a slow
-// reconstruction drops stale frames instead of building backlog;
-// -pipeline=false falls back to the sequential loop. Ctrl-C shuts the
-// pipeline down gracefully.
+// be dumped as OBJ files for inspection. It runs the staged pipeline
+// runtime — recv, decode, and render overlap in separate goroutines
+// connected by latest-frame-wins queues, so a slow reconstruction drops
+// stale frames instead of building backlog. Ctrl-C shuts the pipeline
+// down gracefully.
 //
 // Usage:
 //
@@ -19,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -44,7 +42,6 @@ func main() {
 		res       = flag.Int("res", 64, "keypoint reconstruction resolution")
 		dump      = flag.String("dump", "", "directory to dump OBJ reconstructions (every 30th frame)")
 		name      = flag.String("name", "site-B", "participant name")
-		pipelined = flag.Bool("pipeline", true, "run the staged pipeline runtime (recv ∥ decode ∥ render); false = sequential loop")
 		queue     = flag.Int("queue", 1, "staged runtime: per-stage queue depth")
 		lossless  = flag.Bool("lossless", false, "staged runtime: block instead of dropping stale frames")
 		tenants   = flag.Int("tenants", 0, "accept this many sender sessions and decode them all through one shared DecodeService (keypoint mode only; 0 = single-session receiver)")
@@ -108,10 +105,8 @@ func main() {
 	log.Printf("session with %s (%s @ %.0f fps)", peer.Peer, peer.Mode, peer.FPS)
 
 	sess.Instrument(reg, "receiver")
-	tracer := &semholo.Tracer{}
 	if *debugAddr != "" {
 		srv, err := obs.Serve(*debugAddr, reg, map[string]func() any{
-			"trace":  func() any { return tracer.SnapshotOrdered() },
 			"budget": func() any { return pm.Report() },
 		})
 		if err != nil {
@@ -123,58 +118,36 @@ func main() {
 	receiver := &semholo.Receiver{
 		Session:   sess,
 		Decoder:   dec,
-		Tracer:    tracer,
 		Obs:       pm,
 		Estimator: transport.NewBandwidthEstimator(),
 	}
 	start := time.Now()
 	frames := 0
-	if *pipelined {
-		stats, err := semholo.RunReceiverPipeline(ctx, receiver, func(data semholo.FrameData) error {
-			frames++
-			if frames%30 == 0 {
-				describe(frames, data)
-				if *dump != "" && data.Mesh != nil {
-					dumpOBJ(*dump, frames, data.Mesh)
-				}
-			}
-			return nil
-		}, semholo.PipelineReceiverOptions{
-			QueueDepth: *queue,
-			Lossless:   *lossless,
-			Registry:   reg,
-		})
-		if err != nil {
-			log.Fatalf("pipeline: %v", err)
-		}
-		log.Printf("staged: received %d, decoded %d, rendered %d, dropped %d stale",
-			stats.Received, stats.Decoded, stats.Rendered, stats.Dropped)
-	} else {
-		for {
-			data, err := receiver.NextFrame()
-			if err != nil {
-				if errors.Is(err, semholo.ErrSessionClosed) || errors.Is(err, io.EOF) ||
-					errors.Is(err, context.Canceled) {
-					break
-				}
-				log.Fatalf("frame %d: %v", frames, err)
-			}
-			frames++
-			if frames%30 == 0 {
-				describe(frames, data)
-				if *dump != "" && data.Mesh != nil {
-					dumpOBJ(*dump, frames, data.Mesh)
-				}
+	stats, err := semholo.RunReceiverPipeline(ctx, receiver, func(data semholo.FrameData) error {
+		frames++
+		if frames%30 == 0 {
+			describe(frames, data)
+			if *dump != "" && data.Mesh != nil {
+				dumpOBJ(*dump, frames, data.Mesh)
 			}
 		}
+		return nil
+	}, semholo.PipelineReceiverOptions{
+		QueueDepth: *queue,
+		Lossless:   *lossless,
+		Registry:   reg,
+	})
+	if err != nil {
+		log.Fatalf("pipeline: %v", err)
 	}
+	log.Printf("staged: received %d, decoded %d, rendered %d, dropped %d stale",
+		stats.Received, stats.Decoded, stats.Rendered, stats.Dropped)
 	elapsed := time.Since(start).Seconds()
 	recv := sess.Stats().BytesReceived
 	fmt.Printf("received %d media frames (%.2f MB) in %.1fs — %.2f Mbps, est %.2f Mbps\n",
 		frames, float64(recv)/1e6, elapsed, float64(recv)*8/elapsed/1e6,
 		receiver.Estimator.Estimate()/1e6)
-	fmt.Print(tracer.Report())
-	printBudget(pm.Report())
+	fmt.Print(pm.Report())
 }
 
 // runMultiTenant accepts n sender sessions and decodes all of them in
@@ -237,21 +210,6 @@ func runMultiTenant(ctx context.Context, ln net.Listener, reg *obs.Registry, wor
 		decoded.Load(), n, elapsed, float64(decoded.Load())/elapsed)
 	fmt.Printf("mesh cache: %.0f%% hit rate, %d cross-tenant hits\n",
 		100*snap.HitRate(), snap.CrossTenantHits)
-}
-
-// printBudget renders the motion-to-photon budget attribution when the
-// sender shipped trace timestamps.
-func printBudget(r obs.BudgetReport) {
-	if r.Frames == 0 {
-		return
-	}
-	fmt.Printf("motion-to-photon: p50 %.1f ms  p95 %.1f ms over %d frames (budget %.0f ms, %d overruns)\n",
-		r.E2EP50Ms, r.E2EP95Ms, r.Frames, r.BudgetMs, int(r.Overruns))
-	fmt.Printf("%-14s %8s %10s %10s %10s %10s\n", "stage", "count", "mean(ms)", "p50(ms)", "p95(ms)", "budget%")
-	for _, s := range r.Stages {
-		fmt.Printf("%-14s %8d %10.2f %10.2f %10.2f %10.1f\n",
-			s.Stage, s.Count, s.MeanMs, s.P50Ms, s.P95Ms, 100*s.BudgetShare)
-	}
 }
 
 func describe(frame int, data semholo.FrameData) {

@@ -10,7 +10,7 @@
 // re-shares them to its local subscribers without re-serializing
 // payloads. Daemon-mode trunks form a depth-1 star around the home
 // shard; deeper cascade trees are available in-process through
-// semholo.RoomManager.
+// cluster.RoomManager.
 //
 // Usage:
 //

@@ -1,11 +1,10 @@
 // Command semholo-sender is a standalone telepresence sender: it
 // simulates a capture site (parametric human + RGB-D rig), encodes each
 // frame with the selected semantics, and streams it to a semholo-receiver
-// over TCP. By default it runs the staged pipeline runtime — capture,
-// encode, and send overlap in separate goroutines connected by
-// latest-frame-wins queues — so a slow encode or a congested link can
-// never stall the capture clock; -pipeline=false falls back to the
-// sequential loop. Ctrl-C shuts the pipeline down gracefully.
+// over TCP. It runs the staged pipeline runtime — capture, encode, and
+// send overlap in separate goroutines connected by latest-frame-wins
+// queues — so a slow encode or a congested link can never stall the
+// capture clock. Ctrl-C shuts the pipeline down gracefully.
 //
 // Usage:
 //
@@ -36,7 +35,6 @@ func main() {
 		fps       = flag.Float64("fps", 30, "capture rate")
 		motion    = flag.String("motion", "talking", "workload: talking|walking|waving")
 		name      = flag.String("name", "site-A", "participant name")
-		pipelined = flag.Bool("pipeline", true, "run the staged pipeline runtime (capture ∥ encode ∥ send); false = sequential loop")
 		queue     = flag.Int("queue", 1, "staged runtime: per-stage queue depth")
 		lossless  = flag.Bool("lossless", false, "staged runtime: block instead of dropping stale frames")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/* and pprof on this address (e.g. 127.0.0.1:6060)")
@@ -89,10 +87,8 @@ func main() {
 	reg := obs.NewRegistry()
 	pm := obs.NewPipelineMetrics(reg)
 	sess.Instrument(reg, "sender")
-	tracer := &semholo.Tracer{}
 	if *debugAddr != "" {
 		srv, err := obs.Serve(*debugAddr, reg, map[string]func() any{
-			"trace":  func() any { return tracer.SnapshotOrdered() },
 			"budget": func() any { return pm.Report() },
 		})
 		if err != nil {
@@ -101,52 +97,30 @@ func main() {
 		defer srv.Close()
 		log.Printf("debug server on http://%s/metrics", srv.Addr())
 	}
-	sender := &semholo.Sender{Session: sess, Encoder: enc, Tracer: tracer, Obs: pm}
+	sender := &semholo.Sender{Session: sess, Encoder: enc, Obs: pm}
 	interval := time.Duration(float64(time.Second) / *fps)
 
 	start := time.Now()
-	streamed := *frames
-	if *pipelined {
-		stats, err := semholo.RunSenderPipeline(ctx, sender, func(i int) (semholo.Capture, bool) {
-			return world.FrameAt(i), true
-		}, semholo.PipelineSenderOptions{
-			Frames:     *frames,
-			Interval:   interval,
-			QueueDepth: *queue,
-			Lossless:   *lossless,
-			Registry:   reg,
-		})
-		if err != nil {
-			log.Fatalf("pipeline: %v", err)
-		}
-		streamed = stats.Sent
-		log.Printf("staged: captured %d, encoded %d, sent %d, dropped %d stale",
-			stats.Captured, stats.Encoded, stats.Sent, stats.Dropped)
-	} else {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-	sequential:
-		for i := 0; i < *frames; i++ {
-			capturedAt := time.Now()
-			cap := world.FrameAt(i)
-			pm.ObserveStage(obs.StageCapture, time.Since(capturedAt))
-			if err := sender.SendFrameCaptured(cap, capturedAt); err != nil {
-				log.Fatalf("frame %d: %v", i, err)
-			}
-			select {
-			case <-ticker.C:
-			case <-ctx.Done():
-				streamed = i + 1
-				break sequential
-			}
-		}
+	stats, err := semholo.RunSenderPipeline(ctx, sender, func(i int) (semholo.Capture, bool) {
+		return world.FrameAt(i), true
+	}, semholo.PipelineSenderOptions{
+		Frames:     *frames,
+		Interval:   interval,
+		QueueDepth: *queue,
+		Lossless:   *lossless,
+		Registry:   reg,
+	})
+	if err != nil {
+		log.Fatalf("pipeline: %v", err)
 	}
+	log.Printf("staged: captured %d, encoded %d, sent %d, dropped %d stale",
+		stats.Captured, stats.Encoded, stats.Sent, stats.Dropped)
 	st := sess.Stats()
 	sent, nframes := st.BytesSent, st.FramesSent
 	elapsed := time.Since(start).Seconds()
 	fmt.Printf("streamed %d media frames (%d wire frames, %.2f MB) in %.1fs — %.2f Mbps\n",
-		streamed, nframes, float64(sent)/1e6, elapsed, float64(sent)*8/elapsed/1e6)
-	fmt.Print(tracer.Report())
+		stats.Sent, nframes, float64(sent)/1e6, elapsed, float64(sent)*8/elapsed/1e6)
+	fmt.Print(pm.Report())
 	if err := sess.Close(); err != nil && ctx.Err() == nil {
 		log.Printf("close: %v", err)
 	}

@@ -24,17 +24,17 @@ import (
 const frames = 60
 
 type site struct {
-	name   string
-	world  *semholo.World
-	enc    semholo.Encoder
-	dec    semholo.Decoder
-	tracer *semholo.Tracer
+	name  string
+	world *semholo.World
+	enc   semholo.Encoder
+	dec   semholo.Decoder
+	pm    *semholo.PipelineMetrics
 }
 
 func newSite(name string, motion body.Motion, seed int64) *site {
 	world := semholo.NewWorld(semholo.WorldOptions{Motion: motion, Seed: seed})
 	enc, dec := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 40})
-	return &site{name: name, world: world, enc: enc, dec: dec, tracer: &semholo.Tracer{}}
+	return &site{name: name, world: world, enc: enc, dec: dec, pm: semholo.NewPipelineMetrics(semholo.NewRegistry())}
 }
 
 func main() {
@@ -267,8 +267,8 @@ func run(ctx context.Context, wg *sync.WaitGroup, results chan<- string, s *site
 	if err != nil {
 		log.Fatalf("%s: %v", s.name, err)
 	}
-	sender := &semholo.Sender{Session: sess, Encoder: s.enc, Tracer: s.tracer}
-	receiver := &semholo.Receiver{Session: sess, Decoder: s.dec, Tracer: s.tracer}
+	sender := &semholo.Sender{Session: sess, Encoder: s.enc, Obs: s.pm}
+	receiver := &semholo.Receiver{Session: sess, Decoder: s.dec, Obs: s.pm}
 
 	// Lossless queues: a collaboration replay wants every frame, and the
 	// bounded Frames count ends both pipelines without a session close.
@@ -298,5 +298,5 @@ func run(ctx context.Context, wg *sync.WaitGroup, results chan<- string, s *site
 		"%s: sent %d frames (%.1f KB, %.2f Mbps), received %d frames (%.1f KB) in %.1fs",
 		s.name, frames, float64(sent)/1024, float64(sent)*8/elapsed/1e6,
 		got, float64(recv)/1024, elapsed)
-	results <- s.name + " pipeline timing:\n" + s.tracer.Report()
+	results <- s.name + " pipeline timing:\n" + s.pm.Report().String()
 }

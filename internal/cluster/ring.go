@@ -163,8 +163,8 @@ func (r *Ring) Release(room string) {
 }
 
 // Lookup is the pure (unbounded, stateless) clockwise lookup — the
-// classic consistent-hash answer, used to compare ring behavior against
-// the rendezvous fallback in tests. It ignores load and assignments.
+// classic consistent-hash answer every semholo-relayd daemon computes
+// alike for a room's home shard. It ignores load and assignments.
 func (r *Ring) Lookup(room string) string {
 	if len(r.points) == 0 {
 		return ""

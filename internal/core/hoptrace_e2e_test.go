@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,8 +98,17 @@ func TestRelayHopStampingEndToEnd(t *testing.T) {
 	}
 
 	// The completed trace is published for /debug/trace/<id>.
-	if stored, ok := store.Get(tr.TraceID); !ok || len(stored.Hops) != 4 {
+	stored, ok := store.Get(tr.TraceID)
+	if !ok || len(stored.Hops) != 4 {
 		t.Errorf("trace %d not in store (ok=%v hops=%d)", tr.TraceID, ok, len(stored.Hops))
+	}
+	// The e2e histogram's exemplar names this frame, and the stored trace
+	// it resolves to renders as a waterfall.
+	if sec, id := recv.Obs.E2EExemplar(); id != tr.TraceID || sec <= 0 {
+		t.Errorf("e2e exemplar = trace %d at %.6f s, want trace %d", id, sec, tr.TraceID)
+	}
+	if out := obs.RenderWaterfall(stored); !strings.Contains(out, "receiver") || !strings.Contains(out, "hop-sum") {
+		t.Errorf("waterfall not rendered:\n%s", out)
 	}
 	// And the flight recorder attributed the relay legs to the frame.
 	var sawIngress, sawEgress bool

@@ -9,7 +9,6 @@ import (
 	"semholo/internal/capture"
 	"semholo/internal/geom"
 	"semholo/internal/obs"
-	"semholo/internal/trace"
 	"semholo/internal/transport"
 )
 
@@ -36,7 +35,6 @@ type controlMsg struct {
 type Sender struct {
 	Session *transport.Session
 	Encoder Encoder
-	Tracer  *trace.Tracer
 	// Obs, when set, records encode/send stage spans into the shared
 	// metrics registry and threads a hop-annotated trace extension
 	// through every wire frame: capture timestamp, trace ID, and a
@@ -86,20 +84,13 @@ func (s *Sender) SendFrameCaptured(c capture.Capture, capturedAt time.Time) erro
 }
 
 // EncodeFrame runs the encode stage alone: one capture in, one encoded
-// media frame out, with tracer/metrics spans recorded. Safe for a
+// media frame out, with the encode stage span recorded. Safe for a
 // dedicated encode goroutine as long as it is the only caller (encoders
 // are stateful).
 func (s *Sender) EncodeFrame(c capture.Capture) (EncodedFrame, error) {
-	var stop func()
-	if s.Tracer != nil {
-		stop = s.Tracer.Start("encode")
-	}
-	stopObs := s.Obs.StartStage(obs.StageEncode)
+	stop := s.Obs.StartStage(obs.StageEncode)
 	enc, err := s.Encoder.Encode(c)
-	stopObs()
-	if stop != nil {
-		stop()
-	}
+	stop()
 	if err != nil {
 		return EncodedFrame{}, fmt.Errorf("core: encode: %w", err)
 	}
@@ -122,9 +113,6 @@ func (s *Sender) Transmit(enc EncodedFrame, capturedAt time.Time) error {
 // every channel of every rung leaves in a single connection write. Only
 // a ladder of more than one rung is tier-stamped.
 func (s *Sender) transmit(tiers []EncodedFrame, capturedAt time.Time) error {
-	if s.Tracer != nil {
-		defer s.Tracer.Start("send")()
-	}
 	base := transport.Frame{Type: transport.TypeSemantic}
 	if len(tiers) > 1 {
 		base.Flags |= transport.FlagTier
@@ -206,7 +194,6 @@ func (s *Sender) TransmitLadder(lf LadderFrame, capturedAt time.Time) error {
 type Receiver struct {
 	Session *transport.Session
 	Decoder Decoder
-	Tracer  *trace.Tracer
 	// Obs, when set, records network/decode spans and end-to-end
 	// motion-to-photon latency from the trace extension traced senders
 	// put on the wire, and attaches the FrameTrace to decoded frames.
@@ -294,22 +281,15 @@ func (r *Receiver) NextRaw() (RawFrame, error) {
 }
 
 // DecodeRaw runs the decode stage alone: one collected media frame in,
-// one decoded FrameData out, with tracer/metrics spans and the
+// one decoded FrameData out, with the decode stage span and the
 // end-to-end motion-to-photon observation recorded. Safe for a
 // dedicated decode goroutine as long as it is the only caller (decoders
 // are stateful).
 func (r *Receiver) DecodeRaw(raw RawFrame) (FrameData, error) {
 	r.observeTierSwitch(raw)
-	var stop func()
-	if r.Tracer != nil {
-		stop = r.Tracer.Start("decode")
-	}
-	stopObs := r.Obs.StartStage(obs.StageDecode)
+	stop := r.Obs.StartStage(obs.StageDecode)
 	data, err := r.Decoder.Decode(raw.Frames)
-	stopObs()
-	if stop != nil {
-		stop()
-	}
+	stop()
 	if err != nil {
 		return FrameData{}, err
 	}

@@ -8,7 +8,7 @@ import (
 	"semholo/internal/compress"
 	"semholo/internal/geom"
 	"semholo/internal/netsim"
-	"semholo/internal/trace"
+	"semholo/internal/obs"
 	"semholo/internal/transport"
 )
 
@@ -34,11 +34,10 @@ func startSession(t *testing.T, cfg netsim.LinkConfig, enc Encoder, dec Decoder)
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	sender := &Sender{Session: sa, Encoder: enc, Tracer: trace.New()}
+	sender := &Sender{Session: sa, Encoder: enc}
 	receiver := &Receiver{
 		Session:   r.s,
 		Decoder:   dec,
-		Tracer:    trace.New(),
 		Estimator: transport.NewBandwidthEstimator(),
 	}
 	return sender, receiver, link
@@ -49,6 +48,8 @@ func TestEndToEndKeypointSession(t *testing.T) {
 	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 32}
 	sender, receiver, link := startSession(t, netsim.BroadbandUS(23), enc, dec)
 	defer link.Close()
+	sender.Obs = obs.NewPipelineMetrics(obs.NewRegistry())
+	receiver.Obs = obs.NewPipelineMetrics(obs.NewRegistry())
 
 	const nFrames = 5
 	errc := make(chan error, 1)
@@ -75,10 +76,18 @@ func TestEndToEndKeypointSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Timing recorded on both ends.
-	if receiver.Tracer.Snapshot()["decode"].Count != nFrames {
+	stageCount := func(r obs.BudgetReport, stage string) uint64 {
+		for _, s := range r.Stages {
+			if s.Stage == stage {
+				return s.Count
+			}
+		}
+		return 0
+	}
+	if stageCount(receiver.Obs.Report(), obs.StageDecode) != nFrames {
 		t.Error("decode spans missing")
 	}
-	if sender.Tracer.Snapshot()["encode"].Count != nFrames {
+	if stageCount(sender.Obs.Report(), obs.StageEncode) != nFrames {
 		t.Error("encode spans missing")
 	}
 	// Keypoint mode over the paper's 25 Mbps broadband: trivially fits.

@@ -1,8 +1,9 @@
-// Package experiments implements the reproduction harness: one function
-// per table/figure of the paper plus the ablations DESIGN.md calls out.
-// The cmd/semholo-bench binary prints these results; the repository-root
-// benchmarks wrap them as testing.B targets. Everything is deterministic
-// given the Env seed.
+// Package experiments regenerates the paper's tables, figures and
+// ablations: one function per table/figure plus the §3 ablations
+// DESIGN.md calls out. The cmd/semholo-bench binary prints these
+// results; the repository-root benchmarks wrap them as testing.B
+// targets. Everything is deterministic given the Env seed. Performance
+// of the product's path is measured by bench/, not here.
 package experiments
 
 import (

@@ -226,61 +226,3 @@ func TestQoESemanticBeatsRawOverBroadband(t *testing.T) {
 		t.Errorf("keypoint QoE %.3f !> raw %.3f", kp.Score, raw.Score)
 	}
 }
-
-func TestClusterBenchSmoke(t *testing.T) {
-	res := ClusterBench(testEnv, 2, 3, 6, 512)
-	// Depth 2 needs ≥ 4 shards; with 2 the sweep is flat + depth 1.
-	if len(res.Legs) != 2 {
-		t.Fatalf("legs: %d", len(res.Legs))
-	}
-	// The cascade cost model: a trunk leg's write must cost what a
-	// subscriber leg's write costs (both are allocation-free; the slack
-	// absorbs MemStats noise).
-	if res.SubscriberLegWriteAllocs > 2 {
-		t.Errorf("subscriber leg write = %.2f allocs/frame", res.SubscriberLegWriteAllocs)
-	}
-	if res.TrunkLegWriteAllocs > res.SubscriberLegWriteAllocs+0.5 {
-		t.Errorf("trunk leg write = %.2f allocs/frame vs subscriber %.2f",
-			res.TrunkLegWriteAllocs, res.SubscriberLegWriteAllocs)
-	}
-	for _, leg := range res.Legs {
-		if leg.FanoutCPUMsPerFrame <= 0 {
-			t.Errorf("depth %d: CPU leg not measured: %+v", leg.Depth, leg)
-		}
-		if leg.DeliveredFrac <= 0 || leg.P95Ms <= 0 {
-			t.Errorf("depth %d: live leg not measured: %+v", leg.Depth, leg)
-		}
-	}
-	if res.Legs[1].Depth != 1 || res.Legs[1].TrunkLegs != 1 {
-		t.Errorf("depth-1 leg malformed: %+v", res.Legs[1])
-	}
-}
-
-func TestRelayBenchSmoke(t *testing.T) {
-	res := RelayBench(testEnv, []int{2, 3}, 6, 512)
-	if len(res.Legs) != 2 {
-		t.Fatalf("legs: %d", len(res.Legs))
-	}
-	for _, leg := range res.Legs {
-		if leg.SerialCPUMsPerFrame <= 0 || leg.FanoutCPUMsPerFrame <= 0 {
-			t.Errorf("n=%d: CPU leg not measured: %+v", leg.Subscribers, leg)
-		}
-		if leg.HealthyDeliveredFrac <= 0 {
-			t.Errorf("n=%d: healthy subscribers received nothing", leg.Subscribers)
-		}
-		if leg.LegacyHealthyP95Ms <= 0 {
-			t.Errorf("n=%d: legacy leg not measured", leg.Subscribers)
-		}
-		// A loose absolute ceiling: a shared frame plus its payload copy,
-		// with slack for runtime noise in the MemStats delta.
-		if leg.FanoutAllocsPerFrame > 8 {
-			t.Errorf("n=%d: fanout allocs/frame = %.1f", leg.Subscribers, leg.FanoutAllocsPerFrame)
-		}
-	}
-	// The fan-out path's allocations must not scale with subscriber
-	// count: one shared frame per broadcast regardless of n.
-	if grow := res.Legs[1].FanoutAllocsPerFrame - res.Legs[0].FanoutAllocsPerFrame; grow > 1 {
-		t.Errorf("fanout allocs/frame grew %.1f from n=%d to n=%d",
-			grow, res.Legs[0].Subscribers, res.Legs[1].Subscribers)
-	}
-}

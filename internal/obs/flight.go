@@ -138,11 +138,10 @@ func internSiteSlow(site string) *string {
 // dumps are best-effort complete but never garbled beyond one missing
 // entry.
 type FlightRecorder struct {
-	slots    []flightSlot
-	mask     uint64
-	next     atomic.Uint64
-	disabled atomic.Bool
-	snap     atomic.Pointer[FlightSnapshot]
+	slots []flightSlot
+	mask  uint64
+	next  atomic.Uint64
+	snap  atomic.Pointer[FlightSnapshot]
 }
 
 // DefaultFlightDepth is the default ring size (a power of two).
@@ -162,10 +161,9 @@ func NewFlightRecorder(depth int) *FlightRecorder {
 	return &FlightRecorder{slots: make([]flightSlot, n), mask: uint64(n - 1)}
 }
 
-// Record appends one event. Nil-safe and no-op when disabled, so call
-// sites stay unconditional.
+// Record appends one event. Nil-safe, so call sites stay unconditional.
 func (r *FlightRecorder) Record(kind FlightKind, site string, traceID uint64, a, b int64) {
-	if r == nil || r.disabled.Load() {
+	if r == nil {
 		return
 	}
 	seq := r.next.Add(1)
@@ -179,10 +177,6 @@ func (r *FlightRecorder) Record(kind FlightKind, site string, traceID uint64, a,
 	s.micros.Store(NowMicros())
 	s.marker.Store(seq)
 }
-
-// SetEnabled toggles recording — the overhead-ablation knob used by the
-// tracewaterfall benchmark. The ring contents are preserved.
-func (r *FlightRecorder) SetEnabled(on bool) { r.disabled.Store(!on) }
 
 // Reset clears the ring and the last snapshot. Test helper: not
 // synchronized against concurrent Record.

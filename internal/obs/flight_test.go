@@ -70,22 +70,6 @@ func TestFlightDepthRounding(t *testing.T) {
 	}
 }
 
-func TestFlightSetEnabled(t *testing.T) {
-	fr := NewFlightRecorder(64)
-	fr.Record(EvCacheHit, "a", 0, 0, 0)
-	fr.SetEnabled(false)
-	fr.Record(EvCacheHit, "b", 0, 0, 0)
-	if got := len(fr.Events()); got != 1 {
-		t.Fatalf("disabled recorder stored %d events, want 1", got)
-	}
-	fr.SetEnabled(true)
-	fr.Record(EvCacheHit, "c", 0, 0, 0)
-	evs := fr.Events()
-	if len(evs) != 2 || evs[1].Site != "c" {
-		t.Errorf("re-enabled recorder events %+v", evs)
-	}
-}
-
 func TestFlightNilSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(EvError, "x", 0, 0, 0) // must not panic

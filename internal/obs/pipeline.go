@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
 	"time"
 )
 
@@ -223,6 +225,25 @@ type BudgetReport struct {
 	E2EP95Ms float64       `json:"e2e_p95_ms"`
 	Overruns float64       `json:"overruns"`
 	Stages   []StageBudget `json:"stages"`
+}
+
+// String renders the report as the budget table the cmds print on exit:
+// the motion-to-photon headline when the peer shipped trace timestamps,
+// then one row per observed stage. Empty when nothing was observed.
+func (r BudgetReport) String() string {
+	var b strings.Builder
+	if r.Frames > 0 {
+		fmt.Fprintf(&b, "motion-to-photon: p50 %.1f ms  p95 %.1f ms over %d frames (budget %.0f ms, %d overruns)\n",
+			r.E2EP50Ms, r.E2EP95Ms, r.Frames, r.BudgetMs, int(r.Overruns))
+	}
+	if len(r.Stages) > 0 {
+		fmt.Fprintf(&b, "%-14s %8s %10s %10s %10s %10s\n", "stage", "count", "mean(ms)", "p50(ms)", "p95(ms)", "budget%")
+	}
+	for _, s := range r.Stages {
+		fmt.Fprintf(&b, "%-14s %8d %10.2f %10.2f %10.2f %10.1f\n",
+			s.Stage, s.Count, s.MeanMs, s.P50Ms, s.P95Ms, 100*s.BudgetShare)
+	}
+	return b.String()
 }
 
 // Report computes the budget attribution across the canonical stages

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,6 +73,20 @@ func TestPipelineMetricsObserveTrace(t *testing.T) {
 	// Stages with no samples are omitted (render never observed).
 	if _, ok := byStage[StageRender]; ok {
 		t.Error("report should omit unobserved stages")
+	}
+	// The printed table: headline plus a header and one row per stage;
+	// a sender-only report (no e2e frames) keeps the rows, an empty one
+	// prints nothing.
+	txt := r.String()
+	if !strings.HasPrefix(txt, "motion-to-photon: ") || strings.Count(txt, "\n") != 2+len(r.Stages) {
+		t.Errorf("budget table:\n%s", txt)
+	}
+	r.Frames = 0
+	if txt := r.String(); strings.Contains(txt, "motion-to-photon") || strings.Count(txt, "\n") != 1+len(r.Stages) {
+		t.Errorf("stage-only table:\n%s", txt)
+	}
+	if txt := (BudgetReport{}).String(); txt != "" {
+		t.Errorf("empty report prints %q", txt)
 	}
 }
 

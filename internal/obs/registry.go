@@ -5,9 +5,9 @@
 // motion-to-photon budget (§1), and a debug HTTP server exposing
 // /metrics, /healthz, JSON snapshots, and pprof.
 //
-// Every previously siloed telemetry source — trace.Tracer stage spans,
-// transport session counters, netsim link statistics, reconstruction
-// cache counters, and rate-adaptation decisions — registers into one
+// Every telemetry source — pipeline stage spans, transport session
+// counters, netsim link statistics, reconstruction cache counters, and
+// rate-adaptation decisions — registers into one
 // Registry, so a single scrape shows the whole Figure-1 pipeline:
 // capture → extract → encode → network → decode → reconstruct → render.
 //

@@ -36,8 +36,8 @@ type Server struct {
 //	/debug/pprof/     the standard pprof handlers
 //
 // snapshots maps endpoint names to functions returning any
-// JSON-marshalable value, sampled per request — e.g. a trace.Tracer
-// ordered snapshot or a PipelineMetrics budget report.
+// JSON-marshalable value, sampled per request — e.g. a PipelineMetrics
+// budget report.
 func Handler(reg *Registry, snapshots map[string]func() any) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()

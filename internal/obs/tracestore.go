@@ -177,8 +177,7 @@ func (t FrameTrace) HopSumMs() float64 {
 }
 
 // RenderWaterfall renders a fixed-width ASCII timeline of the trace —
-// the human-readable half of /debug/trace/<id> and the tracewaterfall
-// experiment's per-frame printout.
+// the human-readable half of /debug/trace/<id>.
 func RenderWaterfall(t FrameTrace) string {
 	spans := t.Waterfall()
 	e2e := t.E2E()

@@ -195,7 +195,7 @@ var (
 	ErrBadHeader = errors.New("transport: malformed header")
 )
 
-// maxBatchBytes bounds what BufferFrame / bufferSharedFrameLeg accumulate
+// maxBatchBytes bounds what bufferFrame / bufferSharedFrameLeg accumulate
 // before the writer flushes on its own: a batch is flushed at a
 // wire-frame boundary before it would pass this size, so a session's
 // buffer stays bounded however many frames one media frame spans. 64 KiB
@@ -207,9 +207,9 @@ const maxBatchBytes = 64 << 10
 // buffer. Not safe for concurrent use; Session serializes access.
 //
 // A frame is either written on its own (WriteFrame, WriteSharedFrame*)
-// or buffered behind the frames before it (BufferFrame,
+// or buffered behind the frames before it (bufferFrame,
 // bufferSharedFrameLeg) and handed to the writer with them in a single
-// Write by Flush — the wire bytes are the same either way, a batch is
+// Write by flush — the wire bytes are the same either way, a batch is
 // only fewer writes. Buffered frames live in buf; every direct write
 // flushes them first, so the two styles interleave in call order.
 type FrameWriter struct {
@@ -307,7 +307,7 @@ func checkTierExt(tier, tierCount uint8) error {
 	return nil
 }
 
-// checkFrame validates what WriteFrame and BufferFrame refuse to put on
+// checkFrame validates what WriteFrame and bufferFrame refuse to put on
 // the wire.
 func checkFrame(f *Frame) error {
 	if len(f.Payload) > MaxPayload {
@@ -339,7 +339,7 @@ func (fw *FrameWriter) reserve(n int) {
 // maxBatchBytes.
 func (fw *FrameWriter) makeRoom(n int) error {
 	if len(fw.buf) > 0 && len(fw.buf)+n > maxBatchBytes {
-		if err := fw.Flush(); err != nil {
+		if err := fw.flush(); err != nil {
 			return err
 		}
 	}
@@ -347,10 +347,10 @@ func (fw *FrameWriter) makeRoom(n int) error {
 	return nil
 }
 
-// Flush hands every buffered frame to the writer in one Write. A no-op
+// flush hands every buffered frame to the writer in one Write. A no-op
 // when nothing is buffered. The buffer is empty afterwards whether or
 // not the write succeeded.
-func (fw *FrameWriter) Flush() error {
+func (fw *FrameWriter) flush() error {
 	if len(fw.buf) == 0 {
 		return nil
 	}
@@ -360,10 +360,10 @@ func (fw *FrameWriter) Flush() error {
 	return err
 }
 
-// BufferFrame serializes one frame behind the frames already buffered;
-// Flush sends them together. A frame that does not validate leaves the
+// bufferFrame serializes one frame behind the frames already buffered;
+// flush sends them together. A frame that does not validate leaves the
 // buffer as it was.
-func (fw *FrameWriter) BufferFrame(f *Frame) error {
+func (fw *FrameWriter) bufferFrame(f *Frame) error {
 	if err := checkFrame(f); err != nil {
 		return err
 	}
@@ -389,10 +389,10 @@ func (fw *FrameWriter) BufferFrame(f *Frame) error {
 // WriteFrame serializes and writes one frame (behind anything buffered),
 // in a single Write.
 func (fw *FrameWriter) WriteFrame(f *Frame) error {
-	if err := fw.BufferFrame(f); err != nil {
+	if err := fw.bufferFrame(f); err != nil {
 		return err
 	}
-	return fw.Flush()
+	return fw.flush()
 }
 
 // FrameReader decodes frames from an io.Reader. The returned Frame's

@@ -314,7 +314,7 @@ func (fw *FrameWriter) WriteSharedFrameLeg(sf *SharedFrame, seq uint32, timestam
 	if err := checkSharedLeg(sf, orFlags); err != nil {
 		return err
 	}
-	if err := fw.Flush(); err != nil {
+	if err := fw.flush(); err != nil {
 		return err
 	}
 	b := appendSharedHead(fw.buf, sf, seq, timestamp, sendTS, egress, orFlags)
@@ -338,7 +338,7 @@ func (fw *FrameWriter) WriteSharedFrameLeg(sf *SharedFrame, seq uint32, timestam
 // bufferSharedFrameLeg is WriteSharedFrameLeg into the batch buffer: the
 // same bytes — header rebuilt per leg, cached payload CRC spliced in,
 // never re-hashed — but copied contiguously behind the frames already
-// buffered, so Flush sends the whole batch in one Write. A single frame
+// buffered, so flush sends the whole batch in one Write. A single frame
 // larger than maxBatchBytes is not worth copying: it is written at once,
 // by reference, after the frames before it.
 func (fw *FrameWriter) bufferSharedFrameLeg(sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress *obs.Hop, orFlags uint16) error {

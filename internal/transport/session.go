@@ -280,11 +280,11 @@ func (s *Session) SendBatch(frames []Frame) (int, error) {
 	ts, sendTS := s.now(flags)
 	for i := range frames {
 		s.stampLocked(&frames[i], ts, sendTS)
-		if err := s.fw.BufferFrame(&frames[i]); err != nil {
+		if err := s.fw.bufferFrame(&frames[i]); err != nil {
 			return 0, s.wrapErr(err)
 		}
 	}
-	if err := s.fw.Flush(); err != nil {
+	if err := s.fw.flush(); err != nil {
 		return 0, s.wrapErr(err)
 	}
 	s.sent(total, len(frames))
@@ -448,7 +448,7 @@ func (s *Session) SendSharedBatch(frames []*SharedFrame, o SharedSendOpts) (int,
 			return 0, s.wrapErr(err)
 		}
 	}
-	if err := s.fw.Flush(); err != nil {
+	if err := s.fw.flush(); err != nil {
 		return 0, s.wrapErr(err)
 	}
 	s.sent(total, len(frames))

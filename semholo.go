@@ -25,26 +25,22 @@ import (
 	"semholo/internal/avatar"
 	"semholo/internal/body"
 	"semholo/internal/capture"
-	"semholo/internal/cluster"
 	"semholo/internal/compress"
 	"semholo/internal/compress/dracogo"
 	"semholo/internal/core"
 	"semholo/internal/gaze"
 	"semholo/internal/geom"
 	"semholo/internal/keypoint"
-	"semholo/internal/metrics"
 	"semholo/internal/nerf"
 	"semholo/internal/netsim"
 	"semholo/internal/obs"
-	"semholo/internal/par"
 	"semholo/internal/pipeline"
 	"semholo/internal/service"
 	"semholo/internal/textsem"
-	"semholo/internal/trace"
 	"semholo/internal/transport"
 )
 
-// Re-exported core types: the framework's stable public surface.
+// Re-exported core types: the surface cmd/ and examples/ build on.
 type (
 	// Mode names a semantics pipeline.
 	Mode = core.Mode
@@ -54,8 +50,6 @@ type (
 	Decoder = core.Decoder
 	// FrameData is a decoded media frame.
 	FrameData = core.FrameData
-	// EncodedFrame is an encoded media frame.
-	EncodedFrame = core.EncodedFrame
 	// Sender drives the sending side of a session.
 	Sender = core.Sender
 	// Receiver drives the receiving side of a session.
@@ -70,83 +64,18 @@ type (
 	WireFrame = transport.Frame
 	// BodyParams is one frame of body pose/shape/expression parameters.
 	BodyParams = body.Params
-	// Tracer records per-stage pipeline timing.
-	Tracer = trace.Tracer
-	// Relay is the multi-party SFU: serialize-once fan-out with
-	// per-subscriber egress queues.
-	Relay = core.Relay
 	// RelayOptions tunes relay queue depth and metrics.
 	RelayOptions = core.RelayOptions
-	// RelayPeerStats is one relay subscriber's delivery counters.
-	RelayPeerStats = core.RelayPeerStats
-	// SharedFrame is an immutable serialize-once broadcast frame.
-	SharedFrame = transport.SharedFrame
-	// Registry is the unified observability metrics registry.
-	Registry = obs.Registry
 	// PipelineMetrics aggregates per-stage and end-to-end frame latency
 	// against the 100 ms motion-to-photon budget.
 	PipelineMetrics = obs.PipelineMetrics
-	// FrameTrace is the per-frame cross-site timing record.
-	FrameTrace = obs.FrameTrace
-	// DebugServer is the live /metrics + /healthz + pprof endpoint.
-	DebugServer = obs.Server
-	// SessionStats is a point-in-time snapshot of session traffic.
-	SessionStats = transport.SessionStats
 )
 
-// Observability constructors, re-exported for API coherence: build a
-// registry, attach pipeline metrics and session/link/cache counters to
-// it, and serve it.
 var (
-	// NewRegistry builds an empty metrics registry.
+	// NewRegistry builds an empty observability metrics registry.
 	NewRegistry = obs.NewRegistry
 	// NewPipelineMetrics registers the frame-pipeline metric set.
 	NewPipelineMetrics = obs.NewPipelineMetrics
-	// ServeDebug starts the debug/metrics HTTP server.
-	ServeDebug = obs.Serve
-	// RegisterCounters wires any set of counter bundles (ReconCounters,
-	// FieldCounters, …) into a registry in one call — the uniform
-	// Register(reg) hookup every cmd uses.
-	RegisterCounters = metrics.RegisterAll
-)
-
-// Hop-annotated frame tracing and the always-on flight recorder: the
-// per-frame latency-attribution layer. Traced wire frames accumulate one
-// Hop per pipeline site; completed FrameTraces land in a TraceStore for
-// /debug/trace/<id>; every process keeps a FlightRecorder ring of
-// structured events behind /debug/flight.
-type (
-	// Hop is one site's timing record on a traced frame's path.
-	Hop = obs.Hop
-	// HopSpan is one rendered interval of a trace waterfall.
-	HopSpan = obs.HopSpan
-	// FlightRecorder is the fixed-size lock-free event ring.
-	FlightRecorder = obs.FlightRecorder
-	// FlightEvent is one recorded flight event.
-	FlightEvent = obs.FlightEvent
-	// TraceStore holds recent completed FrameTraces by trace ID.
-	TraceStore = obs.TraceStore
-	// CounterBundle is the uniform Register(reg) hookup counter bundles
-	// in internal/metrics implement (see RegisterCounters).
-	CounterBundle = metrics.Registerer
-	// ReconCounters aggregates reconstruction/cache telemetry.
-	ReconCounters = metrics.ReconCounters
-	// FieldCounters aggregates SDF field-evaluation telemetry.
-	FieldCounters = metrics.FieldCounters
-)
-
-var (
-	// Flight is the process-wide flight recorder (always on; events from
-	// every pipeline land here unless a component is wired elsewhere).
-	Flight = obs.Flight
-	// Traces is the process-wide completed-trace store.
-	Traces = obs.Traces
-	// RenderWaterfall renders one frame's hop waterfall as ASCII art.
-	RenderWaterfall = obs.RenderWaterfall
-	// NewTraceStore builds a bounded completed-trace store.
-	NewTraceStore = obs.NewTraceStore
-	// NewFlightRecorder builds a flight recorder with the given depth.
-	NewFlightRecorder = obs.NewFlightRecorder
 )
 
 // Staged pipeline runtime (internal/pipeline), re-exported: the
@@ -158,16 +87,6 @@ type (
 	PipelineSenderOptions = pipeline.SenderOptions
 	// PipelineReceiverOptions configures RunReceiverPipeline.
 	PipelineReceiverOptions = pipeline.ReceiverOptions
-	// PipelineSenderStats reports a staged sending run.
-	PipelineSenderStats = pipeline.SenderStats
-	// PipelineReceiverStats reports a staged receiving run.
-	PipelineReceiverStats = pipeline.ReceiverStats
-	// CaptureSource produces frames for the staged sender.
-	CaptureSource = pipeline.Source
-	// RenderSink consumes decoded frames on the staged render stage.
-	RenderSink = pipeline.Sink
-	// PipelineGroup runs goroutines with first-error propagation.
-	PipelineGroup = pipeline.Group
 )
 
 var (
@@ -474,7 +393,7 @@ func NewHybridPipeline(w *World, opt HybridOptions) (*core.HybridEncoder, *core.
 // bridge between Encoder output and Decoder input for callers that
 // bypass a Session (benchmarks, relays). Pass dst[:0] to reuse a
 // previous frame's backing array.
-func AppendWireFrames(dst []WireFrame, ef EncodedFrame) []WireFrame {
+func AppendWireFrames(dst []WireFrame, ef core.EncodedFrame) []WireFrame {
 	for _, ch := range ef.Channels {
 		dst = append(dst, WireFrame{
 			Type: FrameTypeSemantic, Channel: ch.Channel, Flags: ch.Flags, Payload: ch.Payload,
@@ -489,31 +408,14 @@ var Connect = transport.Dial
 // Serve accepts a SemHolo session over an established connection.
 var Serve = transport.Accept
 
-// NewRelay builds an empty multi-party relay.
-var NewRelay = core.NewRelay
-
-// NewRelayContext builds a relay whose lifetime is bounded by a context.
-var NewRelayContext = core.NewRelayContext
-
-// NewRelayOpts builds a relay with explicit queue depth and metrics
+// NewRelayOpts builds a multi-party relay (serialize-once fan-out with
+// per-subscriber egress queues) with explicit queue depth and metrics
 // options.
 var NewRelayOpts = core.NewRelayOpts
-
-// NewSharedFrame builds a serialize-once broadcast frame (one payload
-// copy, one CRC pass, any number of per-session emissions).
-var NewSharedFrame = transport.NewSharedFrame
-
-// SplitRelayParticipant decomposes a relayed channel into (participant
-// block index, original channel).
-var SplitRelayParticipant = core.SplitParticipant
 
 // NowMicros returns the current wall clock in unix microseconds — the
 // capture timestamp format traced frames carry.
 var NowMicros = obs.NowMicros
-
-// RelayChannelStride separates participants' channel spaces when
-// relayed: participant i's channel c arrives as c + i*stride.
-const RelayChannelStride = core.ParticipantChannelStride
 
 // EmulatedLink builds an in-memory link with the given one-way
 // characteristics — handy for examples and tests.
@@ -528,120 +430,10 @@ type Link = netsim.Link
 // BroadbandUS returns the paper's 25 Mbps deployment-constraint link.
 var BroadbandUS = netsim.BroadbandUS
 
-// Per-subscriber adaptive semantic tiering: one capture encoded at every
-// rung of a tier ladder (keypoints-only → keypoints+texture → full
-// hybrid), relayed as a tier-indexed SharedFrameSet, with each egress
-// leg's TierSelector picking its own rung from queue depth, drop rate,
-// RTT, and bandwidth estimates.
-type (
-	// Tier is one rung of a ladder: an encoder plus its nominal bitrate.
-	Tier = core.Tier
-	// TierLadder encodes one capture at every rung, cheapest first.
-	TierLadder = core.TierLadder
-	// LadderFrame is one media frame encoded at every rung.
-	LadderFrame = core.LadderFrame
-	// KeyframeForcer is implemented by encoders that can be asked for a
-	// self-contained frame (the tier-switch keyframe protocol).
-	KeyframeForcer = core.KeyframeForcer
-	// StateResetter is implemented by decoders that can discard warm
-	// state at a tier-switch keyframe boundary.
-	StateResetter = core.StateResetter
-	// SharedFrameSet is a tier-indexed family of serialize-once frames
-	// for one media frame — the relay's broadcast unit.
-	SharedFrameSet = transport.SharedFrameSet
-	// TierSelector picks a rung per egress leg from congestion signals.
-	TierSelector = transport.TierSelector
-	// TierSignals is one observation window fed to a TierSelector.
-	TierSignals = transport.TierSignals
-	// RateLevel names one selectable rung and its nominal bitrate.
-	RateLevel = transport.RateLevel
-	// BandwidthEstimator tracks delivered throughput per egress leg.
-	BandwidthEstimator = transport.BandwidthEstimator
-)
-
-var (
-	// NewTierLadder builds a ladder from explicit rungs.
-	NewTierLadder = core.NewTierLadder
-	// NewSemanticLadder builds the standard three-rung ladder:
-	// keypoints-only, keypoints+texture, full hybrid mesh.
-	NewSemanticLadder = core.NewSemanticLadder
-	// NewSharedFrameSet builds an empty tier-indexed broadcast set.
-	NewSharedFrameSet = transport.NewSharedFrameSet
-	// NewTierSelector builds a per-egress rung selector.
-	NewTierSelector = transport.NewTierSelector
-	// NewBandwidthEstimator builds a delivered-throughput estimator.
-	NewBandwidthEstimator = transport.NewBandwidthEstimator
-)
-
-// Sharded relay cluster (internal/cluster): rooms consistent-hash onto
-// relay shards via a bounded-load ring, and a hot room cascades across
-// shards in a K-ary trunk tree — the home shard forwards each frame
-// over an ordinary egress leg and downstream shards re-share it to
-// their local subscribers without re-serializing the payload
-// (SharedFromWire adoption), so a trunk leg costs exactly what a
-// subscriber leg costs.
-type (
-	// ClusterShard hosts one relay per room with per-shard admission
-	// limits and capacity accounting.
-	ClusterShard = cluster.Shard
-	// ClusterShardOptions configures NewClusterShard.
-	ClusterShardOptions = cluster.ShardOptions
-	// RoomManager places rooms on shards and builds trunk cascades.
-	RoomManager = cluster.RoomManager
-	// RoomManagerOptions configures NewRoomManager.
-	RoomManagerOptions = cluster.ManagerOptions
-	// PlacementRing is the bounded-load consistent-hash ring mapping
-	// room IDs to shards.
-	PlacementRing = cluster.Ring
-	// TrunkDialFunc connects a parent shard to a child shard for one
-	// room's cascade edge.
-	TrunkDialFunc = cluster.TrunkDialFunc
-	// RelayAttachOptions marks a relay peer as a trunk egress and/or
-	// ingress leg.
-	RelayAttachOptions = core.AttachOptions
-	// Mesh is a deterministic many-node emulated network: one seeded
-	// jittered link per dialed pair.
-	Mesh = netsim.Mesh
-)
-
-var (
-	// NewClusterShard builds a relay shard.
-	NewClusterShard = cluster.NewShard
-	// NewRoomManager builds an in-process room manager over a shard set.
-	NewRoomManager = cluster.NewRoomManager
-	// NewPlacementRing builds a bounded-load consistent-hash ring.
-	NewPlacementRing = cluster.NewRing
-	// RendezvousShard is the rendezvous-hashing fallback placement
-	// (highest-random-weight), tested against the ring.
-	RendezvousShard = cluster.Rendezvous
-	// NewMesh builds a seeded emulated network mesh.
-	NewMesh = netsim.NewMesh
-	// SharedFromWire adopts a received frame's payload buffer and CRC
-	// into a SharedFrame for re-sharing without a copy or CRC pass.
-	SharedFromWire = transport.SharedFromWire
-)
-
-// TrunkPeerPrefix namespaces relay-to-relay trunk peers ("trunk/<shard>")
-// so they never collide with participant names.
-const TrunkPeerPrefix = cluster.TrunkPeerPrefix
-
-// DecodeService reconstructs many concurrent avatar streams in one
-// process over shared immutable kernels, one worker pool, and one
-// pose-keyed mesh cache (ROADMAP item 3's decode service).
-type DecodeService = service.DecodeService
-
 // ServiceOptions configures NewDecodeService.
 type ServiceOptions = service.Options
 
-// StreamCtx is one tenant's per-stream context inside a DecodeService.
-type StreamCtx = service.StreamCtx
-
-// NewDecodeService builds a multi-tenant decode service.
+// NewDecodeService builds a multi-tenant decode service: many concurrent
+// avatar streams reconstructed in one process over shared immutable
+// kernels, one worker pool, and one pose-keyed mesh cache.
 var NewDecodeService = service.New
-
-// WorkerPool is a process-wide budget of worker slots shared by
-// independent decode streams (FIFO reservations, round-robin fairness).
-type WorkerPool = par.Pool
-
-// NewWorkerPool builds a worker pool; capacity <= 0 means GOMAXPROCS.
-var NewWorkerPool = par.NewPool
