@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check
+.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -52,6 +52,7 @@ ci: vet build
 	$(MAKE) trace-check
 	$(MAKE) tier-check
 	$(MAKE) cluster-check
+	$(MAKE) alloc-check
 
 ## pipeline-check: the staged-runtime gate — race-enabled goroutine-leak
 ## tests (pipeline, relay, session) plus the staged-vs-sequential
@@ -83,8 +84,11 @@ relay-check:
 ## service-check: the multi-tenant decode-service gate — race-enabled
 ## worker-pool suites (budget, FIFO fairness, cancel races), the
 ## single-flight mesh-cache suites, the service byte-identity regression
-## against a solo receiver, tenant-churn leak checks, and the 32-tenant
-## admit/detach hammer. The hybrid gaze-anchor race test rides along.
+## against a solo receiver, the shared-mesh read-only test (a hybrid and
+## a keypoint tenant decode one stream while a third goroutine re-reads
+## every cached mesh: an in-place writer is a detected race), tenant-churn
+## leak checks, and the 32-tenant admit/detach hammer. The hybrid
+## gaze-anchor race test rides along.
 service-check:
 	$(GO) test -race ./internal/par ./internal/service
 	$(GO) test -race -run 'TestMeshCache|TestHybridGazeAnchor' ./internal/avatar ./internal/core
@@ -137,3 +141,13 @@ cluster-check:
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestTrunkReshare|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
 	$(GO) test -run 'TestTrunkLegAllocs' ./internal/transport
+
+## alloc-check: the decode-path allocation pins, on a non-race line (race
+## instrumentation perturbs alloc counts — same reason as cluster-check's
+## TestTrunkLegAllocs line): a mesh-cache hit through
+## Reconstructor.Reconstruct allocates nothing, the hybrid graft allocates
+## three objects per frame (mesh header + two exact-size arrays), and
+## steady-state lzr.Compress of a marshalled pose stays under 8 KiB per
+## call (its 256 KiB hash-head table is pooled).
+alloc-check:
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr

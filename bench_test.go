@@ -209,6 +209,38 @@ func BenchmarkReconstructCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkHybridDecodeSteady times the receiver side of the §3.1 hybrid
+// in steady state: a looped 16-frame window through one cache-backed
+// decoder, so every peripheral mesh is a cache hit and every frame ends
+// in the foveal graft. B/op is the figure to watch — the graft writes one
+// exact-size mesh per frame and a cache hit copies nothing.
+func BenchmarkHybridDecodeSteady(b *testing.B) {
+	const frames = 16
+	world := NewWorld(WorldOptions{Seed: 3})
+	enc, dec := NewHybridPipeline(world, HybridOptions{PeripheralResolution: 64, WarmStart: true, CacheSize: frames})
+	anchor := geom.V3(0, 1.5, 0.1)
+	enc.SetGazeAnchor(anchor)
+	dec.SetGazeAnchor(anchor)
+	wire := make([][]WireFrame, frames)
+	for i := range wire {
+		ef, err := enc.Encode(world.FrameAt(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire[i] = AppendWireFrames(nil, ef)
+		if _, err := dec.Decode(wire[i]); err != nil { // fill the cache, size the scratch
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(wire[i%frames]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRenderMeshParallel times the banded software rasterizer
 // across worker counts at probe-camera resolution.
 func BenchmarkRenderMeshParallel(b *testing.B) {

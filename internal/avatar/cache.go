@@ -25,9 +25,9 @@ const DefaultMeshCacheCapacity = 32
 // reconstructors, including differently configured ones. All methods are
 // safe for concurrent use; a nil *MeshCache is inert.
 //
-// Hits return a copy of the cached mesh, so callers may mutate the
-// result freely (the hybrid decoder compacts and merges meshes in
-// place).
+// The cache holds one copy of each mesh and hands that same *mesh.Mesh
+// to every hit, every single-flight waiter and the caller that computed
+// it. A returned mesh is shared and read-only: Clone it before mutating.
 type MeshCache struct {
 	// Capacity is the maximum number of cached meshes; <= 0 means
 	// DefaultMeshCacheCapacity.
@@ -68,8 +68,7 @@ type cacheEntry struct {
 
 // flight is one in-progress reconstruction of a key. Concurrent callers
 // of the same key wait on done instead of reconstructing again; mesh is
-// set (to the cache's immutable stored copy, never the computing
-// caller's mutable result) before done closes.
+// set before done closes.
 type flight struct {
 	owner *Reconstructor
 	done  chan struct{}
@@ -129,49 +128,25 @@ func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor) cacheKey {
 	return key
 }
 
-// lookup returns a copy of the cached mesh for p under r's
-// configuration, if present.
-func (c *MeshCache) lookup(p *body.Params, r *Reconstructor) (*mesh.Mesh, bool) {
-	key := c.keyFor(p, r)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		m := e.mesh.Clone()
-		c.Counters.AddMeshHit()
-		if e.owner != r {
-			c.Counters.AddCrossTenantHit()
-		}
-		return m, true
-	}
-	c.Counters.AddMeshMiss()
-	return nil, false
-}
-
 // GetOrCompute returns the mesh for p under r's configuration, running
 // r.reconstruct on a miss with single-flight deduplication: when several
 // streams ask for the same key concurrently (correlated poses across
 // tenants), exactly one reconstruction runs and the rest wait for its
 // result instead of duplicating the work. Hits from a reconstructor
 // other than the entry's first producer count as cross-tenant hits.
-//
-// The hit path does the same work as lookup — one key build plus the
-// mesh clone every hit pays — so the single-tenant fast path stays as
-// cheap as before single-flight existed.
+// The returned mesh is the cache's own: shared and read-only.
 func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
 	key := c.keyFor(p, r)
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.order.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		m := e.mesh.Clone()
 		c.Counters.AddMeshHit()
 		if e.owner != r {
 			c.Counters.AddCrossTenantHit()
 		}
 		c.mu.Unlock()
-		return m
+		return e.mesh
 	}
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -185,7 +160,7 @@ func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
 		if f.owner != r {
 			c.Counters.AddCrossTenantHit()
 		}
-		return f.mesh.Clone()
+		return f.mesh
 	}
 	c.Counters.AddMeshMiss()
 	if c.flights == nil {
@@ -200,10 +175,8 @@ func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
 		c.mu.Lock()
 		delete(c.flights, key)
 		if m != nil {
-			// Publish the cache's own immutable clone, not m: the caller
-			// may mutate its returned mesh (the hybrid decoder compacts
-			// and merges in place) while waiters are still cloning.
-			f.mesh = c.storeLocked(key, r, m)
+			c.storeLocked(key, r, m)
+			f.mesh = m
 		}
 		c.mu.Unlock()
 		close(f.done)
@@ -212,36 +185,19 @@ func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
 	return m
 }
 
-// store caches a copy of m for p under r's configuration, evicting the
-// least recently used entries beyond capacity.
-func (c *MeshCache) store(p *body.Params, r *Reconstructor, m *mesh.Mesh) {
-	key := c.keyFor(p, r)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.storeLocked(key, r, m)
-}
-
-// storeLocked inserts a clone of m under key and returns the stored
-// clone (the existing entry's mesh when a concurrent reconstruction of
-// the same pose won the race — the meshes are identical). Callers hold
-// c.mu.
-func (c *MeshCache) storeLocked(key cacheKey, owner *Reconstructor, m *mesh.Mesh) *mesh.Mesh {
+// storeLocked inserts m under key, evicting the least recently used
+// entries beyond capacity. The flight registered for key keeps any other
+// caller from storing it concurrently. Callers hold c.mu.
+func (c *MeshCache) storeLocked(key cacheKey, owner *Reconstructor, m *mesh.Mesh) {
 	if c.order == nil {
 		c.order = list.New()
 		c.byKey = make(map[cacheKey]*list.Element)
 	}
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).mesh
-	}
-	stored := m.Clone()
-	el := c.order.PushFront(&cacheEntry{key: key, mesh: stored, owner: owner})
-	c.byKey[key] = el
+	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, mesh: m, owner: owner})
 	for c.order.Len() > c.capacity() {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.byKey, back.Value.(*cacheEntry).key)
 		c.Counters.AddMeshEviction()
 	}
-	return stored
 }

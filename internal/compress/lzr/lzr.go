@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 const (
@@ -71,6 +72,18 @@ func distFromSlot(slot uint32, footer uint32) uint32 {
 	return base + footer + 1
 }
 
+// matchTables is the hash-chain match finder's scratch: head maps a
+// 3-byte-prefix hash to the most recent position with that hash, chain
+// links each position to the previous one sharing its hash. Pooled
+// because head alone is 256 KiB — far more than the ~1.6 kB pose payloads
+// Compress sees three times per frame.
+type matchTables struct {
+	head  [1 << hashBits]int32
+	chain []int32
+}
+
+var matchTablesPool = sync.Pool{New: func() any { return new(matchTables) }}
+
 // Compress returns a self-describing compressed representation of src.
 // Compress never fails; incompressible input grows by a small header.
 func Compress(src []byte) []byte {
@@ -84,13 +97,18 @@ func Compress(src []byte) []byte {
 	m := newModel()
 	e := newRangeEncoder()
 
-	// Hash-chain match finder over 3-byte prefixes.
-	const hashSize = 1 << hashBits
-	head := make([]int32, hashSize)
+	// Hash-chain match finder over 3-byte prefixes. chain needs no reset:
+	// an entry is written (insert) before any search can reach it.
+	mt := matchTablesPool.Get().(*matchTables)
+	defer matchTablesPool.Put(mt)
+	head := mt.head[:]
 	for i := range head {
 		head[i] = -1
 	}
-	chain := make([]int32, len(src))
+	if cap(mt.chain) < len(src) {
+		mt.chain = make([]int32, len(src))
+	}
+	chain := mt.chain[:len(src)]
 	hash3 := func(i int) uint32 {
 		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
 		return (v * 2654435761) >> (32 - hashBits)

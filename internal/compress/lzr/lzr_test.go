@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"semholo/internal/body"
 )
 
 func roundTrip(t *testing.T, src []byte) []byte {
@@ -164,5 +167,73 @@ func BenchmarkDecompress64K(b *testing.B) {
 		if _, err := Decompress(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCompressConcurrentMatchesSerial is the pool-safety regression:
+// Compress draws its match tables from a sync.Pool, so concurrent calls
+// on mixed-size inputs must still round-trip and produce exactly the
+// bytes a serial call does (a table leaking state between calls would
+// change the matches found, and with them the stream).
+func TestCompressConcurrentMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	inputs := make([][]byte, 0, 10)
+	for _, n := range []int{0, 1, 7, 300, 1600, 1601, 5000, 40000} {
+		src := make([]byte, n)
+		for i := range src {
+			if i > 40 && rng.Intn(3) > 0 {
+				src[i] = src[i-40]
+			} else {
+				src[i] = byte(rng.Intn(32))
+			}
+		}
+		inputs = append(inputs, src)
+	}
+	inputs = append(inputs, body.Talking(nil).At(0.3).Marshal(), []byte(strings.Repeat("semantic ", 900)))
+	want := make([][]byte, len(inputs))
+	for i, src := range inputs {
+		want[i] = Compress(src)
+	}
+
+	const goroutines, calls = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < calls; n++ {
+				i := (g*31 + n*7) % len(inputs)
+				enc := Compress(inputs[i])
+				if !bytes.Equal(enc, want[i]) {
+					t.Errorf("goroutine %d call %d: input %d compressed differently from the serial run", g, n, i)
+					return
+				}
+				if dec, err := Decompress(enc); err != nil || !bytes.Equal(dec, inputs[i]) {
+					t.Errorf("goroutine %d call %d: input %d failed to round-trip (%v)", g, n, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCompressPoseAllocs pins steady-state Compress of a marshalled pose
+// (the payload every frame carries) under 8 KiB allocated per call: the
+// 256 KiB hash-head table and the chain come from the pool. Run on a
+// non-race line (make alloc-check).
+func TestCompressPoseAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	src := body.Talking(nil).At(0.3).Marshal()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Compress(src)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 8<<10 {
+		t.Fatalf("Compress of a %d-byte pose allocates %d B/op, want < 8 KiB", len(src), got)
 	}
 }

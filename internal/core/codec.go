@@ -81,7 +81,9 @@ func (e EncodedFrame) TotalBytes() int {
 type FrameData struct {
 	// Params carries decoded body parameters (keypoint/hybrid modes).
 	Params *body.Params
-	// Mesh carries reconstructed geometry.
+	// Mesh carries reconstructed geometry. When the decoder has a mesh
+	// cache it may be the cached mesh itself, shared with other streams
+	// and read-only: Clone() before mutating.
 	Mesh *mesh.Mesh
 	// VertexColors carries per-vertex texture for Mesh when available.
 	VertexColors []pointcloud.Color

@@ -34,6 +34,7 @@ type HybridEncoder struct {
 	// goroutine, so it must be an atomic swap, not a plain field; nil
 	// means no gaze report has arrived yet.
 	anchor atomic.Pointer[geom.Vec3]
+	cut    fovealCut
 }
 
 // SetGazeAnchor updates the world-space point the remote viewer is
@@ -75,34 +76,88 @@ func (e *HybridEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 	return out, nil
 }
 
-// fovealSubmesh extracts the faces of m inside the foveal region.
+// fovealSubmesh extracts the faces of m inside the foveal region (nil
+// when there are none). m is only read.
 func (e *HybridEncoder) fovealSubmesh(m *mesh.Mesh) *mesh.Mesh {
 	anchor := e.anchor.Load()
 	if m == nil || anchor == nil {
 		return nil
 	}
-	centroids := make([]geom.Vec3, len(m.Faces))
-	for i := range m.Faces {
-		centroids[i] = m.FaceCentroid(i)
-	}
-	fovealFaces, _ := e.Selector.SplitMesh(centroids, *anchor)
-	if len(fovealFaces) == 0 {
+	sub := e.cut.apply(m, e.Selector, *anchor, true, nil)
+	if len(sub.Faces) == 0 {
 		return nil
 	}
-	sub := &mesh.Mesh{Vertices: append([]geom.Vec3(nil), m.Vertices...)}
-	for _, fi := range fovealFaces {
-		sub.Faces = append(sub.Faces, m.Faces[fi])
-	}
-	sub.CompactVertices()
 	return sub
+}
+
+// fovealCut is the reusable scratch for cutting a mesh along the foveal
+// boundary without touching the source (which may be a cached mesh other
+// streams are reading).
+type fovealCut struct {
+	remap []int32 // per source vertex: 0 = unused, 1 = used, then its new index
+	faces []int32 // selected source face indices
+}
+
+// apply returns a fresh exact-size mesh holding the faces of src whose
+// centroid's InFovea equals inside, their vertices compacted in source
+// order, followed by patch's geometry when patch is non-nil — the result
+// of filtering src's faces, CompactVertices, then Merge(patch), in one
+// pass and three allocations. Only positions and faces are carried over.
+func (c *fovealCut) apply(src *mesh.Mesh, sel gaze.FovealSelector, anchor geom.Vec3, inside bool, patch *mesh.Mesh) *mesh.Mesh {
+	if cap(c.remap) < len(src.Vertices) {
+		c.remap = make([]int32, len(src.Vertices))
+	}
+	remap := c.remap[:len(src.Vertices)]
+	clear(remap)
+	faces := c.faces[:0]
+	nv := 0
+	for i, f := range src.Faces {
+		if sel.InFovea(src.FaceCentroid(i), anchor) != inside {
+			continue
+		}
+		faces = append(faces, int32(i))
+		for _, v := range [3]int{f.A, f.B, f.C} {
+			if remap[v] == 0 {
+				remap[v] = 1
+				nv++
+			}
+		}
+	}
+	c.faces = faces
+
+	extraV, extraF := 0, 0
+	if patch != nil {
+		extraV, extraF = len(patch.Vertices), len(patch.Faces)
+	}
+	out := &mesh.Mesh{
+		Vertices: make([]geom.Vec3, nv, nv+extraV),
+		Faces:    make([]mesh.Face, len(faces), len(faces)+extraF),
+	}
+	next := int32(0)
+	for i, used := range remap {
+		if used != 0 {
+			remap[i] = next
+			out.Vertices[next] = src.Vertices[i]
+			next++
+		}
+	}
+	for n, fi := range faces {
+		f := src.Faces[fi]
+		out.Faces[n] = mesh.Face{A: int(remap[f.A]), B: int(remap[f.B]), C: int(remap[f.C])}
+	}
+	if patch != nil {
+		out.Merge(patch) // fills the reserved capacity; out carries no normals/UVs
+	}
+	return out
 }
 
 // HybridDecoder reconstructs the periphery from keypoints at a reduced
 // resolution and grafts the received foveal mesh over it: peripheral
 // faces falling inside the foveal region are dropped, then the foveal
-// patch is merged. The seam between the two parts is the integration
-// challenge §3.1 leaves open; the decoder makes it measurable rather
-// than hiding it.
+// patch is merged — into a fresh mesh, since with a Cache the peripheral
+// reconstruction is shared with other streams. The seam between the two
+// parts is the integration challenge §3.1 leaves open; the decoder makes
+// it measurable rather than hiding it.
 type HybridDecoder struct {
 	Model *body.Model
 	Codec compress.Codec
@@ -131,6 +186,7 @@ type HybridDecoder struct {
 	// anchor is written from the control/input plane while Decode reads
 	// it from the pipeline goroutine; see HybridEncoder.anchor.
 	anchor atomic.Pointer[geom.Vec3]
+	cut    fovealCut
 }
 
 // SetGazeAnchor mirrors the encoder-side anchor (receivers know their
@@ -164,6 +220,9 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 		case ChanKeypointData:
 			raw := f.Payload
 			if f.Flags&transport.FlagCompressed != 0 {
+				if d.Codec == nil {
+					return FrameData{}, fmt.Errorf("core: compressed payload but no codec configured")
+				}
 				dec, err := d.Codec.Decode(f.Payload)
 				if err != nil {
 					return FrameData{}, fmt.Errorf("core: hybrid pose decompress: %w", err)
@@ -211,21 +270,16 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	d.rec.Unpruned = d.Unpruned
 	peripheral := d.rec.Reconstruct(params)
 
+	// peripheral may be a cached mesh other streams are reading: graft
+	// into a copy, never in place.
 	merged := peripheral
 	anchor := d.anchor.Load()
 	if foveal != nil && anchor != nil {
 		// Drop peripheral faces inside the fovea, then graft the patch.
-		kept := &mesh.Mesh{Vertices: peripheral.Vertices}
-		for i, face := range peripheral.Faces {
-			if !d.Selector.InFovea(peripheral.FaceCentroid(i), *anchor) {
-				kept.Faces = append(kept.Faces, face)
-			}
-		}
-		kept.CompactVertices()
-		kept.Merge(foveal)
-		merged = kept
+		merged = d.cut.apply(peripheral, d.Selector, *anchor, false, foveal)
 	} else if foveal != nil {
-		peripheral.Merge(foveal)
+		merged = peripheral.Clone()
+		merged.Merge(foveal)
 	}
 	return FrameData{Params: params, Mesh: merged}, nil
 }

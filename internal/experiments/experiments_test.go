@@ -3,6 +3,9 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"semholo/internal/avatar"
+	"semholo/internal/metrics"
 )
 
 // One small shared env for all experiment smoke tests.
@@ -88,10 +91,19 @@ func TestFig4CostGrowsWithResolution(t *testing.T) {
 	if pts[1].DenseSecondsPerFrame != 0 {
 		t.Error("dense timing leaked past the limit")
 	}
-	// Narrow band must beat dense (that is its reason to exist).
-	if pts[0].DenseSecondsPerFrame < pts[0].SecondsPerFrame {
-		t.Errorf("dense (%.3fs) faster than sparse (%.3fs) at res 32",
-			pts[0].DenseSecondsPerFrame, pts[0].SecondsPerFrame)
+	// Narrow band must beat dense (that is its reason to exist). Two
+	// single-shot ≈5 ms wall-clock timings flaked here; the property is
+	// asserted on the deterministic work count instead — field samples
+	// evaluated for the frame Fig4 times.
+	fitted := testEnv.Seq.Motion.At(0.5)
+	samples := func(dense bool) uint64 {
+		var fc metrics.FieldCounters
+		rec := &avatar.Reconstructor{Model: testEnv.Model, Resolution: 32, Workers: 1, Dense: dense, FieldStats: &fc}
+		rec.Reconstruct(fitted)
+		return fc.Snapshot().Samples
+	}
+	if dense, sparse := samples(true), samples(false); sparse == 0 || dense <= sparse {
+		t.Errorf("dense evaluated %d field samples, sparse %d at res 32: the narrow band saves nothing", dense, sparse)
 	}
 }
 

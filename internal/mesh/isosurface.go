@@ -115,13 +115,13 @@ var cubeTets = [6][4]int{
 }
 
 // slabMesh accumulates polygonization output for one contiguous range of
-// z-slabs: vertices (with the lattice edge each lies on, for cross-slab
-// dedup), faces over local vertex indices, and the slab-local edge→vertex
-// map. Serial extraction uses a single slabMesh covering the whole grid;
-// parallel extraction builds one per slab and merges them in slab order.
+// z-slabs: vertices, faces over local vertex indices, and the slab-local
+// map from the lattice edge a vertex lies on to its index (vertex dedup
+// within the slab, and across slabs in mergeSlabs). Serial extraction
+// uses a single slabMesh covering the whole grid; parallel extraction
+// builds one per slab and merges them in slab order.
 type slabMesh struct {
 	verts  []geom.Vec3
-	keys   []latticeEdge
 	faces  []Face
 	shared map[latticeEdge]int
 
@@ -183,7 +183,6 @@ func (s *slabMesh) edgeVertex(la, lb int, pa, pb geom.Vec3, va, vb float64) int 
 	t = geom.Clamp(t, 0, 1)
 	idx := len(s.verts)
 	s.verts = append(s.verts, pa.Lerp(pb, t))
-	s.keys = append(s.keys, key)
 	s.shared[key] = idx
 	return idx
 }
@@ -295,6 +294,22 @@ func getSlabBuf(n int) []float64 {
 
 func putSlabBuf(buf []float64) { slabBufPool.Put(buf) }
 
+// polyArena is the polygonization scratch of one sparse extraction: the
+// vertex and face arrays the surface is built in before being copied out
+// exact-size, and the lattice-edge → vertex dedup map. Arenas are pooled
+// per worker (a sync.Pool keeps one per P), not per stream, so the
+// tenants of one decode service share them and an extracted mesh — which
+// may live on in a cache — carries no slack capacity.
+type polyArena struct {
+	verts  []geom.Vec3
+	faces  []Face
+	shared map[latticeEdge]int
+}
+
+var polyArenaPool = sync.Pool{New: func() any {
+	return &polyArena{shared: make(map[latticeEdge]int)}
+}}
+
 // ExtractIsosurface polygonizes the zero level set of field over the grid
 // using marching tetrahedra. The result shares interpolated vertices along
 // lattice edges, so the output is watertight wherever the surface does not
@@ -395,8 +410,12 @@ func mergeSlabs(slabs []*slabMesh) *Mesh {
 	}
 	global := make(map[latticeEdge]int, totalV)
 	for _, s := range slabs {
+		keys := make([]latticeEdge, len(s.verts))
+		for key, li := range s.shared {
+			keys[li] = key
+		}
 		remap := make([]int, len(s.verts))
-		for li, key := range s.keys {
+		for li, key := range keys {
 			if gi, ok := global[key]; ok {
 				remap[li] = gi
 				continue

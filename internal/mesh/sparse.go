@@ -201,14 +201,9 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 	visited := st.visited
 
 	s := newSlabMesh(lay)
-	if st.shared == nil {
-		st.shared = make(map[latticeEdge]int)
-	}
-	clear(st.shared)
-	s.shared = st.shared
-	s.keys = st.edgeKeys[:0]
-	s.verts = make([]geom.Vec3, 0, st.lastVerts)
-	s.faces = make([]Face, 0, st.lastFaces)
+	arena := polyArenaPool.Get().(*polyArena)
+	clear(arena.shared)
+	s.verts, s.faces, s.shared = arena.verts[:0], arena.faces[:0], arena.shared
 
 	gkey := func(i, j, k int) int64 {
 		return packG(lay.base[0]+i, lay.base[1]+j, lay.base[2]+k)
@@ -589,8 +584,6 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 	st.needIdx, st.needPrev, st.cornerIdx = needIdx, needPrev, cornerIdx
 	st.batchPts, st.batchOut, st.batchIdx = batchPts, batchOut, batchIdx
 	st.curSamples = samples
-	st.edgeKeys = s.keys
-	st.lastVerts, st.lastFaces = len(s.verts), len(s.faces)
 	if temporal {
 		st.cell = lay.cell
 		st.band = st.band[:0]
@@ -610,5 +603,15 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 		}
 		st.prevSamples, st.curSamples = st.curSamples, st.prevSamples
 	}
-	return s.mesh()
+
+	// Copy the surface out exact-size and hand the arena back.
+	out := &Mesh{
+		Vertices: make([]geom.Vec3, len(s.verts)),
+		Faces:    make([]Face, len(s.faces)),
+	}
+	copy(out.Vertices, s.verts)
+	copy(out.Faces, s.faces)
+	arena.verts, arena.faces = s.verts, s.faces
+	polyArenaPool.Put(arena)
+	return out
 }

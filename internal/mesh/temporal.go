@@ -110,11 +110,7 @@ type SparseState struct {
 	roots        []int64
 	mark         []uint8 // dense per-cell marks for the reachability filter
 	queue        []cell3
-	shared       map[latticeEdge]int
-	edgeKeys     []latticeEdge
 	rays         []seedRay
-	lastVerts    int
-	lastFaces    int
 }
 
 // Reset drops the cached band and samples so the next extraction runs

@@ -18,6 +18,12 @@
 // the shared cache keys on exact bitwise parameters by default, so each
 // stream's output is byte-identical to a solo Receiver decoding the same
 // wire frames, at any pool size and any tenant mix.
+//
+// Sharing: the cache holds one copy of each mesh and hands that same
+// *mesh.Mesh to every tenant whose pose matches, so a decoded
+// FrameData.Mesh may be shared across streams. It is read-only — Clone()
+// before mutating. Decoders that must edit geometry (the hybrid graft)
+// write a fresh mesh instead.
 package service
 
 import (

@@ -16,9 +16,10 @@ import (
 )
 
 // StreamCtx is one tenant's per-stream state inside a DecodeService: a
-// stateful decoder (warm-start band, codec scratch) over the service's
-// shared kernels, plus the in-flight cap that keeps the tenant's bursts
-// queued against itself. Obtain one from DecodeService.Admit.
+// stateful decoder (warm-start band, codec and graft scratch) over the
+// service's shared kernels and shared read-only cached meshes, plus the
+// in-flight cap that keeps the tenant's bursts queued against itself.
+// Obtain one from DecodeService.Admit.
 type StreamCtx struct {
 	id  string
 	svc *DecodeService
@@ -49,7 +50,8 @@ func (st *StreamCtx) Pending() int { return int(st.pending.Load()) }
 // fair share of the shared worker pool; ctx cancels either wait. Safe
 // for concurrent use — calls beyond the in-flight cap queue FIFO-ish on
 // the token channel. The decoded output is byte-identical to a solo
-// core.Receiver decoding the same wire frames.
+// core.Receiver decoding the same wire frames; its Mesh may be the
+// service cache's own copy, shared with other tenants — read-only.
 func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameData, error) {
 	if st.detached.Load() {
 		return core.FrameData{}, fmt.Errorf("service: tenant %q detached", st.id)
