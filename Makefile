@@ -118,11 +118,15 @@ trace-check:
 ## tier-check: the adaptive-tiering gate — race-enabled ladder encode
 ## suites (rung ordering, per-tier state reuse, ladder-of-one byte
 ## identity), the tier wire-extension compat suites, the TierSelector
-## signal/backoff unit tests, the mid-stream switch decode regression
-## (byte-identical to a cold decode at the switch boundary), the
-## newest-wins dequeue suites that feed the selector
-## (TestRelayTiersNewestWinsAfterStall, TestRelayTiersStarvedLegHoldsTierZero,
-## TestRelayTrunkSupersedesWholeLadders), and the two-leg
+## signal/backoff unit tests, the AdaptiveDecoder channel demux, the
+## mid-stream switch decode regression (byte-identical to a cold decode
+## at the switch boundary), the newest-wins dequeue suites that feed the
+## selector (TestRelayTiersNewestWinsAfterStall,
+## TestRelayTiersStarvedLegHoldsTierZero,
+## TestRelayTrunkSupersedesWholeLadders), the link-collapse episode
+## (TestRelayTiersFollowLinkCollapse: a text/keypoint/traditional leg
+## steps down after its link collapses, every rung change flagged, every
+## frame decoded, tier series scraped), and the two-leg
 ## heterogeneous-link relay convergence test — run five times, since it
 ## is the wall-clock test that catches a starved leg probing upward
 ## when its shedding stops reaching the TierSelector.

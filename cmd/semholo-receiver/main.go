@@ -32,7 +32,6 @@ import (
 	"semholo/internal/mesh"
 	"semholo/internal/metrics"
 	"semholo/internal/obs"
-	"semholo/internal/transport"
 )
 
 func main() {
@@ -115,12 +114,7 @@ func main() {
 		defer srv.Close()
 		log.Printf("debug server on http://%s/metrics", srv.Addr())
 	}
-	receiver := &semholo.Receiver{
-		Session:   sess,
-		Decoder:   dec,
-		Obs:       pm,
-		Estimator: transport.NewBandwidthEstimator(),
-	}
+	receiver := &semholo.Receiver{Session: sess, Decoder: dec, Obs: pm}
 	start := time.Now()
 	frames := 0
 	stats, err := semholo.RunReceiverPipeline(ctx, receiver, func(data semholo.FrameData) error {
@@ -144,9 +138,8 @@ func main() {
 		stats.Received, stats.Decoded, stats.Rendered, stats.Dropped)
 	elapsed := time.Since(start).Seconds()
 	recv := sess.Stats().BytesReceived
-	fmt.Printf("received %d media frames (%.2f MB) in %.1fs — %.2f Mbps, est %.2f Mbps\n",
-		frames, float64(recv)/1e6, elapsed, float64(recv)*8/elapsed/1e6,
-		receiver.Estimator.Estimate()/1e6)
+	fmt.Printf("received %d media frames (%.2f MB) in %.1fs — %.2f Mbps\n",
+		frames, float64(recv)/1e6, elapsed, float64(recv)*8/elapsed/1e6)
 	fmt.Print(pm.Report())
 }
 

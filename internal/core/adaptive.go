@@ -2,105 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"semholo/internal/capture"
 	"semholo/internal/transport"
 )
 
-// AdaptiveEncoder switches between semantics pipelines as available
-// bandwidth moves — the end goal of SemHolo's rate-adaptation agenda:
-// text (≈KB/s) → keypoint (≈0.3 Mbps) → image (≈Mbps) → traditional
-// (≈100 Mbps), each a registered operating point.
-type AdaptiveEncoder struct {
-	controller *transport.RateController
-	byName     map[string]Encoder
-
-	// mu guards current: bandwidth updates arrive from the control-frame
-	// goroutine while the capture loop encodes.
-	mu      sync.Mutex
-	current Encoder
-
-	// OnSwitch is notified when the active pipeline changes. It is
-	// invoked after the switch commits and outside the encoder's lock,
-	// so the callback may call back into the encoder (query Mode, feed
-	// UpdateBandwidth, even Encode) without deadlocking.
-	OnSwitch func(from, to Mode)
-}
-
-// AdaptiveLevel couples an encoder with its expected bitrate demand.
-type AdaptiveLevel struct {
-	Encoder Encoder
-	// Bitrate is the expected demand in bits/s at the session frame rate.
-	Bitrate float64
-}
-
-// NewAdaptiveEncoder builds an adaptive encoder from levels ordered by
-// ascending bitrate.
-func NewAdaptiveEncoder(levels []AdaptiveLevel) (*AdaptiveEncoder, error) {
-	if len(levels) == 0 {
-		return nil, fmt.Errorf("core: adaptive encoder needs levels")
-	}
-	var rl []transport.RateLevel
-	byName := map[string]Encoder{}
-	for i, l := range levels {
-		if i > 0 && levels[i-1].Bitrate >= l.Bitrate {
-			return nil, fmt.Errorf("core: adaptive levels must ascend in bitrate")
-		}
-		name := string(l.Encoder.Mode())
-		rl = append(rl, transport.RateLevel{Name: name, Bitrate: l.Bitrate})
-		byName[name] = l.Encoder
-	}
-	return &AdaptiveEncoder{
-		controller: transport.NewRateController(rl),
-		byName:     byName,
-		current:    levels[0].Encoder,
-	}, nil
-}
-
-// UpdateBandwidth feeds a bandwidth estimate and switches levels if
-// needed. Returns the active mode.
-func (a *AdaptiveEncoder) UpdateBandwidth(bps float64) Mode {
-	level := a.controller.Update(bps)
-	a.mu.Lock()
-	next := a.byName[level.Name]
-	var from, to Mode
-	var cb func(from, to Mode)
-	if next != a.current {
-		// Capture the notification under the lock, deliver it after: a
-		// callback that re-enters the encoder (or blocks) must not hold
-		// up the capture loop's Encode, let alone deadlock on mu.
-		from, to = a.current.Mode(), next.Mode()
-		cb = a.OnSwitch
-		a.current = next
-	}
-	mode := a.current.Mode()
-	a.mu.Unlock()
-	if cb != nil {
-		cb(from, to)
-	}
-	return mode
-}
-
-// Mode implements Encoder (reports the active pipeline).
-func (a *AdaptiveEncoder) Mode() Mode {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.current.Mode()
-}
-
-// Encode implements Encoder by delegating to the active pipeline. The
-// underlying encoders are stateful and not individually thread-safe, so
-// Encode holds the switch lock for the duration of the encode.
-func (a *AdaptiveEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.current.Encode(c)
-}
-
 // AdaptiveDecoder demultiplexes by channel: because every pipeline owns
-// distinct channels, the receiver can decode whatever the sender chose
-// without out-of-band signaling.
+// distinct channels, the receiver can decode whichever ladder rung its
+// relay leg serves without out-of-band signaling.
 type AdaptiveDecoder struct {
 	Keypoint    *KeypointDecoder
 	Traditional *TraditionalDecoder

@@ -344,43 +344,6 @@ func TestHybridCodecGraftsFovealMesh(t *testing.T) {
 	}
 }
 
-func TestAdaptiveEncoderSwitches(t *testing.T) {
-	text := &TextEncoder{Captioner: textsem.Captioner{}, Codec: compress.LZR()}
-	kp := newKeypointEncoder(false)
-	trad := &TraditionalEncoder{}
-	ae, err := NewAdaptiveEncoder([]AdaptiveLevel{
-		{Encoder: text, Bitrate: 0.05e6},
-		{Encoder: kp, Bitrate: 0.4e6},
-		{Encoder: trad, Bitrate: 12e6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var switches []Mode
-	ae.OnSwitch = func(from, to Mode) { switches = append(switches, to) }
-
-	if m := ae.UpdateBandwidth(100e6); m != ModeTraditional {
-		t.Errorf("100 Mbps → %s", m)
-	}
-	if m := ae.UpdateBandwidth(1e6); m != ModeKeypoint {
-		t.Errorf("1 Mbps → %s", m)
-	}
-	if m := ae.UpdateBandwidth(0.1e6); m != ModeText {
-		t.Errorf("0.1 Mbps → %s", m)
-	}
-	if len(switches) != 3 {
-		t.Errorf("switch notifications: %v", switches)
-	}
-	// Encoding delegates to the active level.
-	ef, err := ae.Encode(testSeq.FrameAt(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ef.Channels[len(ef.Channels)-1].Channel != ChanTextGlobal {
-		t.Error("active level not text")
-	}
-}
-
 func TestAdaptiveDecoderDemuxes(t *testing.T) {
 	ad := &AdaptiveDecoder{
 		Keypoint:    &KeypointDecoder{Model: testModel, Codec: compress.LZR()},

@@ -316,6 +316,3 @@ func (d *ImageDecoder) RenderNovelView(cam geom.Camera, width int) (*render.Fram
 	}
 	return d.net.RenderViewParallel(d.scene, cam, width, d.Workers), nil
 }
-
-// SetWidth switches the slimmable operating point (rate adaptation).
-func (d *ImageDecoder) SetWidth(w int) { d.Width = w }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"semholo/internal/compress"
 	"semholo/internal/netsim"
+	"semholo/internal/obs"
+	"semholo/internal/textsem"
 	"semholo/internal/transport"
 )
 
@@ -169,5 +174,177 @@ func TestRelayTiersPerSubscriber(t *testing.T) {
 	}
 	if slowCounts[0] <= slowCounts[1]+slowCounts[2] {
 		t.Errorf("starved leg tier mix %v: tier 0 not dominant", slowCounts)
+	}
+}
+
+// TestRelayTiersFollowLinkCollapse is rate adaptation's congestion
+// episode on the product path: one publisher ships a text → keypoint →
+// traditional ladder through a tiering relay to one subscriber whose
+// link collapses from 100 to 0.25 Mbps halfway through the stream. The
+// leg's TierSelector must climb to the top rung while the link is
+// plentiful and end below it after the collapse; every rung change must
+// carry the tier-switch marker (the text rung is delta-coded, so a
+// switch onto it waits for a requested keyframe); every delivered frame
+// must decode through an AdaptiveDecoder; and the leg's tier series
+// must reach a scrape.
+func TestRelayTiersFollowLinkCollapse(t *testing.T) {
+	ladder, err := NewTierLadder([]Tier{
+		{Name: "text", Bitrate: 0.05e6, Encoder: &TextEncoder{
+			Captioner: textsem.Captioner{CellSize: 0.25, Precision: 2}, Codec: compress.LZR(),
+		}},
+		{Name: "keypoint", Bitrate: 0.4e6, Encoder: newKeypointEncoder(false)},
+		{Name: "traditional", Bitrate: 3e6, Encoder: &TraditionalEncoder{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const top = 2
+	reg := obs.NewRegistry()
+	relay := NewRelayOpts(t.Context(), RelayOptions{
+		TierLevels: ladder.Levels(),
+		Registry:   reg,
+		// Probe quickly, and once a rung fails bar it past the end of the
+		// stream, so the collapsed leg cannot probe back to the top rung.
+		NewTierSelector: func(levels []transport.RateLevel) *transport.TierSelector {
+			s := transport.NewTierSelector(levels)
+			s.UpDwell = 200 * time.Millisecond
+			s.Backoff = 30 * time.Second
+			s.BackoffMax = 30 * time.Second
+			return s
+		},
+	})
+	defer relay.Close()
+
+	pub := attachParticipant(t, relay, "pub")
+	viewer := attachPeer(t, relay, "viewer", netsim.LinkConfig{Bandwidth: 100e6, Delay: 5 * time.Millisecond}, AttachOptions{})
+	defer pub.link.Close()
+	defer viewer.link.Close()
+
+	sender := &Sender{Session: pub.sess, OnKeyframeRequest: ladder.RequestKeyframe}
+	go func() {
+		for {
+			f, err := pub.sess.Recv()
+			if err != nil {
+				return
+			}
+			if f.Type == transport.TypeControl {
+				_ = sender.HandleControl(f)
+			}
+		}
+	}()
+
+	type delivery struct {
+		raw       RawFrame
+		collapsed bool // arrived after the collapse
+	}
+	var collapsed atomic.Bool
+	got := make(chan []delivery, 1)
+	go func() {
+		r := &Receiver{Session: viewer.sess}
+		var out []delivery
+		for {
+			raw, err := r.NextRaw()
+			if err != nil {
+				got <- out
+				return
+			}
+			out = append(out, delivery{raw, collapsed.Load()})
+		}
+	}()
+
+	const frames, collapseAt = 90, 45
+	for i := 0; i < frames; i++ {
+		if i == collapseAt {
+			viewer.link.SetBandwidth(0.25e6)
+			collapsed.Store(true)
+		}
+		lf, err := ladder.EncodeAll(testSeq.FrameAt(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sender.TransmitLadder(lf, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	time.Sleep(400 * time.Millisecond) // drain in-flight fan-out
+
+	var leg RelayPeerStats
+	for _, s := range relay.PeerStats() {
+		if s.Name == "viewer" {
+			leg = s
+		}
+	}
+	var exp strings.Builder
+	if err := reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if err := relay.Close(); err != nil {
+		t.Fatalf("relay close: %v", err)
+	}
+	delivered := <-got
+	if len(delivered) == 0 {
+		t.Fatal("nothing delivered")
+	}
+
+	rcv := &Receiver{Decoder: &AdaptiveDecoder{
+		Text:        &TextDecoder{Codec: compress.LZR()},
+		Keypoint:    &KeypointDecoder{Model: testModel, Codec: compress.LZR()},
+		Traditional: &TraditionalDecoder{},
+	}}
+	prevTier, topBefore := -1, false
+	var path []int
+	for i, d := range delivered {
+		tier, switched := int(d.raw.Frames[0].Tier), false
+		for _, f := range d.raw.Frames {
+			if int(f.Tier) != tier {
+				t.Fatalf("frame %d: mixed tiers %d and %d in one media frame", i, tier, f.Tier)
+			}
+			if f.Flags&transport.FlagTierSwitch != 0 {
+				switched = true
+			}
+		}
+		if tier != prevTier {
+			if prevTier >= 0 && !switched {
+				t.Fatalf("frame %d: tier changed %d→%d without a tier-switch marker", i, prevTier, tier)
+			}
+			path = append(path, tier)
+		}
+		prevTier = tier
+		if tier == top && !d.collapsed {
+			topBefore = true
+		}
+		if _, err := rcv.DecodeRaw(d.raw); err != nil {
+			t.Fatalf("frame %d (tier %d): decode: %v", i, tier, err)
+		}
+	}
+	t.Logf("%d/%d frames delivered, rung path %v, %d shed", len(delivered), frames, path, leg.Dropped)
+	if !topBefore {
+		t.Errorf("leg never served the top rung before the collapse (rung path %v)", path)
+	}
+	if !delivered[len(delivered)-1].collapsed || prevTier >= top || leg.Tier >= top {
+		t.Errorf("leg ended on rung %d (last delivered %d) after the collapse, want below %d", leg.Tier, prevTier, top)
+	}
+
+	// The leg's tier series reach a scrape, agreeing with PeerStats.
+	series := func(name string) float64 {
+		prefix := name + `{room="default",peer="viewer"} `
+		for _, line := range strings.Split(exp.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				v, err := strconv.ParseFloat(rest, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("%s missing from scrape", name)
+		return 0
+	}
+	if got := series("semholo_relay_egress_tier"); got != float64(leg.Tier) {
+		t.Errorf("scraped tier %v, PeerStats %d", got, leg.Tier)
+	}
+	if got := series("semholo_relay_egress_tier_switches_total"); got != float64(leg.TierSwitches) || got < 2 {
+		t.Errorf("scraped tier switches %v, PeerStats %d (want ≥2: up and back down)", got, leg.TierSwitches)
 	}
 }

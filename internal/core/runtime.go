@@ -12,17 +12,13 @@ import (
 	"semholo/internal/transport"
 )
 
-// controlMsg is the JSON control-plane message exchanged during a
-// session: bandwidth reports and gaze updates flowing receiver→sender,
-// mode switches flowing sender→receiver.
+// controlMsg is the JSON control-plane message flowing back toward a
+// sender: gaze updates from a receiver, tier-keyframe requests from a
+// relay. Any other kind is ignored.
 type controlMsg struct {
-	Kind string `json:"kind"` // "bandwidth" | "gaze" | "mode" | "keyframe"
-	// Bandwidth report (bits/s).
-	Bps float64 `json:"bps,omitempty"`
+	Kind string `json:"kind"` // "gaze" | "keyframe"
 	// Gaze anchor in world coordinates.
 	Gaze *[3]float64 `json:"gaze,omitempty"`
-	// Mode switch announcement.
-	Mode Mode `json:"mode,omitempty"`
 	// Tier names the ladder rung a "keyframe" request targets: a relay
 	// preparing one subscriber's tier switch asks the sender for a
 	// self-contained frame at that rung.
@@ -30,8 +26,8 @@ type controlMsg struct {
 }
 
 // Sender drives one direction of a telepresence session: it encodes
-// captures and ships them, processing control messages (gaze, bandwidth)
-// from the receiver between frames.
+// captures and ships them, processing control messages (gaze, tier
+// keyframe requests) from downstream between frames.
 type Sender struct {
 	Session *transport.Session
 	Encoder Encoder
@@ -48,8 +44,6 @@ type Sender struct {
 	// OnGaze, when set, receives remote gaze anchors (wired to the
 	// hybrid encoder by NewHybridSender-style constructors or manually).
 	OnGaze func(geom.Vec3)
-	// OnBandwidth receives remote bandwidth reports (for adaptation).
-	OnBandwidth func(bps float64)
 	// OnKeyframeRequest receives tier-keyframe requests (a relay
 	// preparing a subscriber's tier switch); typically wired to
 	// TierLadder.RequestKeyframe.
@@ -164,10 +158,6 @@ func (s *Sender) HandleControl(f transport.Frame) error {
 		if msg.Gaze != nil && s.OnGaze != nil {
 			s.OnGaze(geom.V3(msg.Gaze[0], msg.Gaze[1], msg.Gaze[2]))
 		}
-	case "bandwidth":
-		if s.OnBandwidth != nil {
-			s.OnBandwidth(msg.Bps)
-		}
 	case "keyframe":
 		if s.OnKeyframeRequest != nil {
 			s.OnKeyframeRequest(msg.Tier)
@@ -190,7 +180,7 @@ func (s *Sender) TransmitLadder(lf LadderFrame, capturedAt time.Time) error {
 
 // Receiver drives the other direction: it collects channel payloads
 // until an end-of-frame marker, decodes the media frame, and reports
-// bandwidth and gaze back to the sender.
+// gaze back to the sender.
 type Receiver struct {
 	Session *transport.Session
 	Decoder Decoder
@@ -204,8 +194,6 @@ type Receiver struct {
 	// /debug/trace/<id> lookup; nil publishes to the process-wide
 	// obs.Traces store (always-on, like the flight recorder).
 	Traces *obs.TraceStore
-	// Estimator, when set, observes arriving bytes for rate adaptation.
-	Estimator *transport.BandwidthEstimator
 
 	// pending accumulates one media frame's channel payloads; its backing
 	// array is reused across frames (decoders consume the slice
@@ -239,9 +227,6 @@ func (r *Receiver) NextRaw() (RawFrame, error) {
 		f, err := r.Session.Recv()
 		if err != nil {
 			return RawFrame{}, err
-		}
-		if r.Estimator != nil {
-			r.Estimator.Observe(time.Now(), len(f.Payload))
 		}
 		switch f.Type {
 		case transport.TypeClose:
@@ -375,19 +360,6 @@ func (r *Receiver) NextFrame() (FrameData, error) {
 
 // ErrSessionClosed reports a graceful peer close.
 var ErrSessionClosed = fmt.Errorf("core: session closed by peer")
-
-// ReportBandwidth sends the receiver's current bandwidth estimate to the
-// sender.
-func (r *Receiver) ReportBandwidth() error {
-	if r.Estimator == nil {
-		return nil
-	}
-	payload, err := json.Marshal(controlMsg{Kind: "bandwidth", Bps: r.Estimator.Estimate()})
-	if err != nil {
-		return err
-	}
-	return r.Session.SendControl(payload)
-}
 
 // ReportGaze sends the local gaze anchor to the sender (for foveated
 // encoding).

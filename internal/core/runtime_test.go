@@ -35,11 +35,7 @@ func startSession(t *testing.T, cfg netsim.LinkConfig, enc Encoder, dec Decoder)
 		t.Fatal(r.err)
 	}
 	sender := &Sender{Session: sa, Encoder: enc}
-	receiver := &Receiver{
-		Session:   r.s,
-		Decoder:   dec,
-		Estimator: transport.NewBandwidthEstimator(),
-	}
+	receiver := &Receiver{Session: r.s, Decoder: dec}
 	return sender, receiver, link
 }
 
@@ -161,40 +157,45 @@ func TestGazeControlReachesSenderEncoder(t *testing.T) {
 	}
 }
 
-func TestBandwidthReportingLoop(t *testing.T) {
-	enc := newKeypointEncoder(false)
-	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR()}
-	sender, receiver, link := startSession(t, netsim.LinkConfig{}, enc, dec)
-	defer link.Close()
-
-	bw := make(chan float64, 1)
-	sender.OnBandwidth = func(bps float64) { bw <- bps }
-	go func() {
-		for {
-			f, err := sender.Session.Recv()
-			if err != nil {
-				return
-			}
-			if f.Type == transport.TypeControl {
-				_ = sender.HandleControl(f)
-			}
-		}
-	}()
-	// Seed the estimator with synthetic arrivals, then report.
-	now := time.Now()
-	for i := 0; i < 100; i++ {
-		receiver.Estimator.Observe(now.Add(time.Duration(i)*10*time.Millisecond), 12500)
+// TestHandleControlIgnoresRetiredKinds pins the control plane after the
+// receiver bandwidth-report loop was retired: a parent-era "bandwidth"
+// or "mode" message, like any unknown kind, is accepted and ignored,
+// malformed JSON is an error, and gaze and keyframe still dispatch.
+func TestHandleControlIgnoresRetiredKinds(t *testing.T) {
+	var gazes, keyframes []any
+	s := &Sender{
+		OnGaze:            func(p geom.Vec3) { gazes = append(gazes, p) },
+		OnKeyframeRequest: func(tier int) { keyframes = append(keyframes, tier) },
 	}
-	if err := receiver.ReportBandwidth(); err != nil {
+	control := func(payload string) error {
+		return s.HandleControl(transport.Frame{Type: transport.TypeControl, Payload: []byte(payload)})
+	}
+	for _, payload := range []string{
+		`{"kind":"bandwidth","bps":2500000}`,
+		`{"kind":"mode","mode":"keypoint"}`,
+		`{"kind":"teleport","tier":2,"gaze":[1,2,3]}`,
+	} {
+		if err := control(payload); err != nil {
+			t.Errorf("%s: %v", payload, err)
+		}
+	}
+	if len(gazes)+len(keyframes) != 0 {
+		t.Fatalf("ignored kinds dispatched: gaze %v, keyframe %v", gazes, keyframes)
+	}
+	if err := control(`{"kind":`); err == nil {
+		t.Error("malformed control message accepted")
+	}
+	if err := control(`{"kind":"gaze","gaze":[0.1,1.5,0.2]}`); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case bps := <-bw:
-		if bps < 5e6 || bps > 20e6 {
-			t.Errorf("reported %.1f Mbps, want ≈ 10", bps/1e6)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("bandwidth report never arrived")
+	if err := control(`{"kind":"keyframe","tier":2}`); err != nil {
+		t.Fatal(err)
+	}
+	if len(gazes) != 1 || gazes[0] != geom.V3(0.1, 1.5, 0.2) {
+		t.Errorf("gaze dispatch %v", gazes)
+	}
+	if len(keyframes) != 1 || keyframes[0] != 2 {
+		t.Errorf("keyframe dispatch %v", keyframes)
 	}
 }
 

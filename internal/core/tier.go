@@ -102,8 +102,8 @@ func NewTierLadder(tiers []Tier) (*TierLadder, error) {
 // TierCount returns the number of rungs.
 func (l *TierLadder) TierCount() int { return len(l.tiers) }
 
-// Levels returns the ladder as rate levels (for TierSelector /
-// RateController construction), cheapest first.
+// Levels returns the ladder as rate levels (for TierSelector
+// construction), cheapest first.
 func (l *TierLadder) Levels() []transport.RateLevel {
 	out := make([]transport.RateLevel, len(l.tiers))
 	for i, t := range l.tiers {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"semholo/internal/capture"
 	"semholo/internal/compress"
@@ -159,51 +158,6 @@ func TestTextLadderKeyframeRequest(t *testing.T) {
 	lf, _ = ladder.EncodeAll(testSeq.FrameAt(4))
 	if lf.Tiers[0].Channels[0].Flags&transport.FlagKeyframe == 0 {
 		t.Fatal("RequestKeyframe did not force a keyframe")
-	}
-}
-
-// TestAdaptiveEncoderOnSwitchReentry is the regression test for the
-// OnSwitch deadlock: the callback used to run with the encoder's lock
-// held, so any callback that re-entered the encoder hung forever. It
-// must now be able to query and even encode from inside the callback.
-func TestAdaptiveEncoderOnSwitchReentry(t *testing.T) {
-	text := &TextEncoder{Captioner: textsem.Captioner{}, Codec: compress.LZR()}
-	kp := newKeypointEncoder(false)
-	ae, err := NewAdaptiveEncoder([]AdaptiveLevel{
-		{Encoder: text, Bitrate: 0.05e6},
-		{Encoder: kp, Bitrate: 0.4e6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type reentry struct {
-		mode Mode
-		err  error
-	}
-	got := make(chan reentry, 1)
-	ae.OnSwitch = func(from, to Mode) {
-		// Re-enter the encoder from the callback: Mode and Encode both
-		// take the lock the callback used to be called under.
-		m := ae.Mode()
-		_, encErr := ae.Encode(testSeq.FrameAt(0))
-		got <- reentry{m, encErr}
-	}
-	done := make(chan Mode, 1)
-	go func() { done <- ae.UpdateBandwidth(1e6) }()
-	select {
-	case m := <-done:
-		if m != ModeKeypoint {
-			t.Fatalf("mode %s after switch", m)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("UpdateBandwidth deadlocked: OnSwitch re-entered the encoder")
-	}
-	r := <-got
-	if r.mode != ModeKeypoint {
-		t.Errorf("callback saw mode %s, want %s (switch must commit before the callback)", r.mode, ModeKeypoint)
-	}
-	if r.err != nil {
-		t.Errorf("encode from callback: %v", r.err)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"semholo/internal/metrics"
 	"semholo/internal/netsim"
 	"semholo/internal/obs"
-	"semholo/internal/transport"
 )
 
 // scrape fetches /metrics from a handler-backed test server.
@@ -104,18 +103,7 @@ func TestEndToEndScrape(t *testing.T) {
 	sessA.Instrument(reg, "sender")
 	sessB.Instrument(reg, "receiver")
 
-	// Rate adaptation driven by the receiver's bandwidth estimate.
-	rc := transport.NewRateController([]transport.RateLevel{
-		{Name: "text", Bitrate: 100e3},
-		{Name: "keypoint", Bitrate: 500e3},
-		{Name: "traditional", Bitrate: 95e6},
-	})
-	rc.Instrument(reg)
-
-	receiver := &semholo.Receiver{
-		Session: sessB, Decoder: kd, Obs: pm,
-		Estimator: transport.NewBandwidthEstimator(),
-	}
+	receiver := &semholo.Receiver{Session: sessB, Decoder: kd, Obs: pm}
 
 	// Sender: an echo goroutine answers the receiver's pings (Recv does
 	// that transparently), the main goroutine streams traced frames.
@@ -165,7 +153,6 @@ func TestEndToEndScrape(t *testing.T) {
 		if data.Trace.Network() <= 0 {
 			t.Errorf("frame %d network span %v, want > 0 over a 3 ms link", received, data.Trace.Network())
 		}
-		rc.Update(receiver.Estimator.Estimate())
 		if received == 1 {
 			if err := sessB.Ping(); err != nil {
 				t.Fatalf("ping: %v", err)
@@ -228,14 +215,6 @@ func TestEndToEndScrape(t *testing.T) {
 	}
 	if got := metricValue(exp, "semholo_recon_mesh_cache_hit_rate"); got < 0 {
 		t.Error("mesh cache hit rate missing from scrape")
-	}
-
-	// Rate-adaptation level.
-	if got := metricValue(exp, "semholo_rate_level"); got < 0 {
-		t.Error("rate level missing from scrape")
-	}
-	if got := metricValue(exp, "semholo_rate_level_bitrate_bps"); got <= 0 {
-		t.Errorf("rate level bitrate = %v, want > 0", got)
 	}
 
 	// Link statistics, including recovered losses.

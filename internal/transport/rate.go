@@ -4,13 +4,12 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"semholo/internal/obs"
 )
 
 // BandwidthEstimator estimates delivered throughput from byte-arrival
 // events using an exponentially weighted moving average over fixed
-// windows — the receiver-side signal driving rate adaptation (§3.2).
+// windows — each relay egress leg's delivered-throughput signal for its
+// TierSelector (§3.2 rate adaptation, applied per link).
 //
 // A stream that goes quiet stops calling Observe, so the estimate would
 // otherwise freeze at its last value forever — a leg scored at its old
@@ -124,52 +123,11 @@ type RateLevel struct {
 	Bitrate float64
 }
 
-// RateController picks the best level sustainable at the estimated
-// bandwidth, with hysteresis so the choice doesn't flap: switching up
-// requires headroom, switching down happens as soon as demand exceeds
-// the estimate.
-type RateController struct {
-	// Levels must be ordered by ascending bitrate.
-	Levels []RateLevel
-	// Headroom is the up-switch safety factor (default 1.25: the next
-	// level must fit in estimate/1.25).
-	Headroom float64
-
-	mu       sync.Mutex
-	current  int
-	switches int64
-}
-
-// NewRateController builds a controller starting at the cheapest level.
-func NewRateController(levels []RateLevel) *RateController {
-	return &RateController{Levels: levels, Headroom: 1.25}
-}
-
-// Update feeds a bandwidth estimate (bits/s) and returns the chosen
-// level.
-func (c *RateController) Update(estimate float64) RateLevel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.Levels) == 0 {
-		return RateLevel{}
-	}
-	head := c.Headroom
-	if head <= 0 {
-		head = 1.25
-	}
-	prev := c.current
-	c.current = walkLadder(c.Levels, c.current, estimate, head)
-	if c.current != prev {
-		c.switches++
-		obs.Flight.Record(obs.EvTierSwitch, "rate", 0, int64(prev), int64(c.current))
-	}
-	return c.Levels[c.current]
-}
-
-// walkLadder is the hysteresis ladder walk shared by RateController and
-// TierSelector: step down while the current level's demand exceeds the
-// estimate, step up while the next level fits with headroom. Asymmetric
-// by design — downgrades are immediate, upgrades need proof.
+// walkLadder is the hysteresis ladder walk behind TierSelector's
+// strong-evidence override: step down while the current level's demand
+// exceeds the estimate, step up while the next level fits with
+// headroom. Asymmetric by design — downgrades are immediate, upgrades
+// need proof.
 func walkLadder(levels []RateLevel, current int, estimate, headroom float64) int {
 	for current > 0 && levels[current].Bitrate > estimate {
 		current--
@@ -178,118 +136,4 @@ func walkLadder(levels []RateLevel, current int, estimate, headroom float64) int
 		current++
 	}
 	return current
-}
-
-// Switches returns how many times Update changed the active level.
-func (c *RateController) Switches() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.switches
-}
-
-// Instrument registers the controller's decisions into reg: the active
-// level index and bitrate as gauges plus a level-switch counter, all
-// sampled at scrape time — the live view of §3.3 rate adaptation.
-func (c *RateController) Instrument(reg *obs.Registry) {
-	reg.GaugeFunc("semholo_rate_level",
-		"Active rate-adaptation level index (0 = cheapest).",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(c.current)
-		})
-	reg.GaugeFunc("semholo_rate_level_bitrate_bps",
-		"Expected demand of the active rate-adaptation level.",
-		func() float64 { return c.Current().Bitrate })
-	reg.Counter("semholo_rate_switches_total",
-		"Rate-adaptation level changes.").
-		Func(func() float64 { return float64(c.Switches()) })
-}
-
-// Current returns the active level without updating.
-func (c *RateController) Current() RateLevel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.Levels) == 0 {
-		return RateLevel{}
-	}
-	return c.Levels[c.current]
-}
-
-// JitterBuffer smooths frame delivery for playout: frames are pushed as
-// they arrive (with their sender timestamps) and popped when their
-// playout deadline — arrival of the first frame plus Depth plus the
-// frame's sender-relative offset — has passed. It reorders by sequence
-// within a channel, concealing network jitter at the cost of Depth added
-// latency (the standard latency/smoothness trade-off).
-type JitterBuffer struct {
-	// Depth is the target buffering delay.
-	Depth time.Duration
-
-	mu       sync.Mutex
-	baseWall time.Time // arrival of first frame
-	baseTS   uint64    // sender timestamp of first frame (µs)
-	queue    []Frame   // sorted by Timestamp
-	started  bool
-}
-
-// Push inserts an owned frame (payload must not alias reader buffers).
-func (j *JitterBuffer) Push(now time.Time, f Frame) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.started {
-		j.started = true
-		j.baseWall = now
-		j.baseTS = f.Timestamp
-	}
-	// Insert sorted by sender timestamp (stable for equal stamps).
-	i := len(j.queue)
-	for i > 0 && j.queue[i-1].Timestamp > f.Timestamp {
-		i--
-	}
-	j.queue = append(j.queue, Frame{})
-	copy(j.queue[i+1:], j.queue[i:])
-	j.queue[i] = f
-}
-
-// Pop returns all frames whose playout time has arrived.
-func (j *JitterBuffer) Pop(now time.Time) []Frame {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.started {
-		return nil
-	}
-	var out []Frame
-	for len(j.queue) > 0 {
-		f := j.queue[0]
-		var rel time.Duration
-		if f.Timestamp >= j.baseTS {
-			rel = time.Duration(f.Timestamp-j.baseTS) * time.Microsecond
-		}
-		playAt := j.baseWall.Add(j.Depth + rel)
-		if now.Before(playAt) {
-			break
-		}
-		out = append(out, f)
-		j.queue = j.queue[1:]
-	}
-	return out
-}
-
-// Len returns the number of buffered frames.
-func (j *JitterBuffer) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.queue)
-}
-
-// Occupancy returns the buffered duration (sender-time span).
-func (j *JitterBuffer) Occupancy() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.queue) < 2 {
-		return 0
-	}
-	span := j.queue[len(j.queue)-1].Timestamp - j.queue[0].Timestamp
-	return time.Duration(math.Min(float64(span), 1e12)) * time.Microsecond
 }

@@ -127,25 +127,20 @@ type TierSignals struct {
 }
 
 // TierSelector picks a tier per egress leg from that leg's measured
-// signals. It generalizes RateController (which walks the same ladder
-// from a single receiver-reported estimate) to the relay setting, where
-// the honest signals are local backpressure: queue depth, shed frames,
-// and RTT inflation mark congestion and force a one-rung downgrade;
-// upgrades are probes — after UpDwell of calm the selector steps up one
-// rung, unless that rung recently failed, in which case it is barred
-// for an exponentially growing backoff. A delivered-throughput estimate
-// comfortably above the next rung's demand overrides the bar (strong
-// evidence beats suspicion), via the same walkLadder headroom rule
-// RateController uses.
+// signals — the one rate-adaptation policy (§3.2 applied per link). The
+// honest signals at a relay are local backpressure: queue depth, shed
+// frames, and RTT inflation mark congestion and force a one-rung
+// downgrade; upgrades are probes — after UpDwell of calm the selector
+// steps up one rung, unless that rung recently failed, in which case it
+// is barred for an exponentially growing backoff. A delivered-throughput
+// estimate comfortably above the next rung's demand overrides the bar
+// (strong evidence beats suspicion), via walkLadder's headroom rule.
 //
 // Not safe for concurrent use beyond its own locking: one selector per
 // egress goroutine is the intended shape.
 type TierSelector struct {
 	// Levels must be ordered by ascending bitrate (one per tier).
 	Levels []RateLevel
-	// Headroom is the up-switch safety factor on estimate evidence
-	// (default 1.25, like RateController).
-	Headroom float64
 	// UpDwell is how long a leg must stay congestion-free before probing
 	// one rung up (default 400 ms).
 	UpDwell time.Duration
@@ -153,14 +148,6 @@ type TierSelector struct {
 	// 1 s), doubling per repeated failure up to BackoffMax (default 8 s).
 	Backoff    time.Duration
 	BackoffMax time.Duration
-	// DropTolerance is the shed-frame fraction treated as congestion
-	// (default 0.03).
-	DropTolerance float64
-	// RTTCeiling marks RTT inflation as congestion (default 250 ms).
-	RTTCeiling time.Duration
-	// HoldReset is how long a rung must run calm before its failure
-	// backoff is forgotten (default 5 s).
-	HoldReset time.Duration
 
 	mu        sync.Mutex
 	current   int
@@ -170,6 +157,19 @@ type TierSelector struct {
 	barWidth  []time.Duration
 }
 
+// The selector's fixed thresholds.
+const (
+	// tierHeadroom is the up-switch safety factor on estimate evidence.
+	tierHeadroom = 1.25
+	// tierDropTolerance is the shed-frame fraction treated as congestion.
+	tierDropTolerance = 0.03
+	// tierRTTCeiling marks RTT inflation as congestion.
+	tierRTTCeiling = 250 * time.Millisecond
+	// tierHoldReset is how long a rung must run calm before its failure
+	// backoff is forgotten.
+	tierHoldReset = 5 * time.Second
+)
+
 // NewTierSelector builds a selector starting at the cheapest tier.
 func NewTierSelector(levels []RateLevel) *TierSelector {
 	return &TierSelector{
@@ -177,13 +177,6 @@ func NewTierSelector(levels []RateLevel) *TierSelector {
 		barUntil: make([]time.Time, len(levels)),
 		barWidth: make([]time.Duration, len(levels)),
 	}
-}
-
-func (t *TierSelector) headroom() float64 {
-	if t.Headroom > 0 {
-		return t.Headroom
-	}
-	return 1.25
 }
 
 func (t *TierSelector) upDwell() time.Duration {
@@ -207,36 +200,15 @@ func (t *TierSelector) backoffMax() time.Duration {
 	return 8 * time.Second
 }
 
-func (t *TierSelector) dropTolerance() float64 {
-	if t.DropTolerance > 0 {
-		return t.DropTolerance
-	}
-	return 0.03
-}
-
-func (t *TierSelector) rttCeiling() time.Duration {
-	if t.RTTCeiling > 0 {
-		return t.RTTCeiling
-	}
-	return 250 * time.Millisecond
-}
-
-func (t *TierSelector) holdReset() time.Duration {
-	if t.HoldReset > 0 {
-		return t.HoldReset
-	}
-	return 5 * time.Second
-}
-
 // congested folds the leg's signals into a single verdict.
 func (t *TierSelector) congested(sig TierSignals) bool {
 	if sig.QueueCap > 0 && sig.QueueDepth >= (sig.QueueCap+1)/2 {
 		return true
 	}
-	if sig.DropRate > t.dropTolerance() {
+	if sig.DropRate > tierDropTolerance {
 		return true
 	}
-	if sig.RTT > t.rttCeiling() {
+	if sig.RTT > tierRTTCeiling {
 		return true
 	}
 	// The estimate alone proves nothing (offered load ≠ capacity), but a
@@ -244,7 +216,7 @@ func (t *TierSelector) congested(sig TierSignals) bool {
 	// than the active tier demands is congested even if its queue
 	// momentarily drained.
 	if sig.EstimateBps > 0 && sig.DropRate > 0 &&
-		t.Levels[t.current].Bitrate > sig.EstimateBps*t.headroom() {
+		t.Levels[t.current].Bitrate > sig.EstimateBps*tierHeadroom {
 		return true
 	}
 	return false
@@ -281,13 +253,13 @@ func (t *TierSelector) Decide(now time.Time, sig TierSignals) (tier int, switche
 			t.calmSince = now
 		}
 		calm := now.Sub(t.calmSince)
-		if calm >= t.holdReset() {
+		if calm >= tierHoldReset {
 			// The active rung has proven itself; forget its failure history.
 			t.barWidth[t.current] = 0
 		}
 		if next := t.current + 1; next < len(t.Levels) && calm >= t.upDwell() {
 			strong := sig.EstimateBps > 0 &&
-				walkLadder(t.Levels, t.current, sig.EstimateBps, t.headroom()) > t.current
+				walkLadder(t.Levels, t.current, sig.EstimateBps, tierHeadroom) > t.current
 			if strong || !now.Before(t.barUntil[next]) {
 				t.current = next
 				// Restart the dwell clock: the new rung must prove itself

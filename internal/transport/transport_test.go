@@ -245,61 +245,35 @@ func TestBandwidthEstimatorConverges(t *testing.T) {
 	}
 }
 
-func TestRateControllerHysteresis(t *testing.T) {
+// TestWalkLadderHysteresis pins the asymmetric ladder walk behind the
+// TierSelector's strong-evidence override: downgrades need only demand
+// above the estimate, upgrades need the next rung to fit with headroom.
+func TestWalkLadderHysteresis(t *testing.T) {
 	levels := []RateLevel{
 		{Name: "text", Bitrate: 0.1e6},
 		{Name: "keypoint", Bitrate: 0.5e6},
 		{Name: "image", Bitrate: 10e6},
 		{Name: "traditional", Bitrate: 100e6},
 	}
-	c := NewRateController(levels)
-	if got := c.Update(30e6); got.Name != "image" {
-		t.Errorf("30 Mbps picked %s", got.Name)
-	}
-	// 11 Mbps: image fits but without 1.25× headroom from below... we
-	// are already at image; stays (no downgrade needed).
-	if got := c.Update(11e6); got.Name != "image" {
-		t.Errorf("11 Mbps picked %s", got.Name)
-	}
-	// Collapse to 0.4 Mbps: must fall to keypoint... 0.5 doesn't fit;
-	// falls to text.
-	if got := c.Update(0.4e6); got.Name != "text" {
-		t.Errorf("0.4 Mbps picked %s", got.Name)
-	}
-	// Recovery to 0.7 Mbps: keypoint fits with headroom (0.5*1.25=0.625).
-	if got := c.Update(0.7e6); got.Name != "keypoint" {
-		t.Errorf("0.7 Mbps picked %s", got.Name)
-	}
-	// 0.55 Mbps: keypoint still fits (no headroom needed to stay).
-	if got := c.Update(0.55e6); got.Name != "keypoint" {
-		t.Errorf("0.55 Mbps picked %s", got.Name)
-	}
-}
-
-func TestJitterBufferReordersAndDelays(t *testing.T) {
-	jb := &JitterBuffer{Depth: 50 * time.Millisecond}
-	base := time.Now()
-	// Frames sent at 0, 33, 66 ms sender time, arriving out of order.
-	mk := func(seq uint32, tsMicro uint64) Frame {
-		return Frame{Type: TypeSemantic, Seq: seq, Timestamp: tsMicro, Payload: []byte{byte(seq)}}
-	}
-	jb.Push(base, mk(0, 0))
-	jb.Push(base.Add(5*time.Millisecond), mk(2, 66000))
-	jb.Push(base.Add(8*time.Millisecond), mk(1, 33000))
-
-	if got := jb.Pop(base.Add(10 * time.Millisecond)); len(got) != 0 {
-		t.Errorf("%d frames before depth elapsed", len(got))
-	}
-	got := jb.Pop(base.Add(55 * time.Millisecond))
-	if len(got) != 1 || got[0].Seq != 0 {
-		t.Fatalf("at 55ms got %d frames", len(got))
-	}
-	got = jb.Pop(base.Add(125 * time.Millisecond))
-	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Fatalf("remaining frames wrong: %+v", got)
-	}
-	if jb.Len() != 0 {
-		t.Error("buffer not drained")
+	for _, c := range []struct {
+		name     string
+		from     int
+		estimate float64
+		want     string
+	}{
+		{"30 Mbps climbs from the bottom to image", 0, 30e6, "image"},
+		// image fits without the 1.25× headroom an upgrade would need;
+		// already there, it stays.
+		{"11 Mbps holds image", 2, 11e6, "image"},
+		// Collapse: keypoint's 0.5 Mbps does not fit either, so the walk
+		// falls through it to text.
+		{"0.4 Mbps falls to text", 2, 0.4e6, "text"},
+		{"0.7 Mbps recovers keypoint (0.5×1.25 fits)", 0, 0.7e6, "keypoint"},
+		{"0.55 Mbps holds keypoint (no headroom needed to stay)", 1, 0.55e6, "keypoint"},
+	} {
+		if got := levels[walkLadder(levels, c.from, c.estimate, tierHeadroom)].Name; got != c.want {
+			t.Errorf("%s: picked %s", c.name, got)
+		}
 	}
 }
 
