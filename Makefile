@@ -84,7 +84,7 @@ relay-check:
 ## service-check: the multi-tenant decode-service gate — race-enabled
 ## worker-pool suites (budget, FIFO fairness, cancel races), the
 ## single-flight mesh-cache suites, the service byte-identity regression
-## against a solo receiver, the shared-mesh read-only test (a hybrid and
+## against the bare decoder, the shared-mesh read-only test (a hybrid and
 ## a keypoint tenant decode one stream while a third goroutine re-reads
 ## every cached mesh: an in-place writer is a detected race), tenant-churn
 ## leak checks, and the 32-tenant admit/detach hammer. The hybrid
@@ -109,18 +109,19 @@ field-check:
 ## trace-store / waterfall / exemplar suites (full package), plus the
 ## hop-extension wire-compat suites (golden bytes, per-hop CRC
 ## corruption, truncation, shared-frame egress-slot reservation) and the
-## relay hop-stamping e2e test (hop-sum vs e2e, exemplar → stored trace →
-## rendered waterfall).
+## relay hop-stamping e2e test (sender → relay → staged receiver's
+## service hop; hop-sum vs e2e, exemplar → stored trace → rendered
+## waterfall).
 trace-check:
 	$(GO) test -race ./internal/obs
-	$(GO) test -race -run 'TestHop|TestGoldenWireBytes|TestTruncatedHop|TestAppendHop|TestPerHopRecord|TestSessionSendTracedHops|TestSharedFrameAppendHop|TestSharedFromFrameFullPathEgressDrop|TestSendSharedTraced|TestRelayHopStamping' ./internal/transport ./internal/core
+	$(GO) test -race -run 'TestHop|TestGoldenWireBytes|TestTruncatedHop|TestAppendHop|TestPerHopRecord|TestSessionSendTracedHops|TestSharedFrameAppendHop|TestSharedFromFrameFullPathEgressDrop|TestSendSharedTraced|TestRelayHopStamping' ./internal/transport ./internal/service
 
 ## tier-check: the adaptive-tiering gate — race-enabled ladder encode
 ## suites (rung ordering, per-tier state reuse, ladder-of-one byte
 ## identity), the tier wire-extension compat suites, the TierSelector
 ## signal/backoff unit tests, the AdaptiveDecoder channel demux, the
-## mid-stream switch decode regression (byte-identical to a cold decode
-## at the switch boundary), the newest-wins dequeue suites that feed the
+## decode-service tenant's mid-stream switch regression (byte-identical
+## to a cold decode at the switch boundary), the newest-wins dequeue suites that feed the
 ## selector (TestRelayTiersNewestWinsAfterStall,
 ## TestRelayTiersStarvedLegHoldsTierZero,
 ## TestRelayTrunkSupersedesWholeLadders), the link-collapse episode
@@ -131,7 +132,7 @@ trace-check:
 ## is the wall-clock test that catches a starved leg probing upward
 ## when its shedding stops reaching the TierSelector.
 tier-check:
-	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport
+	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport ./internal/service
 	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
 ## cluster-check: the sharded-cluster gate — race-enabled placement /

@@ -1,6 +1,7 @@
 package semholo
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -12,7 +13,9 @@ import (
 // the public facade only.
 func TestPublicAPISession(t *testing.T) {
 	world := NewWorld(WorldOptions{Seed: 41})
-	enc, dec := NewKeypointPipeline(world, KeypointOptions{Resolution: 32})
+	enc, _ := NewKeypointPipeline(world, KeypointOptions{})
+	svc := NewDecodeService(ServiceOptions{Model: world.Model, Resolution: 32})
+	defer svc.Close()
 
 	a, b, link := EmulatedLink(LinkConfig{})
 	defer link.Close()
@@ -28,14 +31,24 @@ func TestPublicAPISession(t *testing.T) {
 			done <- result{err: err}
 			return
 		}
-		receiver := &Receiver{Session: sess, Decoder: dec}
+		tenant, err := svc.Admit("bob")
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		receiver := &Receiver{Session: sess}
 		meshes := 0
 		for {
-			data, err := receiver.NextFrame()
+			raw, err := receiver.NextRaw()
 			if errors.Is(err, ErrSessionClosed) || errors.Is(err, io.EOF) {
 				done <- result{meshes: meshes}
 				return
 			}
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			data, err := tenant.Decode(context.Background(), raw)
 			if err != nil {
 				done <- result{err: err}
 				return

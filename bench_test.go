@@ -217,7 +217,8 @@ func BenchmarkReconstructCacheHit(b *testing.B) {
 func BenchmarkHybridDecodeSteady(b *testing.B) {
 	const frames = 16
 	world := NewWorld(WorldOptions{Seed: 3})
-	enc, dec := NewHybridPipeline(world, HybridOptions{PeripheralResolution: 64, WarmStart: true, CacheSize: frames})
+	enc, dec := NewHybridPipeline(world, HybridOptions{PeripheralResolution: 64})
+	dec.WarmStart, dec.Cache = true, &avatar.MeshCache{Capacity: frames}
 	anchor := geom.V3(0, 1.5, 0.1)
 	enc.SetGazeAnchor(anchor)
 	dec.SetGazeAnchor(anchor)

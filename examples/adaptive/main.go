@@ -134,14 +134,23 @@ func main() {
 	}
 	delivered := <-got
 
-	// Decode in arrival order; the receiver resets its decoder on every
-	// tier-switch marker, exactly as a live viewer would.
-	decoder := &core.AdaptiveDecoder{
-		Text:        &core.TextDecoder{Codec: compress.LZR()},
-		Keypoint:    &core.KeypointDecoder{Model: world.Model, Codec: compress.LZR()},
-		Traditional: &core.TraditionalDecoder{},
+	// Decode in arrival order in the viewer's decode-service tenant, which
+	// resets its decoder on every tier-switch marker, exactly as a live
+	// viewer's would.
+	svc := semholo.NewDecodeService(semholo.ServiceOptions{
+		NewDecoder: func(semholo.ServiceOptions) semholo.Decoder {
+			return &core.AdaptiveDecoder{
+				Text:        &core.TextDecoder{Codec: compress.LZR()},
+				Keypoint:    &core.KeypointDecoder{Model: world.Model, Codec: compress.LZR()},
+				Traditional: &core.TraditionalDecoder{},
+			}
+		},
+	})
+	defer svc.Close()
+	tenant, err := svc.Admit("viewer")
+	if err != nil {
+		log.Fatal(err)
 	}
-	rcv := &core.Receiver{Decoder: decoder}
 	served := make([]map[string]int, len(phases))
 	for p := range served {
 		served[p] = map[string]int{}
@@ -149,7 +158,7 @@ func main() {
 	prev := -1
 	for n, d := range delivered {
 		tier := int(d.raw.Frames[0].Tier)
-		data, err := rcv.DecodeRaw(d.raw)
+		data, err := tenant.Decode(context.Background(), d.raw)
 		if err != nil {
 			log.Fatalf("delivered frame %d (tier %d): decode: %v", n, tier, err)
 		}

@@ -27,14 +27,13 @@ type site struct {
 	name  string
 	world *semholo.World
 	enc   semholo.Encoder
-	dec   semholo.Decoder
 	pm    *semholo.PipelineMetrics
 }
 
 func newSite(name string, motion body.Motion, seed int64) *site {
 	world := semholo.NewWorld(semholo.WorldOptions{Motion: motion, Seed: seed})
-	enc, dec := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 40})
-	return &site{name: name, world: world, enc: enc, dec: dec, pm: semholo.NewPipelineMetrics(semholo.NewRegistry())}
+	enc, _ := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{})
+	return &site{name: name, world: world, enc: enc, pm: semholo.NewPipelineMetrics(semholo.NewRegistry())}
 }
 
 func main() {
@@ -185,7 +184,6 @@ func sharedService() {
 	svc := semholo.NewDecodeService(semholo.ServiceOptions{
 		Model:      world.Model,
 		Resolution: 40,
-		WarmStart:  true,
 		Registry:   reg,
 	})
 	defer svc.Close()
@@ -240,13 +238,12 @@ func sharedService() {
 		go func(i int, name string) {
 			defer wg.Done()
 			defer svc.Detach(name)
-			n, err := st.Serve(ctx, &semholo.Receiver{Session: sess}, func(semholo.FrameData) error {
-				return nil
-			})
+			stats, err := semholo.RunReceiverPipeline(ctx, &semholo.Receiver{Session: sess}, st, nil,
+				semholo.PipelineReceiverOptions{Lossless: true})
 			if err != nil {
 				log.Fatalf("tenant %s: %v", name, err)
 			}
-			decoded[i] = n
+			decoded[i] = stats.Decoded
 		}(i, p.name)
 	}
 	wg.Wait()
@@ -261,23 +258,30 @@ func sharedService() {
 
 // run drives one site: staged send and receive pipelines sharing the
 // session under one lifecycle group, as a real full-duplex client would.
+// The site decodes its peer's stream in a one-tenant decode service.
 func run(ctx context.Context, wg *sync.WaitGroup, results chan<- string, s *site, connect func() (*semholo.Session, error)) {
 	defer wg.Done()
 	sess, err := connect()
 	if err != nil {
 		log.Fatalf("%s: %v", s.name, err)
 	}
+	svc := semholo.NewDecodeService(semholo.ServiceOptions{Model: s.world.Model, Resolution: 40})
+	defer svc.Close()
+	tenant, err := svc.Admit(s.name)
+	if err != nil {
+		log.Fatalf("%s: %v", s.name, err)
+	}
 	sender := &semholo.Sender{Session: sess, Encoder: s.enc, Obs: s.pm}
-	receiver := &semholo.Receiver{Session: sess, Decoder: s.dec, Obs: s.pm}
+	receiver := &semholo.Receiver{Session: sess}
 
 	// Lossless queues: a collaboration replay wants every frame, and the
 	// bounded Frames count ends both pipelines without a session close.
 	g, _ := semholo.NewPipelineGroup(ctx)
 	var got int
 	g.Go(func(ctx context.Context) error {
-		stats, err := semholo.RunReceiverPipeline(ctx, receiver, func(semholo.FrameData) error {
+		stats, err := semholo.RunReceiverPipeline(ctx, receiver, tenant, func(semholo.FrameData) error {
 			return nil
-		}, semholo.PipelineReceiverOptions{Frames: frames, Lossless: true})
+		}, semholo.PipelineReceiverOptions{Frames: frames, Lossless: true, Metrics: s.pm})
 		got = stats.Rendered
 		return err
 	})

@@ -2,10 +2,11 @@
 // capture site streams a talking participant to a receiver over an
 // emulated 25 Mbps broadband link (the paper's deployment constraint)
 // using keypoint-based semantics, and the receiver reconstructs a mesh
-// every frame. Both sides run the staged pipeline runtime: capture,
-// encode, and send overlap on the sender; recv, decode, and render
-// overlap on the receiver. Lossless queues keep every frame — this is
-// a short clip, not a live call — so all 30 frames arrive.
+// every frame in a one-tenant decode service. Both sides run the staged
+// pipeline runtime: capture, encode, and send overlap on the sender;
+// recv, decode, and render overlap on the receiver. Lossless queues keep
+// every frame — this is a short clip, not a live call — so all 30 frames
+// arrive.
 package main
 
 import (
@@ -23,8 +24,11 @@ func main() {
 	world := semholo.NewWorld(semholo.WorldOptions{Seed: 7})
 
 	// The keypoint pipeline: ~1.6 KB of body parameters per frame on
-	// the wire, implicit-surface reconstruction at the receiver.
-	enc, dec := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 48})
+	// the wire, implicit-surface reconstruction at the receiver — in a
+	// decode service whose default tenant decoder is the keypoint one.
+	enc, _ := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{})
+	svc := semholo.NewDecodeService(semholo.ServiceOptions{Model: world.Model, Resolution: 48})
+	defer svc.Close()
 
 	// An emulated US-broadband link connects the two sites.
 	a, b, link := semholo.EmulatedLink(semholo.BroadbandUS(7))
@@ -40,9 +44,13 @@ func main() {
 			done <- err
 			return
 		}
-		receiver := &semholo.Receiver{Session: sess, Decoder: dec}
+		tenant, err := svc.Admit("bob")
+		if err != nil {
+			done <- err
+			return
+		}
 		i := 0
-		_, err = semholo.RunReceiverPipeline(ctx, receiver, func(data semholo.FrameData) error {
+		_, err = semholo.RunReceiverPipeline(ctx, &semholo.Receiver{Session: sess}, tenant, func(data semholo.FrameData) error {
 			if i%10 == 0 {
 				fmt.Printf("bob: frame %2d — %d vertices, pelvis at %v\n",
 					i, len(data.Mesh.Vertices), data.Params.Translation)

@@ -178,9 +178,6 @@ type HybridDecoder struct {
 	Counters *metrics.ReconCounters
 	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry.
 	FieldStats *metrics.FieldCounters
-	// Unpruned disables the capsule culling grid (ablation knob; output is
-	// byte-identical either way).
-	Unpruned bool
 
 	rec *avatar.Reconstructor
 	// anchor is written from the control/input plane while Decode reads
@@ -267,7 +264,6 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	d.rec.Cache = d.Cache
 	d.rec.Counters = d.Counters
 	d.rec.FieldStats = d.FieldStats
-	d.rec.Unpruned = d.Unpruned
 	peripheral := d.rec.Reconstruct(params)
 
 	// peripheral may be a cached mesh other streams are reading: graft

@@ -157,9 +157,6 @@ type KeypointDecoder struct {
 	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry
 	// (samples, capsule tests, culling-bin stats).
 	FieldStats *metrics.FieldCounters
-	// Unpruned disables the capsule culling grid (ablation knob; output is
-	// byte-identical either way).
-	Unpruned bool
 	// Obs, when non-nil, records the reconstruct stage span separately
 	// from the enclosing decode span.
 	Obs *obs.PipelineMetrics
@@ -183,7 +180,6 @@ func (d *KeypointDecoder) reconstructor() *avatar.Reconstructor {
 	d.rec.Cache = d.Cache
 	d.rec.Counters = d.Counters
 	d.rec.FieldStats = d.FieldStats
-	d.rec.Unpruned = d.Unpruned
 	return d.rec
 }
 

@@ -21,7 +21,7 @@ import (
 // different rungs (broadband to the full hybrid tier, the starved leg
 // to keypoints-only), every delivered tier change must carry the
 // tier-switch marker, and every delivered media frame must decode
-// without error on a tier-switch-resetting receiver.
+// without error on a decoder reset at each tier-switch marker.
 func TestRelayTiersPerSubscriber(t *testing.T) {
 	ladder, sel, anchor := newSemanticLadderFixture(t)
 	relay := NewRelayOpts(t.Context(), RelayOptions{
@@ -137,7 +137,7 @@ func TestRelayTiersPerSubscriber(t *testing.T) {
 		kpDec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 0, WarmStart: true}
 		hyDec := &HybridDecoder{Model: testModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel, WarmStart: true}
 		hyDec.SetGazeAnchor(anchor)
-		rcv := &Receiver{Decoder: &AdaptiveDecoder{Keypoint: kpDec, Hybrid: hyDec}}
+		dec := &AdaptiveDecoder{Keypoint: kpDec, Hybrid: hyDec}
 
 		prevTier := -1
 		tierServed := map[int]int{}
@@ -160,7 +160,10 @@ func TestRelayTiersPerSubscriber(t *testing.T) {
 				t.Fatalf("%s frame %d: tier changed %d→%d without a tier-switch marker", leg.name, i, prevTier, tier)
 			}
 			prevTier = tier
-			if _, err := rcv.DecodeRaw(raw); err != nil {
+			if switched {
+				dec.ResetState()
+			}
+			if _, err := dec.Decode(raw.Frames); err != nil {
 				t.Fatalf("%s frame %d (tier %d): decode: %v", leg.name, i, tier, err)
 			}
 		}
@@ -287,11 +290,11 @@ func TestRelayTiersFollowLinkCollapse(t *testing.T) {
 		t.Fatal("nothing delivered")
 	}
 
-	rcv := &Receiver{Decoder: &AdaptiveDecoder{
+	dec := &AdaptiveDecoder{
 		Text:        &TextDecoder{Codec: compress.LZR()},
 		Keypoint:    &KeypointDecoder{Model: testModel, Codec: compress.LZR()},
 		Traditional: &TraditionalDecoder{},
-	}}
+	}
 	prevTier, topBefore := -1, false
 	var path []int
 	for i, d := range delivered {
@@ -314,7 +317,10 @@ func TestRelayTiersFollowLinkCollapse(t *testing.T) {
 		if tier == top && !d.collapsed {
 			topBefore = true
 		}
-		if _, err := rcv.DecodeRaw(d.raw); err != nil {
+		if switched {
+			dec.ResetState()
+		}
+		if _, err := dec.Decode(d.raw.Frames); err != nil {
 			t.Fatalf("frame %d (tier %d): decode: %v", i, tier, err)
 		}
 	}

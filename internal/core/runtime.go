@@ -178,32 +178,16 @@ func (s *Sender) TransmitLadder(lf LadderFrame, capturedAt time.Time) error {
 	return s.transmit(lf.Tiers, capturedAt)
 }
 
-// Receiver drives the other direction: it collects channel payloads
-// until an end-of-frame marker, decodes the media frame, and reports
-// gaze back to the sender.
+// Receiver collects the other direction off the wire: channel payloads
+// up to an end-of-frame marker make one RawFrame, which a decode-service
+// tenant (service.StreamCtx) reconstructs. It also reports gaze back to
+// the sender.
 type Receiver struct {
 	Session *transport.Session
-	Decoder Decoder
-	// Obs, when set, records network/decode spans and end-to-end
-	// motion-to-photon latency from the trace extension traced senders
-	// put on the wire, and attaches the FrameTrace to decoded frames.
-	Obs *obs.PipelineMetrics
-	// Site is this receiver's byte ID in hop records.
-	Site byte
-	// Traces, when set, receives completed FrameTraces for
-	// /debug/trace/<id> lookup; nil publishes to the process-wide
-	// obs.Traces store (always-on, like the flight recorder).
-	Traces *obs.TraceStore
 
-	// pending accumulates one media frame's channel payloads; its backing
-	// array is reused across frames (decoders consume the slice
-	// synchronously and never retain it), so steady-state receive does
-	// not allocate a fresh []Frame per frame.
+	// pending accumulates one media frame's channel payloads until its
+	// end-of-frame marker; ownership then moves to the returned RawFrame.
 	pending []transport.Frame
-	// lastTier tracks the tier of the previously decoded media frame
-	// (-1 before any tiered frame), for tier-switch flight events.
-	lastTier int
-	seenTier bool
 }
 
 // RawFrame is one media frame's wire frames as collected off the
@@ -256,106 +240,13 @@ func (r *Receiver) NextRaw() (RawFrame, error) {
 			}
 			raw := RawFrame{Frames: r.pending, Trace: ft}
 			// Ownership moves to the caller; the next media frame starts
-			// from a fresh slice unless NextFrame reclaims this one.
+			// from a fresh slice.
 			r.pending = nil
 			return raw, nil
 		default:
 			continue
 		}
 	}
-}
-
-// DecodeRaw runs the decode stage alone: one collected media frame in,
-// one decoded FrameData out, with the decode stage span and the
-// end-to-end motion-to-photon observation recorded. Safe for a
-// dedicated decode goroutine as long as it is the only caller (decoders
-// are stateful).
-func (r *Receiver) DecodeRaw(raw RawFrame) (FrameData, error) {
-	r.observeTierSwitch(raw)
-	stop := r.Obs.StartStage(obs.StageDecode)
-	data, err := r.Decoder.Decode(raw.Frames)
-	stop()
-	if err != nil {
-		return FrameData{}, err
-	}
-	if raw.Trace != nil {
-		raw.Trace.DecodedAt = time.Now()
-		// Terminate the hop path with the receiver's own hop (arrival →
-		// decode completion), so the waterfall telescopes to the full e2e
-		// span — then publish the completed trace for /debug/trace/<id>.
-		if len(raw.Trace.Hops) > 0 {
-			raw.Trace.Hops = append(raw.Trace.Hops, obs.Hop{
-				Kind: obs.HopReceiver, Site: r.Site,
-				RecvMicros: uint64(raw.Trace.ArrivedAt.UnixMicro()),
-				SendMicros: uint64(raw.Trace.DecodedAt.UnixMicro()),
-			})
-		}
-		r.Obs.ObserveTrace(*raw.Trace)
-		store := r.Traces
-		if store == nil {
-			store = obs.Traces
-		}
-		store.Put(*raw.Trace)
-		obs.Flight.Record(obs.EvFrameDecoded, "receiver", raw.Trace.TraceID,
-			raw.Trace.DecodedAt.Sub(raw.Trace.ArrivedAt).Microseconds(), 0)
-		data.Trace = raw.Trace
-	}
-	return data, nil
-}
-
-// observeTierSwitch handles the receive side of a mid-stream tier
-// switch: when any wire frame carries the tier-switch marker, the
-// decoder's cross-frame state (warm-start bands, texture history,
-// delta references) is dropped on that keyframe boundary — and only
-// there — so the switched stream decodes byte-identically to a cold
-// decode of the new tier, with no warm-start artifacts from the old
-// tier's state.
-func (r *Receiver) observeTierSwitch(raw RawFrame) {
-	switched := false
-	tier := -1
-	for _, f := range raw.Frames {
-		if f.Tiered() {
-			tier = int(f.Tier)
-		}
-		if f.Flags&transport.FlagTierSwitch != 0 {
-			switched = true
-		}
-	}
-	if switched {
-		if rs, ok := r.Decoder.(StateResetter); ok {
-			rs.ResetState()
-		}
-		var traceID uint64
-		if raw.Trace != nil {
-			traceID = raw.Trace.TraceID
-		}
-		from := int64(-1)
-		if r.seenTier {
-			from = int64(r.lastTier)
-		}
-		obs.Flight.Record(obs.EvTierSwitch, "receiver", traceID, from, int64(tier))
-	}
-	if tier >= 0 {
-		r.lastTier, r.seenTier = tier, true
-	}
-}
-
-// NextFrame blocks until one full media frame has arrived and decodes
-// it — the sequential composition of the NextRaw and DecodeRaw stages
-// the staged runtime overlaps. It returns transport errors verbatim
-// (io.EOF / closed pipe when the sender is done) and a TypeClose
-// sentinel error on graceful close.
-func (r *Receiver) NextFrame() (FrameData, error) {
-	raw, err := r.NextRaw()
-	if err != nil {
-		return FrameData{}, err
-	}
-	data, err := r.DecodeRaw(raw)
-	// Sequential use: decode consumed the frames synchronously, so the
-	// backing array is reusable and steady-state receive stays
-	// allocation-free.
-	r.pending = raw.Frames[:0]
-	return data, err
 }
 
 // ErrSessionClosed reports a graceful peer close.

@@ -14,7 +14,7 @@ import (
 
 // startSession builds a connected sender/receiver pair over an emulated
 // link.
-func startSession(t *testing.T, cfg netsim.LinkConfig, enc Encoder, dec Decoder) (*Sender, *Receiver, *netsim.Link) {
+func startSession(t *testing.T, cfg netsim.LinkConfig, enc Encoder) (*Sender, *Receiver, *netsim.Link) {
 	t.Helper()
 	a, b, link := netsim.Pipe(cfg)
 	type res struct {
@@ -23,7 +23,7 @@ func startSession(t *testing.T, cfg netsim.LinkConfig, enc Encoder, dec Decoder)
 	}
 	ch := make(chan res, 1)
 	go func() {
-		s, _, err := transport.Accept(b, transport.Hello{Peer: "receiver", Mode: string(dec.Mode())})
+		s, _, err := transport.Accept(b, transport.Hello{Peer: "receiver", Mode: string(enc.Mode())})
 		ch <- res{s, err}
 	}()
 	sa, _, err := transport.Dial(a, transport.Hello{Peer: "sender", Mode: string(enc.Mode())})
@@ -35,17 +35,24 @@ func startSession(t *testing.T, cfg netsim.LinkConfig, enc Encoder, dec Decoder)
 		t.Fatal(r.err)
 	}
 	sender := &Sender{Session: sa, Encoder: enc}
-	receiver := &Receiver{Session: r.s, Decoder: dec}
-	return sender, receiver, link
+	return sender, &Receiver{Session: r.s}, link
+}
+
+// nextFrame collects one media frame off r and decodes it with dec.
+func nextFrame(r *Receiver, dec Decoder) (FrameData, error) {
+	raw, err := r.NextRaw()
+	if err != nil {
+		return FrameData{}, err
+	}
+	return dec.Decode(raw.Frames)
 }
 
 func TestEndToEndKeypointSession(t *testing.T) {
 	enc := newKeypointEncoder(false)
 	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 32}
-	sender, receiver, link := startSession(t, netsim.BroadbandUS(23), enc, dec)
+	sender, receiver, link := startSession(t, netsim.BroadbandUS(23), enc)
 	defer link.Close()
 	sender.Obs = obs.NewPipelineMetrics(obs.NewRegistry())
-	receiver.Obs = obs.NewPipelineMetrics(obs.NewRegistry())
 
 	const nFrames = 5
 	errc := make(chan error, 1)
@@ -60,7 +67,7 @@ func TestEndToEndKeypointSession(t *testing.T) {
 	}()
 
 	for i := 0; i < nFrames; i++ {
-		data, err := receiver.NextFrame()
+		data, err := nextFrame(receiver, dec)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -71,19 +78,14 @@ func TestEndToEndKeypointSession(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	// Timing recorded on both ends.
-	stageCount := func(r obs.BudgetReport, stage string) uint64 {
-		for _, s := range r.Stages {
-			if s.Stage == stage {
-				return s.Count
-			}
+	// Encode timing recorded at the sender.
+	var encodes uint64
+	for _, s := range sender.Obs.Report().Stages {
+		if s.Stage == obs.StageEncode {
+			encodes = s.Count
 		}
-		return 0
 	}
-	if stageCount(receiver.Obs.Report(), obs.StageDecode) != nFrames {
-		t.Error("decode spans missing")
-	}
-	if stageCount(sender.Obs.Report(), obs.StageEncode) != nFrames {
+	if encodes != nFrames {
 		t.Error("encode spans missing")
 	}
 	// Keypoint mode over the paper's 25 Mbps broadband: trivially fits.
@@ -100,21 +102,21 @@ func TestEndToEndTraditionalSessionSlower(t *testing.T) {
 	link := netsim.LinkConfig{Bandwidth: 100e6, MTU: 32 * 1024}
 	encT := &TraditionalEncoder{}
 	decT := &TraditionalDecoder{}
-	senderT, receiverT, linkT := startSession(t, link, encT, decT)
+	senderT, receiverT, linkT := startSession(t, link, encT)
 	defer linkT.Close()
 
 	go senderT.SendFrame(testSeq.FrameAt(0))
-	if _, err := receiverT.NextFrame(); err != nil {
+	if _, err := nextFrame(receiverT, decT); err != nil {
 		t.Fatal(err)
 	}
 	sentT := senderT.Session.Stats().BytesSent
 
 	encK := newKeypointEncoder(false)
 	decK := &KeypointDecoder{Model: testModel, Codec: compress.LZR()}
-	senderK, receiverK, linkK := startSession(t, link, encK, decK)
+	senderK, receiverK, linkK := startSession(t, link, encK)
 	defer linkK.Close()
 	go senderK.SendFrame(testSeq.FrameAt(0))
-	if _, err := receiverK.NextFrame(); err != nil {
+	if _, err := nextFrame(receiverK, decK); err != nil {
 		t.Fatal(err)
 	}
 	sentK := senderK.Session.Stats().BytesSent
@@ -125,9 +127,7 @@ func TestEndToEndTraditionalSessionSlower(t *testing.T) {
 }
 
 func TestGazeControlReachesSenderEncoder(t *testing.T) {
-	enc := newKeypointEncoder(false)
-	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR()}
-	sender, receiver, link := startSession(t, netsim.LinkConfig{}, enc, dec)
+	sender, receiver, link := startSession(t, netsim.LinkConfig{}, newKeypointEncoder(false))
 	defer link.Close()
 
 	got := make(chan geom.Vec3, 1)
@@ -200,12 +200,10 @@ func TestHandleControlIgnoresRetiredKinds(t *testing.T) {
 }
 
 func TestSessionGracefulClose(t *testing.T) {
-	enc := newKeypointEncoder(false)
-	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR()}
-	sender, receiver, link := startSession(t, netsim.LinkConfig{}, enc, dec)
+	sender, receiver, link := startSession(t, netsim.LinkConfig{}, newKeypointEncoder(false))
 	defer link.Close()
 	go sender.Session.Close()
-	_, err := receiver.NextFrame()
+	_, err := receiver.NextRaw()
 	if err != ErrSessionClosed {
 		t.Errorf("err = %v, want ErrSessionClosed", err)
 	}

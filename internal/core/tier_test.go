@@ -9,7 +9,6 @@ import (
 	"semholo/internal/compress/dracogo"
 	"semholo/internal/gaze"
 	"semholo/internal/geom"
-	"semholo/internal/mesh"
 	"semholo/internal/textsem"
 	"semholo/internal/transport"
 )
@@ -158,128 +157,5 @@ func TestTextLadderKeyframeRequest(t *testing.T) {
 	lf, _ = ladder.EncodeAll(testSeq.FrameAt(4))
 	if lf.Tiers[0].Channels[0].Flags&transport.FlagKeyframe == 0 {
 		t.Fatal("RequestKeyframe did not force a keyframe")
-	}
-}
-
-// tieredRaw converts one rung of a ladder frame into the RawFrame a
-// receiver would collect off the wire, tier-stamped, with the
-// tier-switch marker on the first wire frame when switched.
-func tieredRaw(lf LadderFrame, tier int, switched bool) RawFrame {
-	enc := lf.Tiers[tier]
-	frames := make([]transport.Frame, 0, len(enc.Channels))
-	for i, ch := range enc.Channels {
-		f := transport.Frame{
-			Type: transport.TypeSemantic, Channel: ch.Channel,
-			Flags:     ch.Flags | transport.FlagTier,
-			Tier:      uint8(tier),
-			TierCount: uint8(len(lf.Tiers)),
-			Payload:   append([]byte(nil), ch.Payload...),
-		}
-		if switched && i == 0 {
-			f.Flags |= transport.FlagTierSwitch
-		}
-		frames = append(frames, f)
-	}
-	return RawFrame{Frames: frames}
-}
-
-func meshesIdentical(a, b *mesh.Mesh) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if len(a.Vertices) != len(b.Vertices) || len(a.Faces) != len(b.Faces) {
-		return false
-	}
-	for i := range a.Vertices {
-		if a.Vertices[i] != b.Vertices[i] {
-			return false
-		}
-	}
-	for i := range a.Faces {
-		if a.Faces[i] != b.Faces[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestMidStreamTierSwitchMatchesColdDecode drives a 50-frame motion
-// sequence through a tiered receiver with a forced downgrade at frame
-// 17 (keypoint+texture → keypoint) and a forced upgrade at frame 34
-// (keypoint → hybrid). After each switch the decoded mesh of every
-// post-switch frame must be byte-identical to a decoder cold-started
-// at the switch boundary — proving the tier-switch reset leaves no
-// warm state from the old tier behind — at worker counts 1 and 4.
-func TestMidStreamTierSwitchMatchesColdDecode(t *testing.T) {
-	const (
-		frames    = 50
-		downgrade = 17
-		upgrade   = 34
-	)
-	ladder, sel, anchor := newSemanticLadderFixture(t)
-	tierAt := func(i int) int {
-		switch {
-		case i < downgrade:
-			return 1
-		case i < upgrade:
-			return 0
-		default:
-			return 2
-		}
-	}
-	// Encode the whole sequence once; retain per-frame copies (the
-	// ladder reuses its scratch between EncodeAll calls).
-	raws := make([]RawFrame, frames)
-	for i := 0; i < frames; i++ {
-		lf, err := ladder.EncodeAll(testSeq.FrameAt(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = tieredRaw(lf, tierAt(i), i == downgrade || i == upgrade)
-	}
-
-	for _, workers := range []int{1, 4} {
-		kpDec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 24, WarmStart: true, Workers: workers}
-		hyDec := &HybridDecoder{Model: testModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel, WarmStart: true, Workers: workers}
-		hyDec.SetGazeAnchor(anchor)
-		r := &Receiver{Decoder: &AdaptiveDecoder{Keypoint: kpDec, Hybrid: hyDec}}
-
-		// Cold references, created fresh at each switch boundary and fed
-		// only the post-switch frames.
-		coldKP := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 24, WarmStart: true, Workers: workers}
-		coldHy := &HybridDecoder{Model: testModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel, WarmStart: true, Workers: workers}
-		coldHy.SetGazeAnchor(anchor)
-
-		for i := 0; i < frames; i++ {
-			data, err := r.DecodeRaw(raws[i])
-			if err != nil {
-				t.Fatalf("workers=%d frame %d: %v", workers, i, err)
-			}
-			switch {
-			case i == downgrade:
-				// The texture the old tier shipped must be gone: serving it
-				// against the new tier's frames would be a stale artifact.
-				if tex, _, _ := kpDec.LastTexture(); tex != nil {
-					t.Fatalf("workers=%d: stale texture survived the downgrade", workers)
-				}
-			case i < downgrade:
-				continue // pre-switch frames only feed the streamed decoder's state
-			}
-			var ref FrameData
-			if tierAt(i) == 0 {
-				ref, err = coldKP.Decode(raws[i].Frames)
-			} else {
-				ref, err = coldHy.Decode(raws[i].Frames)
-			}
-			if err != nil {
-				t.Fatalf("workers=%d cold frame %d: %v", workers, i, err)
-			}
-			if !meshesIdentical(data.Mesh, ref.Mesh) {
-				t.Fatalf("workers=%d frame %d: switched-stream mesh differs from cold decode", workers, i)
-			}
-		}
 	}
 }

@@ -219,6 +219,12 @@ func TestTable1AllModes(t *testing.T) {
 }
 
 func TestQoESemanticBeatsRawOverBroadband(t *testing.T) {
+	if testing.Short() {
+		// Its verdict compares wall-clock p95 latencies, which a loaded
+		// machine (a -short run sharing the CPU with the heavy packages)
+		// can invert; the full run still checks it.
+		t.Skip("wall-clock latency comparison skipped in -short mode")
+	}
 	link := netsimBroadband()
 	pts := QoE(testEnv, link, 8)
 	byMode := map[string]QoEPoint{}

@@ -104,12 +104,16 @@ func runQoE(env *Env, link netsim.LinkConfig, m qoeMode, frames int) QoEPoint {
 		}
 	}()
 
-	receiver := &core.Receiver{Session: h.sess, Decoder: m.dec}
+	receiver := &core.Receiver{Session: h.sess}
 	latencies := make([]float64, 0, frames)
 	var lastData core.FrameData
 	recvBegin := time.Now()
 	for i := 0; i < frames; i++ {
-		data, err := receiver.NextFrame()
+		raw, err := receiver.NextRaw()
+		if err != nil {
+			panic(fmt.Sprintf("qoe %s frame %d: %v", m.name, i, err))
+		}
+		data, err := m.dec.Decode(raw.Frames)
 		if err != nil {
 			panic(fmt.Sprintf("qoe %s frame %d: %v", m.name, i, err))
 		}

@@ -75,6 +75,10 @@ type Link struct {
 	// negative = stalled. The pumps re-read these on every chunk, so
 	// congestion episodes can be injected mid-session.
 	bwAtoB, bwBtoA atomic.Int64
+	// wakeAtoB / wakeBtoA wake a pump parked on its stalled direction
+	// when the bandwidth changes; one pending wake is enough, since the
+	// pump re-reads the bandwidth after every wake.
+	wakeAtoB, wakeBtoA chan struct{}
 
 	// done wakes pumps parked on a stalled direction when the link closes.
 	done chan struct{}
@@ -91,10 +95,20 @@ func (l *Link) SetBandwidth(bps float64) {
 }
 
 // SetBandwidthAtoB changes the a→b direction only.
-func (l *Link) SetBandwidthAtoB(bps float64) { l.bwAtoB.Store(int64(bps)) }
+func (l *Link) SetBandwidthAtoB(bps float64) { setBandwidth(&l.bwAtoB, l.wakeAtoB, bps) }
 
 // SetBandwidthBtoA changes the b→a direction only.
-func (l *Link) SetBandwidthBtoA(bps float64) { l.bwBtoA.Store(int64(bps)) }
+func (l *Link) SetBandwidthBtoA(bps float64) { setBandwidth(&l.bwBtoA, l.wakeBtoA, bps) }
+
+// setBandwidth stores a direction's new bandwidth, then wakes its pump
+// in case it is parked on a stall.
+func setBandwidth(bw *atomic.Int64, wake chan struct{}, bps float64) {
+	bw.Store(int64(bps))
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
+}
 
 // Instrument registers both directions' delivery statistics into the
 // observability registry as pull-backed counters labeled with the link
@@ -142,18 +156,23 @@ func AsymmetricPipe(aToB, bToA LinkConfig) (a, b net.Conn, link *Link) {
 	// Application-facing pipes; the pumps shuttle bytes between them.
 	appA, inA := net.Pipe()
 	appB, inB := net.Pipe()
-	link = &Link{AtoB: &Stats{}, BtoA: &Stats{}, done: make(chan struct{})}
+	link = &Link{
+		AtoB: &Stats{}, BtoA: &Stats{},
+		wakeAtoB: make(chan struct{}, 1), wakeBtoA: make(chan struct{}, 1),
+		done: make(chan struct{}),
+	}
 	link.bwAtoB.Store(int64(aToB.Bandwidth))
 	link.bwBtoA.Store(int64(bToA.Bandwidth))
 	link.closers = append(link.closers, appA.Close, inA.Close, appB.Close, inB.Close)
-	go pump(inA, inB, aToB, &link.bwAtoB, link.AtoB, link.done)
-	go pump(inB, inA, bToA, &link.bwBtoA, link.BtoA, link.done)
+	go pump(inA, inB, aToB, &link.bwAtoB, link.wakeAtoB, link.AtoB, link.done)
+	go pump(inB, inA, bToA, &link.bwBtoA, link.wakeBtoA, link.BtoA, link.done)
 	return appA, appB, link
 }
 
 // pump moves bytes src→dst applying serialization pacing, propagation
 // delay, and jitter. Bandwidth is re-read from bw per chunk so it can
-// change mid-session. It exits when either side closes.
+// change mid-session; a stalled direction blocks on wake until it does.
+// It exits when either side closes.
 //
 // Propagation delay is pipelined, as on a real path: the writer is
 // paced by serialization (bandwidth) only, while each chunk is handed
@@ -163,7 +182,7 @@ func AsymmetricPipe(aToB, bToA LinkConfig) (a, b net.Conn, link *Link) {
 // stop-and-wait throughput of MTU/(MTU/bw + Delay). The in-flight
 // buffer is bounded, so a receiver that stops draining still
 // backpressures the writer.
-func pump(src, dst net.Conn, cfg LinkConfig, bw *atomic.Int64, stats *Stats, done <-chan struct{}) {
+func pump(src, dst net.Conn, cfg LinkConfig, bw *atomic.Int64, wake <-chan struct{}, stats *Stats, done <-chan struct{}) {
 	mtu := cfg.MTU
 	if mtu <= 0 {
 		mtu = 16 * 1024
@@ -214,7 +233,7 @@ func pump(src, dst net.Conn, cfg LinkConfig, bw *atomic.Int64, stats *Stats, don
 					_ = dst.Close()
 					close(inflight)
 					return
-				case <-time.After(time.Millisecond):
+				case <-wake:
 				}
 			}
 			now := time.Now()

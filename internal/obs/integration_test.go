@@ -10,7 +10,7 @@ package obs_test
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"semholo"
+	"semholo/internal/avatar"
 	"semholo/internal/metrics"
 	"semholo/internal/netsim"
 	"semholo/internal/obs"
@@ -72,15 +73,24 @@ func TestEndToEndScrape(t *testing.T) {
 	defer link.Close()
 	link.Instrument(reg, "wan")
 
-	// Receiver-side reconstruction with cache counters.
+	// Receiver-side reconstruction with cache counters, in a one-tenant
+	// decode service.
 	world := semholo.NewWorld(semholo.WorldOptions{Resolution: 24, Cameras: 2, Seed: 1})
-	enc, kd := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{
-		Resolution: 16, WarmStart: true, CacheSize: 4, CacheQuant: 0.05,
-	})
+	enc, kd := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 16})
 	var recon metrics.ReconCounters
 	recon.Register(reg)
+	kd.WarmStart = true
+	kd.Cache = &avatar.MeshCache{Capacity: 4, Quant: 0.05}
 	kd.Counters = &recon
 	kd.Obs = pm
+	svc := semholo.NewDecodeService(semholo.ServiceOptions{
+		NewDecoder: func(semholo.ServiceOptions) semholo.Decoder { return kd },
+	})
+	defer svc.Close()
+	tenant, err := svc.Admit("site-A")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type handshake struct {
 		sess *semholo.Session
@@ -102,8 +112,6 @@ func TestEndToEndScrape(t *testing.T) {
 	sessB := acc.sess
 	sessA.Instrument(reg, "sender")
 	sessB.Instrument(reg, "receiver")
-
-	receiver := &semholo.Receiver{Session: sessB, Decoder: kd, Obs: pm}
 
 	// Sender: an echo goroutine answers the receiver's pings (Recv does
 	// that transparently), the main goroutine streams traced frames.
@@ -132,32 +140,30 @@ func TestEndToEndScrape(t *testing.T) {
 		sendErr <- sessA.Close()
 	}()
 
+	// Staged receive until the sender closes; the sink runs on the render
+	// stage's goroutine.
 	received := 0
 	var lastTraceID uint64
-	for {
-		data, err := receiver.NextFrame()
-		if err != nil {
-			if errors.Is(err, semholo.ErrSessionClosed) || errors.Is(err, io.EOF) {
-				break
+	_, err = semholo.RunReceiverPipeline(context.Background(), &semholo.Receiver{Session: sessB}, tenant,
+		func(data semholo.FrameData) error {
+			received++
+			if data.Trace == nil {
+				return fmt.Errorf("frame %d arrived without a trace (sender Obs set)", received)
 			}
-			t.Fatalf("frame %d: %v", received, err)
-		}
-		received++
-		if data.Trace == nil {
-			t.Fatalf("frame %d arrived without a trace (sender Obs set)", received)
-		}
-		if data.Trace.TraceID <= lastTraceID {
-			t.Errorf("trace IDs not increasing: %d after %d", data.Trace.TraceID, lastTraceID)
-		}
-		lastTraceID = data.Trace.TraceID
-		if data.Trace.Network() <= 0 {
-			t.Errorf("frame %d network span %v, want > 0 over a 3 ms link", received, data.Trace.Network())
-		}
-		if received == 1 {
-			if err := sessB.Ping(); err != nil {
-				t.Fatalf("ping: %v", err)
+			if data.Trace.TraceID <= lastTraceID {
+				t.Errorf("trace IDs not increasing: %d after %d", data.Trace.TraceID, lastTraceID)
 			}
-		}
+			lastTraceID = data.Trace.TraceID
+			if data.Trace.Network() <= 0 {
+				t.Errorf("frame %d network span %v, want > 0 over a 3 ms link", received, data.Trace.Network())
+			}
+			if received == 1 {
+				return sessB.Ping()
+			}
+			return nil
+		}, semholo.PipelineReceiverOptions{Lossless: true, Metrics: pm})
+	if err != nil {
+		t.Fatalf("receiver: %v", err)
 	}
 	if err := <-sendErr; err != nil {
 		t.Fatalf("sender: %v", err)

@@ -21,8 +21,10 @@ import (
 // TestStagedMatchesSequentialByteForByte is the wire-compatibility
 // regression for the staged runtime: with drops disabled, overlapping
 // the stages must be a pure scheduling change — the decoded output of a
-// 50-frame motion sequence is identical to the sequential loop's, frame
-// for frame, for every mode semholo-sender / semholo-receiver expose.
+// 50-frame motion sequence is identical to the sequential loop's
+// (SendFrame, then NextRaw and StreamCtx.Decode one frame at a time),
+// frame for frame, for every mode semholo-sender / semholo-receiver
+// expose.
 // Everything in the pipeline is seeded (capture noise, detector,
 // one-euro filter driven by capture time), so any divergence is a real
 // reordering or state-corruption bug. It is what lets the cmds run the
@@ -106,13 +108,14 @@ func runDeterminismLeg(t *testing.T, enc core.Encoder, dec core.Decoder, caps []
 	defer link.Close()
 
 	sender := &core.Sender{Session: sendSess, Encoder: enc}
-	receiver := &core.Receiver{Session: recvSess, Decoder: dec}
+	receiver := &core.Receiver{Session: recvSess}
+	tenant := tenantFor(t, dec)
 
 	decoded := make([]core.FrameData, 0, len(caps))
 	if staged {
 		done := make(chan error, 1)
 		go func() {
-			_, err := RunReceiver(ctx, receiver, func(data core.FrameData) error {
+			_, err := RunReceiver(ctx, receiver, tenant, func(data core.FrameData) error {
 				decoded = append(decoded, data)
 				return nil
 			}, ReceiverOptions{Frames: len(caps), Lossless: true})
@@ -133,7 +136,12 @@ func runDeterminismLeg(t *testing.T, enc core.Encoder, dec core.Decoder, caps []
 		done := make(chan error, 1)
 		go func() {
 			for range caps {
-				data, err := receiver.NextFrame()
+				raw, err := receiver.NextRaw()
+				if err != nil {
+					done <- err
+					return
+				}
+				data, err := tenant.Decode(ctx, raw)
 				if err != nil {
 					done <- err
 					return

@@ -16,6 +16,7 @@ import (
 	"semholo/internal/capture"
 	"semholo/internal/core"
 	"semholo/internal/netsim"
+	"semholo/internal/service"
 	"semholo/internal/transport"
 )
 
@@ -72,6 +73,19 @@ func (c *countingCodec) Decode(frames []transport.Frame) (core.FrameData, error)
 	return core.FrameData{}, nil
 }
 
+// tenantFor admits the one tenant of a fresh decode service whose
+// decoder is dec.
+func tenantFor(t *testing.T, dec core.Decoder) *service.StreamCtx {
+	t.Helper()
+	svc := service.New(service.Options{NewDecoder: func(service.Options) core.Decoder { return dec }})
+	t.Cleanup(svc.Close)
+	st, err := svc.Admit("receiver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // sessionPair dials both ends of an emulated link under ctx.
 func sessionPair(t *testing.T, ctx context.Context, cfg netsim.LinkConfig) (send, recv *transport.Session, link *netsim.Link) {
 	t.Helper()
@@ -105,13 +119,14 @@ func TestStagedLosslessDeliversEveryFrameInOrder(t *testing.T) {
 	const frames = 25
 	codec := &countingCodec{}
 	sender := &core.Sender{Session: sendSess, Encoder: codec}
-	receiver := &core.Receiver{Session: recvSess, Decoder: codec}
+	receiver := &core.Receiver{Session: recvSess}
+	tenant := tenantFor(t, codec)
 
 	done := make(chan error, 1)
 	var rstats ReceiverStats
 	go func() {
 		var err error
-		rstats, err = RunReceiver(ctx, receiver, nil, ReceiverOptions{Frames: frames, Lossless: true})
+		rstats, err = RunReceiver(ctx, receiver, tenant, nil, ReceiverOptions{Frames: frames, Lossless: true})
 		done <- err
 	}()
 	sstats, err := RunSender(ctx, sender, func(i int) (capture.Capture, bool) {
@@ -155,13 +170,14 @@ func TestStagedDropModeShedsBacklog(t *testing.T) {
 	// a 3-frames-per-frame backlog; the staged runtime must shed it.
 	dec := &countingCodec{decodeDelay: 4 * time.Millisecond}
 	sender := &core.Sender{Session: sendSess, Encoder: enc}
-	receiver := &core.Receiver{Session: recvSess, Decoder: dec}
+	receiver := &core.Receiver{Session: recvSess}
+	tenant := tenantFor(t, dec)
 
 	done := make(chan error, 1)
 	var rstats ReceiverStats
 	go func() {
 		var err error
-		rstats, err = RunReceiver(ctx, receiver, nil, ReceiverOptions{QueueDepth: 1})
+		rstats, err = RunReceiver(ctx, receiver, tenant, nil, ReceiverOptions{QueueDepth: 1})
 		done <- err
 	}()
 	if _, err := RunSender(ctx, sender, func(i int) (capture.Capture, bool) {
@@ -197,7 +213,8 @@ func TestStagedCancelShutsDownCleanly(t *testing.T) {
 
 	codec := &countingCodec{}
 	sender := &core.Sender{Session: sendSess, Encoder: codec}
-	receiver := &core.Receiver{Session: recvSess, Decoder: &countingCodec{}}
+	receiver := &core.Receiver{Session: recvSess}
+	tenant := tenantFor(t, &countingCodec{})
 
 	sdone := make(chan error, 1)
 	rdone := make(chan error, 1)
@@ -209,7 +226,7 @@ func TestStagedCancelShutsDownCleanly(t *testing.T) {
 		sdone <- err
 	}()
 	go func() {
-		_, err := RunReceiver(ctx, receiver, nil, ReceiverOptions{})
+		_, err := RunReceiver(ctx, receiver, tenant, nil, ReceiverOptions{})
 		rdone <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let frames flow
@@ -309,7 +326,8 @@ func TestConcurrentShutdownHammer(t *testing.T) {
 		sendSess, recvSess, link := sessionPair(t, ctx, netsim.LinkConfig{})
 
 		sender := &core.Sender{Session: sendSess, Encoder: &countingCodec{}}
-		receiver := &core.Receiver{Session: recvSess, Decoder: &countingCodec{}}
+		receiver := &core.Receiver{Session: recvSess}
+		tenant := tenantFor(t, &countingCodec{})
 		sdone := make(chan error, 1)
 		rdone := make(chan error, 1)
 		go func() {
@@ -319,7 +337,7 @@ func TestConcurrentShutdownHammer(t *testing.T) {
 			sdone <- err
 		}()
 		go func() {
-			_, err := RunReceiver(ctx, receiver, nil, ReceiverOptions{})
+			_, err := RunReceiver(ctx, receiver, tenant, nil, ReceiverOptions{})
 			rdone <- err
 		}()
 

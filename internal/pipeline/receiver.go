@@ -9,6 +9,7 @@ import (
 	"semholo/internal/core"
 	"semholo/internal/obs"
 	"semholo/internal/queue"
+	"semholo/internal/service"
 )
 
 // Sink consumes decoded frames on the render stage — the "photon" end
@@ -31,6 +32,10 @@ type ReceiverOptions struct {
 	Registry *obs.Registry
 	// Site labels the queue metrics (default "receiver").
 	Site string
+	// Metrics, when set, records the decode and render stage spans and,
+	// for frames the sender traced, the network span and end-to-end
+	// motion-to-photon latency.
+	Metrics *obs.PipelineMetrics
 }
 
 // ReceiverStats reports what a RunReceiver invocation did.
@@ -47,10 +52,11 @@ type ReceiverStats struct {
 // RunReceiver drives one receiving site as three overlapped stages —
 // recv ∥ decode ∥ render — connected by bounded queues, and returns
 // once every stage has exited: after the peer closes (graceful, queues
-// drain), on the first stage error, or on context cancellation. The
-// receiver's Session should be bound to the same context
-// (AcceptContext) so cancellation also unblocks the wire read.
-func RunReceiver(ctx context.Context, r *core.Receiver, sink Sink, opt ReceiverOptions) (ReceiverStats, error) {
+// drain), on the first stage error, or on context cancellation. Frames
+// decode in the decode-service tenant st. The receiver's Session should
+// be bound to the same context (AcceptContext) so cancellation also
+// unblocks the wire read.
+func RunReceiver(ctx context.Context, r *core.Receiver, st *service.StreamCtx, sink Sink, opt ReceiverOptions) (ReceiverStats, error) {
 	if opt.Site == "" {
 		opt.Site = "receiver"
 	}
@@ -113,9 +119,16 @@ func RunReceiver(ctx context.Context, r *core.Receiver, sink Sink, opt ReceiverO
 			if err != nil {
 				return ignoreClosed(err)
 			}
-			data, err := r.DecodeRaw(raw)
+			stop := opt.Metrics.StartStage(obs.StageDecode)
+			data, err := st.Decode(ctx, raw)
+			stop()
 			if err != nil {
 				return ignoreClosed(err)
+			}
+			if t := data.Trace; t != nil {
+				opt.Metrics.ObserveTrace(*t)
+				obs.Flight.Record(obs.EvFrameDecoded, opt.Site, t.TraceID,
+					t.DecodedAt.Sub(t.ArrivedAt).Microseconds(), 0)
 			}
 			stats.Decoded++
 			if err := renderQ.Put(ctx, data); err != nil {
@@ -132,7 +145,7 @@ func RunReceiver(ctx context.Context, r *core.Receiver, sink Sink, opt ReceiverO
 				return ignoreClosed(err)
 			}
 			if sink != nil {
-				stop := r.Obs.StartStage(obs.StageRender)
+				stop := opt.Metrics.StartStage(obs.StageRender)
 				err := sink(data)
 				stop()
 				if err != nil {

@@ -1,23 +1,23 @@
-// Package service consolidates many avatar streams into one decode
-// process. A solo core.Receiver pays a full worker pool, mesh cache, and
-// scratch arena per stream; a shard hosting dozens of telepresence users
-// multiplies that by N for state that is either immutable (body model,
-// reconstruction kernels) or cheap per stream (warm-start bands, codec
-// scratch). DecodeService splits the two: shared immutable kernels plus
-// one pose-keyed mesh cache and one par.Pool worker budget for the whole
-// process, with a small per-stream context (StreamCtx) allocated on
-// admission.
+// Package service is SemHolo's one decode path: every received media
+// frame is reconstructed in a tenant (StreamCtx) of a DecodeService.
+// A single session is a service with one tenant; a shard hosting dozens
+// of telepresence users admits one tenant per stream. State that is
+// immutable (body model, reconstruction kernels) or worth sharing (the
+// pose-keyed mesh cache, the par.Pool worker budget) lives once per
+// process; each tenant holds only a small per-stream context — a
+// stateful decoder — allocated on admission.
 //
 // Fairness: every decode reserves its proportional share of the pool
 // (capacity / active tenants, at least 1 slot) and pool waiters are
 // served FIFO, so a tenant re-queues behind the others after every frame
-// — round-robin admission without a scheduler thread. A per-tenant
-// in-flight cap keeps one stream from occupying the queue with a burst.
+// — round-robin admission without a scheduler thread. A tenant decodes
+// one frame at a time, so a burst queues against itself, holding no
+// pool slots.
 //
 // Determinism: all reconstruction kernels are worker-count invariant and
 // the shared cache keys on exact bitwise parameters by default, so each
-// stream's output is byte-identical to a solo Receiver decoding the same
-// wire frames, at any pool size and any tenant mix.
+// stream's output is byte-identical to its bare decoder decoding the
+// same wire frames, at any pool size and any tenant mix.
 //
 // Sharing: the cache holds one copy of each mesh and hands that same
 // *mesh.Mesh to every tenant whose pose matches, so a decoded
@@ -53,21 +53,11 @@ type Options struct {
 	// WarmStart enables temporal-coherence reconstruction per stream.
 	WarmStart bool
 	// Cache is the pose-keyed mesh LRU shared by all tenants; nil creates
-	// one with CacheCapacity entries.
+	// one of the avatar default capacity.
 	Cache *avatar.MeshCache
-	// CacheCapacity sizes the created cache (<= 0: avatar default).
-	CacheCapacity int
 	// Pool is the shared worker budget; nil creates one sized to
 	// GOMAXPROCS.
 	Pool *par.Pool
-	// MaxWorkersPerDecode caps one frame's pool grant (<= 0: the pool
-	// capacity). Lowering it trades single-stream latency for admission
-	// rate under load.
-	MaxWorkersPerDecode int
-	// InFlightPerTenant caps concurrent Decode calls per tenant
-	// (default 1); excess callers block, so a bursty stream queues
-	// against itself instead of against other tenants.
-	InFlightPerTenant int
 	// Counters receives reconstruction/cache telemetry for all tenants;
 	// nil creates a shared instance (exposed via Counters()).
 	Counters *metrics.ReconCounters
@@ -75,9 +65,6 @@ type Options struct {
 	// capsule tests, culling-bin stats) for all tenants; nil creates a
 	// shared instance (exposed via FieldStats()).
 	FieldStats *metrics.FieldCounters
-	// Unpruned disables the capsule culling grid in every tenant's
-	// reconstructor (ablation knob; output is byte-identical either way).
-	Unpruned bool
 	// Registry, when set, receives per-tenant queue depth, decode
 	// latency, and frame counters plus the shared cache counters.
 	Registry *obs.Registry
@@ -85,9 +72,11 @@ type Options struct {
 	// appended to traced frames (zero is fine for a single service).
 	Site byte
 	// NewDecoder overrides per-tenant decoder construction (it must
-	// return a fresh decoder per call; decoders are stateful). The
-	// default builds a core.KeypointDecoder wired to the shared model,
-	// codec, cache, and counters.
+	// return a fresh decoder per call; decoders are stateful). It is
+	// handed the resolved options, so Codec, Cache, Pool, Counters and
+	// FieldStats are the shared instances. The default builds a
+	// core.KeypointDecoder wired to the shared model, codec, cache, and
+	// counters.
 	NewDecoder func(Options) core.Decoder
 }
 
@@ -97,15 +86,13 @@ type workerSetter interface{ SetWorkers(int) }
 
 // DecodeService reconstructs N concurrent avatar streams in one process
 // over shared immutable kernels and one worker pool. Admit a tenant per
-// stream, feed it raw frames (StreamCtx.Decode or StreamCtx.Serve), and
-// Detach when the stream ends. All methods are safe for concurrent use;
-// the service owns no goroutines, so tearing it down leaks nothing.
+// stream, feed it raw frames (StreamCtx.Decode, usually from
+// pipeline.RunReceiver's decode stage), and Detach when the stream ends.
+// All methods are safe for concurrent use; the service owns no
+// goroutines, so tearing it down leaks nothing.
 type DecodeService struct {
-	opt        Options
-	pool       *par.Pool
-	cache      *avatar.MeshCache
-	counters   *metrics.ReconCounters
-	fieldStats *metrics.FieldCounters
+	// opt holds the resolved options: every shared instance is non-nil.
+	opt Options
 
 	queueDepth *obs.GaugeVec
 	latency    *obs.HistogramVec
@@ -122,32 +109,25 @@ func New(opt Options) *DecodeService {
 	if opt.Codec == nil {
 		opt.Codec = compress.LZR()
 	}
-	s := &DecodeService{
-		opt:        opt,
-		pool:       opt.Pool,
-		cache:      opt.Cache,
-		counters:   opt.Counters,
-		fieldStats: opt.FieldStats,
-		tenants:    make(map[string]*StreamCtx),
+	if opt.Pool == nil {
+		opt.Pool = par.NewPool(0)
 	}
-	if s.pool == nil {
-		s.pool = par.NewPool(0)
+	if opt.Counters == nil {
+		opt.Counters = &metrics.ReconCounters{}
 	}
-	if s.counters == nil {
-		s.counters = &metrics.ReconCounters{}
+	if opt.FieldStats == nil {
+		opt.FieldStats = &metrics.FieldCounters{}
 	}
-	if s.fieldStats == nil {
-		s.fieldStats = &metrics.FieldCounters{}
+	if opt.Cache == nil {
+		opt.Cache = &avatar.MeshCache{}
 	}
-	if s.cache == nil {
-		s.cache = &avatar.MeshCache{Capacity: opt.CacheCapacity}
+	if opt.Cache.Counters == nil {
+		opt.Cache.Counters = opt.Counters
 	}
-	if s.cache.Counters == nil {
-		s.cache.Counters = s.counters
-	}
+	s := &DecodeService{opt: opt, tenants: make(map[string]*StreamCtx)}
 	if reg := opt.Registry; reg != nil {
-		s.counters.Register(reg)
-		s.fieldStats.Register(reg)
+		opt.Counters.Register(reg)
+		opt.FieldStats.Register(reg)
 		s.queueDepth = reg.Gauge("semholo_service_queue_depth",
 			"Raw frames in flight (queued or decoding), per tenant.", "tenant")
 		s.latency = reg.Histogram("semholo_service_decode_seconds",
@@ -159,7 +139,7 @@ func New(opt Options) *DecodeService {
 			func() float64 { return float64(s.TenantCount()) })
 		reg.GaugeFunc("semholo_service_pool_in_use",
 			"Worker slots currently reserved from the shared pool.",
-			func() float64 { return float64(s.pool.InUse()) })
+			func() float64 { return float64(s.opt.Pool.InUse()) })
 	}
 	return s
 }
@@ -175,10 +155,9 @@ func (s *DecodeService) newDecoder() core.Decoder {
 		Codec:      s.opt.Codec,
 		Resolution: s.opt.Resolution,
 		WarmStart:  s.opt.WarmStart,
-		Cache:      s.cache,
-		Counters:   s.counters,
-		FieldStats: s.fieldStats,
-		Unpruned:   s.opt.Unpruned,
+		Cache:      s.opt.Cache,
+		Counters:   s.opt.Counters,
+		FieldStats: s.opt.FieldStats,
 	}
 }
 
@@ -195,15 +174,11 @@ func (s *DecodeService) Admit(id string) (*StreamCtx, error) {
 	if _, ok := s.tenants[id]; ok {
 		return nil, fmt.Errorf("service: tenant %q already admitted", id)
 	}
-	inflight := s.opt.InFlightPerTenant
-	if inflight <= 0 {
-		inflight = 1
-	}
 	st := &StreamCtx{
-		id:     id,
-		svc:    s,
-		dec:    s.newDecoder(),
-		tokens: make(chan struct{}, inflight),
+		id:    id,
+		svc:   s,
+		dec:   s.newDecoder(),
+		token: make(chan struct{}, 1),
 	}
 	s.tenants[id] = st
 	return st, nil
@@ -240,32 +215,28 @@ func (s *DecodeService) TenantCount() int {
 }
 
 // Pool exposes the shared worker budget.
-func (s *DecodeService) Pool() *par.Pool { return s.pool }
+func (s *DecodeService) Pool() *par.Pool { return s.opt.Pool }
 
 // Cache exposes the shared pose-keyed mesh cache.
-func (s *DecodeService) Cache() *avatar.MeshCache { return s.cache }
+func (s *DecodeService) Cache() *avatar.MeshCache { return s.opt.Cache }
 
 // Counters exposes the shared reconstruction telemetry.
-func (s *DecodeService) Counters() *metrics.ReconCounters { return s.counters }
+func (s *DecodeService) Counters() *metrics.ReconCounters { return s.opt.Counters }
 
 // FieldStats exposes the shared SDF field-evaluation telemetry.
-func (s *DecodeService) FieldStats() *metrics.FieldCounters { return s.fieldStats }
+func (s *DecodeService) FieldStats() *metrics.FieldCounters { return s.opt.FieldStats }
 
 // fairShare is the pool grant one decode asks for: an equal split of the
-// capacity across active tenants (at least one slot), clamped by
-// MaxWorkersPerDecode. With one tenant this is the whole machine — a
-// solo stream on a service runs exactly as wide as a solo Receiver.
+// capacity across active tenants (at least one slot). With one tenant
+// this is the whole machine.
 func (s *DecodeService) fairShare() int {
 	n := s.TenantCount()
 	if n < 1 {
 		n = 1
 	}
-	want := s.pool.Capacity() / n
+	want := s.opt.Pool.Capacity() / n
 	if want < 1 {
 		want = 1
-	}
-	if max := s.opt.MaxWorkersPerDecode; max > 0 && want > max {
-		want = max
 	}
 	return want
 }

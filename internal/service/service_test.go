@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"semholo/internal/avatar"
 	"semholo/internal/body"
 	"semholo/internal/compress"
 	"semholo/internal/core"
@@ -44,12 +45,12 @@ func motionWire(codec compress.Codec, phase float64, n int) []core.RawFrame {
 	return out
 }
 
-// TestServiceByteIdentityVsSoloReceiver is the tentpole correctness bar:
+// TestServiceByteIdentityVsBareDecoder is the tentpole correctness bar:
 // every tenant of a shared service must produce meshes byte-identical to
-// a solo core.Receiver decoding the same wire frames, over a 50-frame
+// its bare decoder decoding the same wire frames, over a 50-frame
 // motion, at several pool sizes (worker-count invariance means the
 // variable per-frame pool grants may not show in the output).
-func TestServiceByteIdentityVsSoloReceiver(t *testing.T) {
+func TestServiceByteIdentityVsBareDecoder(t *testing.T) {
 	const tenants, frames, res = 3, 50, 32
 	codec := compress.LZR()
 	for _, poolSize := range []int{1, 4} {
@@ -64,20 +65,20 @@ func TestServiceByteIdentityVsSoloReceiver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			solo := &core.Receiver{Decoder: &core.KeypointDecoder{
+			solo := &core.KeypointDecoder{
 				Model: testModel, Codec: compress.LZR(), Resolution: res, WarmStart: true,
-			}}
+			}
 			for fi, raw := range motionWire(codec, float64(ti)*0.37, frames) {
 				got, err := st.Decode(context.Background(), raw)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := solo.DecodeRaw(raw)
+				want, err := solo.Decode(raw.Frames)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got.Mesh, want.Mesh) {
-					t.Fatalf("pool=%d tenant %d frame %d: service mesh differs from solo receiver",
+					t.Fatalf("pool=%d tenant %d frame %d: service mesh differs from bare decoder",
 						poolSize, ti, fi)
 				}
 				if !reflect.DeepEqual(got.Params, want.Params) {
@@ -179,7 +180,7 @@ func (w testingWriter) Write(p []byte) (int, error) {
 func TestServiceConcurrentAdmitDetachHammer(t *testing.T) {
 	const tenants = 32
 	codec := compress.LZR()
-	svc := New(Options{Model: testModel, Resolution: 16, WarmStart: true, CacheCapacity: 16})
+	svc := New(Options{Model: testModel, Resolution: 16, WarmStart: true, Cache: &avatar.MeshCache{Capacity: 16}})
 	defer svc.Close()
 	var wg sync.WaitGroup
 	for ti := 0; ti < tenants; ti++ {
@@ -231,14 +232,13 @@ func (d *countingDecoder) Decode([]transport.Frame) (core.FrameData, error) {
 	return core.FrameData{}, nil
 }
 
-// TestServiceInFlightCap: a tenant's burst beyond InFlightPerTenant must
-// queue, not decode concurrently.
+// TestServiceInFlightCap: a tenant decodes one frame at a time — a
+// burst of concurrent calls must queue, not decode concurrently.
 func TestServiceInFlightCap(t *testing.T) {
 	dec := &countingDecoder{}
 	svc := New(Options{
-		Pool:              par.NewPool(8),
-		InFlightPerTenant: 2,
-		NewDecoder:        func(Options) core.Decoder { return dec },
+		Pool:       par.NewPool(8),
+		NewDecoder: func(Options) core.Decoder { return dec },
 	})
 	defer svc.Close()
 	st, err := svc.Admit("bursty")
@@ -256,8 +256,8 @@ func TestServiceInFlightCap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := dec.peak.Load(); got > 2 {
-		t.Fatalf("peak concurrent decodes %d exceeds in-flight cap 2", got)
+	if got := dec.peak.Load(); got != 1 {
+		t.Fatalf("peak concurrent decodes %d, want 1", got)
 	}
 	if st.Frames() != 12 {
 		t.Fatalf("decoded %d frames, want 12", st.Frames())

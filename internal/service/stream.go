@@ -2,11 +2,7 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,17 +14,17 @@ import (
 // StreamCtx is one tenant's per-stream state inside a DecodeService: a
 // stateful decoder (warm-start band, codec and graft scratch) over the
 // service's shared kernels and shared read-only cached meshes, plus the
-// in-flight cap that keeps the tenant's bursts queued against itself.
-// Obtain one from DecodeService.Admit.
+// one-decode-at-a-time token that keeps the tenant's bursts queued
+// against itself. Obtain one from DecodeService.Admit.
 type StreamCtx struct {
 	id  string
 	svc *DecodeService
 	dec core.Decoder
 
-	// tokens caps this tenant's concurrent decodes; decodeMu serializes
-	// the stateful decoder itself when the cap admits more than one.
-	tokens   chan struct{}
-	decodeMu sync.Mutex
+	// token admits one decode at a time, which also serializes the
+	// stateful decoder; a cancellable channel rather than a mutex, so a
+	// caller waiting behind a burst can give up.
+	token chan struct{}
 
 	pending  atomic.Int64
 	frames   atomic.Uint64
@@ -46,12 +42,15 @@ func (st *StreamCtx) Frames() uint64 { return st.frames.Load() }
 func (st *StreamCtx) Pending() int { return int(st.pending.Load()) }
 
 // Decode reconstructs one collected media frame. It blocks while the
-// tenant is at its in-flight cap and while waiting for the stream's
-// fair share of the shared worker pool; ctx cancels either wait. Safe
-// for concurrent use — calls beyond the in-flight cap queue FIFO-ish on
-// the token channel. The decoded output is byte-identical to a solo
-// core.Receiver decoding the same wire frames; its Mesh may be the
-// service cache's own copy, shared with other tenants — read-only.
+// tenant is already decoding and while waiting for the stream's fair
+// share of the shared worker pool; ctx cancels either wait. Safe for
+// concurrent use — concurrent calls queue on the token channel. On a
+// tier-switch marker it first resets the decoder's cross-frame state.
+// A traced frame's hop path is terminated with this service's hop
+// (arrival → decode completion) and the completed trace is published to
+// obs.Traces. The decoded output is byte-identical to the bare decoder
+// decoding the same wire frames; its Mesh may be the service cache's own
+// copy, shared with other tenants — read-only.
 func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameData, error) {
 	if st.detached.Load() {
 		return core.FrameData{}, fmt.Errorf("service: tenant %q detached", st.id)
@@ -69,21 +68,22 @@ func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameD
 		}
 	}()
 
-	// Per-tenant in-flight cap: a burst waits here, holding no pool
-	// slots, so other tenants' reservations stay ahead of it.
+	// One decode per tenant: a burst waits here, holding no pool slots,
+	// so other tenants' reservations stay ahead of it.
 	select {
-	case st.tokens <- struct{}{}:
+	case st.token <- struct{}{}:
 	case <-ctx.Done():
 		return core.FrameData{}, ctx.Err()
 	}
-	defer func() { <-st.tokens }()
+	defer func() { <-st.token }()
 
+	pool := svc.opt.Pool
 	waitStart := time.Now()
-	grant, err := svc.pool.Reserve(ctx, svc.fairShare())
+	grant, err := pool.Reserve(ctx, svc.fairShare())
 	if err != nil {
 		return core.FrameData{}, err
 	}
-	defer svc.pool.Release(grant)
+	defer pool.Release(grant)
 	var traceID uint64
 	if raw.Trace != nil {
 		traceID = raw.Trace.TraceID
@@ -91,7 +91,6 @@ func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameD
 	obs.Flight.Record(obs.EvPoolWait, "service:"+st.id, traceID,
 		time.Since(waitStart).Microseconds(), int64(grant))
 
-	st.decodeMu.Lock()
 	if tierSwitched(raw) {
 		// Mid-stream tier switch: drop the decoder's cross-frame state
 		// (warm-start bands, texture history, delta references) on
@@ -106,19 +105,19 @@ func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameD
 		ws.SetWorkers(grant)
 	}
 	data, err := st.dec.Decode(raw.Frames)
-	st.decodeMu.Unlock()
 	if err != nil {
 		return core.FrameData{}, err
 	}
 	if raw.Trace != nil {
 		raw.Trace.DecodedAt = time.Now()
-		// Extend hop-annotated traces with this tenant's service hop
-		// (queue entry → decode completion) and publish the completed
-		// trace for /debug/trace/<id>.
+		// Terminate hop-annotated traces with the service hop, so the
+		// waterfall telescopes to the full e2e span. The hop opens at
+		// arrival, not at this call: a staged receiver's decode-queue
+		// dwell belongs to the service, not to the wire.
 		if len(raw.Trace.Hops) > 0 {
 			raw.Trace.Hops = append(raw.Trace.Hops, obs.Hop{
 				Kind: obs.HopService, Site: svc.opt.Site,
-				RecvMicros: uint64(start.UnixMicro()),
+				RecvMicros: uint64(raw.Trace.ArrivedAt.UnixMicro()),
 				SendMicros: uint64(raw.Trace.DecodedAt.UnixMicro()),
 			})
 		}
@@ -154,34 +153,4 @@ func tierOf(raw core.RawFrame) int64 {
 		}
 	}
 	return -1
-}
-
-// Serve drives one receiver's whole stream through the service: collect
-// raw frames off r's session, decode each under the shared pool, and
-// hand the results to sink. It returns the number of frames decoded,
-// stopping with a nil error when the peer closes gracefully. The
-// receiver's Decoder field is not used — decoding happens in the
-// stream's service decoder.
-func (st *StreamCtx) Serve(ctx context.Context, r *core.Receiver, sink func(core.FrameData) error) (int, error) {
-	n := 0
-	for {
-		raw, err := r.NextRaw()
-		if err != nil {
-			if errors.Is(err, core.ErrSessionClosed) || errors.Is(err, io.EOF) ||
-				errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
-				return n, nil
-			}
-			return n, err
-		}
-		data, err := st.Decode(ctx, raw)
-		if err != nil {
-			return n, err
-		}
-		n++
-		if sink != nil {
-			if err := sink(data); err != nil {
-				return n, err
-			}
-		}
-	}
 }

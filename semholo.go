@@ -22,7 +22,6 @@ package semholo
 import (
 	"math"
 
-	"semholo/internal/avatar"
 	"semholo/internal/body"
 	"semholo/internal/capture"
 	"semholo/internal/compress"
@@ -52,7 +51,7 @@ type (
 	FrameData = core.FrameData
 	// Sender drives the sending side of a session.
 	Sender = core.Sender
-	// Receiver drives the receiving side of a session.
+	// Receiver collects the receiving side's media frames off a session.
 	Receiver = core.Receiver
 	// Session is the underlying framed transport.
 	Session = transport.Session
@@ -112,7 +111,7 @@ const (
 	ModeHybrid      = core.ModeHybrid
 )
 
-// ErrSessionClosed reports a graceful peer close from Receiver.NextFrame.
+// ErrSessionClosed reports a graceful peer close from Receiver.NextRaw.
 var ErrSessionClosed = core.ErrSessionClosed
 
 // FrameTypeSemantic marks media payload frames on the wire.
@@ -200,20 +199,6 @@ type KeypointOptions struct {
 	SendTexture bool
 	// Detector overrides the simulated detector characteristics.
 	Detector *keypoint.DetectorOptions
-	// Parallelism bounds receiver reconstruction workers (0 =
-	// GOMAXPROCS, 1 = serial); the mesh is identical at any setting.
-	Parallelism int
-	// WarmStart enables temporal-coherence reconstruction at the
-	// receiver: the surface band and SDF samples of the previous frame
-	// seed the next. The mesh stays byte-identical; only the rate and
-	// allocation behavior change.
-	WarmStart bool
-	// CacheSize, when > 0, adds a pose-keyed mesh LRU of that capacity
-	// in front of reconstruction.
-	CacheSize int
-	// CacheQuant quantizes pose parameters in the cache key (radians /
-	// meters per step); 0 requires bitwise-identical parameters to hit.
-	CacheQuant float64
 }
 
 // NewKeypointPipeline builds the paper's proof-of-concept pipeline (§4):
@@ -238,21 +223,8 @@ func NewKeypointPipeline(w *World, opt KeypointOptions) (Encoder, *core.Keypoint
 		Codec:       compress.LZR(),
 		SendTexture: opt.SendTexture,
 	}
-	dec := &core.KeypointDecoder{
-		Model: w.Model, Codec: compress.LZR(), Resolution: res,
-		Workers: opt.Parallelism, WarmStart: opt.WarmStart,
-		Cache: newMeshCache(opt.CacheSize, opt.CacheQuant),
-	}
+	dec := &core.KeypointDecoder{Model: w.Model, Codec: compress.LZR(), Resolution: res}
 	return enc, dec
-}
-
-// newMeshCache builds the pose-keyed mesh LRU behind the CacheSize /
-// CacheQuant pipeline options (nil when disabled).
-func newMeshCache(size int, quant float64) *avatar.MeshCache {
-	if size <= 0 {
-		return nil
-	}
-	return &avatar.MeshCache{Capacity: size, Quant: quant}
 }
 
 // NewTraditionalPipeline builds the bit-by-bit baseline: Draco-style
@@ -341,17 +313,6 @@ type HybridOptions struct {
 	// PeripheralResolution is the keypoint-reconstruction resolution
 	// outside the fovea (default 48).
 	PeripheralResolution int
-	// Parallelism bounds receiver reconstruction workers (0 =
-	// GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// WarmStart enables temporal-coherence peripheral reconstruction
-	// (byte-identical mesh, faster steady state).
-	WarmStart bool
-	// CacheSize, when > 0, adds a pose-keyed mesh LRU of that capacity
-	// in front of peripheral reconstruction; CacheQuant quantizes its
-	// key (0 = exact match only).
-	CacheSize  int
-	CacheQuant float64
 }
 
 // NewHybridPipeline builds the §3.1 foveated scheme: compressed mesh for
@@ -381,9 +342,6 @@ func NewHybridPipeline(w *World, opt HybridOptions) (*core.HybridEncoder, *core.
 		Codec:                compress.LZR(),
 		PeripheralResolution: opt.PeripheralResolution,
 		Selector:             sel,
-		Workers:              opt.Parallelism,
-		WarmStart:            opt.WarmStart,
-		Cache:                newMeshCache(opt.CacheSize, opt.CacheQuant),
 	}
 	return enc, dec
 }
