@@ -40,7 +40,8 @@ bench-m2p:
 
 ## ci: the full gate — vet, build, race-enabled tests, the
 ## temporal-coherence determinism suite (warm/cached output must stay
-## byte-identical to cold reconstruction), and the observability gate.
+## byte-identical to cold reconstruction, skinned output deterministic
+## and no worse than extraction), and the observability gate.
 ci: vet build
 	$(GO) test -race -short ./...
 	$(MAKE) cache-determinism
@@ -93,9 +94,13 @@ service-check:
 	$(GO) test -race ./internal/par ./internal/service
 	$(GO) test -race -run 'TestMeshCache|TestHybridGazeAnchor' ./internal/avatar ./internal/core
 
-## cache-determinism: the warm-vs-cold byte-identity regression tests.
+## cache-determinism: the warm-vs-cold byte-identity regression tests,
+## plus the skinned decode's gates: skinned chamfer against the
+## ground-truth body no worse than extraction's (3 motions × res 32/64 ×
+## 50 frames), and skinned output identical across worker counts, cache
+## and resolution changes.
 cache-determinism:
-	$(GO) test -run 'Temporal|Anchored|WarmStart|MeshCache|CacheAndWarm' ./internal/mesh ./internal/avatar
+	$(GO) test -run 'Temporal|Anchored|WarmStart|MeshCache|CacheAndWarm|TestSkinnedChamferNoWorseThanExtracted|TestSkinDeterministic' ./internal/mesh ./internal/avatar
 
 ## field-check: the SDF-acceleration gate — race-enabled pruned-vs-brute
 ## bitwise identity (property + fuzz seed corpus), the 50-frame motion
@@ -150,9 +155,11 @@ cluster-check:
 ## alloc-check: the decode-path allocation pins, on a non-race line (race
 ## instrumentation perturbs alloc counts — same reason as cluster-check's
 ## TestTrunkLegAllocs line): a mesh-cache hit through
-## Reconstructor.Reconstruct allocates nothing, the hybrid graft allocates
-## three objects per frame (mesh header + two exact-size arrays), and
-## steady-state lzr.Compress of a marshalled pose stays under 8 KiB per
-## call (its 256 KiB hash-head table is pooled).
+## Reconstructor.Reconstruct allocates nothing, a steady-state skinned
+## frame allocates two objects (mesh header + vertex array; the faces are
+## the rest surface's), the hybrid graft allocates three objects per frame
+## (mesh header + two exact-size arrays), and steady-state lzr.Compress of
+## a marshalled pose stays under 8 KiB per call (its 256 KiB hash-head
+## table is pooled).
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr

@@ -111,25 +111,28 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4Reconstruct times mesh reconstruction per output
-// resolution (Figure 4's x-axis; run -bench 'Fig4' -benchtime 1x for the
-// full sweep).
+// BenchmarkFig4Reconstruct times mesh extraction per output resolution
+// (Figure 4's x-axis; run -bench 'Fig4' -benchtime 1x for the full
+// sweep) from a decoded pose. The decoders extract only once per
+// identity and skin every frame; this is the kernel that pass runs.
 func BenchmarkFig4Reconstruct(b *testing.B) {
 	for _, res := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("res%d", res), func(b *testing.B) {
 			world := NewWorld(WorldOptions{Seed: 6})
-			enc, dec := NewKeypointPipeline(world, KeypointOptions{Resolution: res})
+			enc, dec := NewKeypointPipeline(world, KeypointOptions{Resolution: -1})
 			ef, err := enc.Encode(world.FrameAt(0))
 			if err != nil {
 				b.Fatal(err)
 			}
-			frames := AppendWireFrames(nil, ef)
+			data, err := dec.Decode(AppendWireFrames(nil, ef))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := &avatar.Reconstructor{Model: world.Model, Resolution: res}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dec.Decode(frames); err != nil {
-					b.Fatal(err)
-				}
+				rec.Reconstruct(data.Params)
 			}
 		})
 	}
@@ -211,14 +214,14 @@ func BenchmarkReconstructCacheHit(b *testing.B) {
 
 // BenchmarkHybridDecodeSteady times the receiver side of the §3.1 hybrid
 // in steady state: a looped 16-frame window through one cache-backed
-// decoder, so every peripheral mesh is a cache hit and every frame ends
-// in the foveal graft. B/op is the figure to watch — the graft writes one
+// decoder, so every peripheral (skinned) mesh is a cache hit and every
+// frame ends in the foveal graft. B/op is the figure to watch — the graft writes one
 // exact-size mesh per frame and a cache hit copies nothing.
 func BenchmarkHybridDecodeSteady(b *testing.B) {
 	const frames = 16
 	world := NewWorld(WorldOptions{Seed: 3})
 	enc, dec := NewHybridPipeline(world, HybridOptions{PeripheralResolution: 64})
-	dec.WarmStart, dec.Cache = true, &avatar.MeshCache{Capacity: frames}
+	dec.Cache = &avatar.MeshCache{Capacity: frames}
 	anchor := geom.V3(0, 1.5, 0.1)
 	enc.SetGazeAnchor(anchor)
 	dec.SetGazeAnchor(anchor)

@@ -32,7 +32,7 @@ func main() {
 		full      = flag.Bool("full", false, "include the paper's full resolution sweep up to 1024 (slow)")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		par       = flag.Int("par", 0, "worker goroutines per kernel (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		cache     = flag.Bool("cache", false, "enable warm-start reconstruction and the pose-keyed mesh LRU in pipeline decoders (output identical, faster)")
+		cache     = flag.Bool("cache", false, "enable the pose-keyed mesh LRU in pipeline decoders (output identical, faster)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /healthz and pprof on this address while experiments run")
 	)
 	flag.Parse()

@@ -21,9 +21,11 @@ const DefaultMeshCacheCapacity = 32
 
 // MeshCache is a bounded LRU of reconstructed meshes keyed by quantized
 // body parameters plus the reconstruction configuration (model,
-// resolution, smoothing, dense flag) — one cache can safely back several
-// reconstructors, including differently configured ones. All methods are
-// safe for concurrent use; a nil *MeshCache is inert.
+// resolution, smoothing, dense flag) and the kind of mesh (extracted by
+// Reconstruct or skinned by Skin) — one cache can safely back several
+// reconstructors, including differently configured ones, and never hands
+// a Reconstruct caller a skinned mesh or a Skin caller an extracted one.
+// All methods are safe for concurrent use; a nil *MeshCache is inert.
 //
 // The cache holds one copy of each mesh and hands that same *mesh.Mesh
 // to every hit, every single-flight waiter and the caller that computed
@@ -55,6 +57,7 @@ type cacheKey struct {
 	res    int
 	dense  bool
 	smooth float64
+	skin   bool
 }
 
 type cacheEntry struct {
@@ -100,14 +103,16 @@ func quantize(v, q float64) float64 {
 }
 
 // keyFor canonicalizes the parameters (snapping each component to the
-// quantization lattice) and binds the reconstruction configuration.
-func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor) cacheKey {
+// quantization lattice) and binds the reconstruction configuration and
+// mesh kind.
+func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor, skin bool) cacheKey {
 	key := cacheKey{
 		params: *p,
 		model:  r.Model,
 		res:    r.Resolution,
 		dense:  r.Dense,
 		smooth: r.smoothK(),
+		skin:   skin,
 	}
 	if q := c.Quant; q > 0 {
 		for j := range key.params.Pose {
@@ -128,15 +133,16 @@ func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor) cacheKey {
 	return key
 }
 
-// GetOrCompute returns the mesh for p under r's configuration, running
-// r.reconstruct on a miss with single-flight deduplication: when several
-// streams ask for the same key concurrently (correlated poses across
-// tenants), exactly one reconstruction runs and the rest wait for its
-// result instead of duplicating the work. Hits from a reconstructor
-// other than the entry's first producer count as cross-tenant hits.
-// The returned mesh is the cache's own: shared and read-only.
-func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
-	key := c.keyFor(p, r)
+// getOrCompute returns the mesh of the given kind for p under r's
+// configuration, running r.skin or r.reconstruct on a miss with
+// single-flight deduplication: when several streams ask for the same key
+// concurrently (correlated poses across tenants), exactly one
+// reconstruction runs and the rest wait for its result instead of
+// duplicating the work. Hits from a reconstructor other than the entry's
+// first producer count as cross-tenant hits. The returned mesh is the
+// cache's own: shared and read-only.
+func (c *MeshCache) getOrCompute(p *body.Params, r *Reconstructor, skin bool) *mesh.Mesh {
+	key := c.keyFor(p, r, skin)
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.order.MoveToFront(el)
@@ -154,7 +160,7 @@ func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
 		if f.mesh == nil {
 			// The computing caller died before publishing (panic in its
 			// reconstruction); start over rather than return nothing.
-			return c.GetOrCompute(p, r)
+			return c.getOrCompute(p, r, skin)
 		}
 		c.Counters.AddMeshHit()
 		if f.owner != r {
@@ -181,7 +187,11 @@ func (c *MeshCache) GetOrCompute(p *body.Params, r *Reconstructor) *mesh.Mesh {
 		c.mu.Unlock()
 		close(f.done)
 	}()
-	m = r.reconstruct(p)
+	if skin {
+		m = r.skin(p)
+	} else {
+		m = r.reconstruct(p)
+	}
 	return m
 }
 

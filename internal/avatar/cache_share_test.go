@@ -20,12 +20,13 @@ import (
 )
 
 // TestMeshCacheExactHitAndIsolation: the computing caller, every
-// single-flight waiter and every later hit get the same *mesh.Mesh, and
-// that mesh is bit-for-bit what a cold reconstruction produces — still,
-// after a hybrid and a keypoint decoder sharing the cache have decoded a
-// stream that keeps returning to its pose. Isolation is by contract
-// (consumers only read; the hybrid graft writes a fresh mesh), not by
-// copying.
+// single-flight waiter and every later hit get the same skinned
+// *mesh.Mesh, and that mesh is bit-for-bit what a solo Skin produces —
+// still, after a hybrid and a keypoint decoder sharing the cache have
+// decoded a stream that keeps returning to its pose. Isolation is by
+// contract (consumers only read; the hybrid graft writes a fresh mesh),
+// not by copying. A Reconstruct caller on the same cache gets its own
+// extracted mesh for that pose, never the decoders' skinned one.
 func TestMeshCacheExactHitAndIsolation(t *testing.T) {
 	const res = 24
 	model := body.NewModel(nil, body.ModelOptions{Detail: 1})
@@ -42,7 +43,7 @@ func TestMeshCacheExactHitAndIsolation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			rec := &avatar.Reconstructor{Model: model, Resolution: res, Cache: cache}
-			got[i] = rec.Reconstruct(p)
+			got[i] = rec.Skin(p)
 		}(i)
 	}
 	wg.Wait()
@@ -55,9 +56,9 @@ func TestMeshCacheExactHitAndIsolation(t *testing.T) {
 	if s := c.Snapshot(); s.MeshMisses != 1 || s.MeshHits != callers-1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", s.MeshHits, s.MeshMisses, callers-1)
 	}
-	cold := (&avatar.Reconstructor{Model: model, Resolution: res}).Reconstruct(p)
-	if !reflect.DeepEqual(shared, cold) {
-		t.Fatal("cached mesh differs from a cold reconstruction")
+	solo := (&avatar.Reconstructor{Model: model, Resolution: res}).Skin(p)
+	if !reflect.DeepEqual(shared, solo) {
+		t.Fatal("cached mesh differs from a solo skin")
 	}
 
 	anchor := geom.V3(0, 1.5, 0.1)
@@ -65,11 +66,11 @@ func TestMeshCacheExactHitAndIsolation(t *testing.T) {
 	patch.Transform(geom.Translation(anchor).Mul(geom.Scaling(geom.V3(0.1, 0.1, 0.1))))
 	payload := dracogo.EncodeMesh(patch, dracogo.Options{PositionBits: 14})
 	hy := &core.HybridDecoder{
-		Model: model, PeripheralResolution: res, WarmStart: true, Cache: cache,
+		Model: model, PeripheralResolution: res, Cache: cache,
 		Selector: gaze.FovealSelector{Radius: 8, ViewDistance: 2},
 	}
 	hy.SetGazeAnchor(anchor)
-	kp := &core.KeypointDecoder{Model: model, Resolution: res, WarmStart: true, Cache: cache}
+	kp := &core.KeypointDecoder{Model: model, Resolution: res, Cache: cache}
 	for i := 0; i < 20; i++ {
 		q := p
 		if i%2 == 1 {
@@ -98,7 +99,26 @@ func TestMeshCacheExactHitAndIsolation(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(shared, cold) {
+	if !reflect.DeepEqual(shared, solo) {
 		t.Fatal("a decode wrote to the shared cached mesh")
+	}
+
+	// The same pose through Reconstruct is a separate entry: the
+	// extracted mesh, computed once and then shared among extractors.
+	before := c.Snapshot()
+	ex := &avatar.Reconstructor{Model: model, Resolution: res, Cache: cache}
+	extracted := ex.Reconstruct(p)
+	cold := (&avatar.Reconstructor{Model: model, Resolution: res}).Reconstruct(p)
+	if extracted == shared || !reflect.DeepEqual(extracted, cold) {
+		t.Fatal("a Reconstruct caller did not get the extracted mesh")
+	}
+	if ex.Reconstruct(p) != extracted {
+		t.Fatal("a repeated Reconstruct did not hit its own entry")
+	}
+	if kd, err := kp.Decode([]transport.Frame{{Type: transport.TypeSemantic, Channel: core.ChanKeypointData, Flags: transport.FlagKeyframe, Payload: p.Marshal()}}); err != nil || kd.Mesh != shared {
+		t.Fatalf("after a Reconstruct of its pose the decoder lost its skinned mesh (err %v)", err)
+	}
+	if s := c.Snapshot(); s.MeshMisses != before.MeshMisses+1 || s.MeshHits != before.MeshHits+2 {
+		t.Fatalf("hits +%d misses +%d, want +2/+1", s.MeshHits-before.MeshHits, s.MeshMisses-before.MeshMisses)
 	}
 }

@@ -21,11 +21,17 @@ import (
 // point samples at bitwise-identical coordinates in every frame — the
 // property the temporal-coherence cache (WarmStart, Cache) builds on.
 //
-// A Reconstructor carries per-frame cache state when WarmStart is set
-// and must then not be called from multiple goroutines concurrently
-// (extraction itself still parallelizes internally per Workers).
-// Geometry-affecting knobs (Resolution, SmoothK, Dense) are re-checked
-// each frame; changing one invalidates the warm state automatically.
+// Reconstruct extracts every frame's surface from scratch; Skin (the
+// decoders' path) extracts the rest-pose surface once and poses it per
+// frame by linear blend skinning. Reconstruct is the extraction kernel
+// Figures 2 and 4 measure, and Skin's canonical pass runs it.
+//
+// A Reconstructor carries cross-frame state (the warm-start band, the
+// canonical surface) and must not be called from multiple goroutines
+// concurrently (extraction and skinning still parallelize internally
+// per Workers). Geometry-affecting knobs are re-checked each frame:
+// changing Resolution, SmoothK or Dense invalidates the warm state, and
+// changing Model, Resolution or SmoothK the canonical surface.
 type Reconstructor struct {
 	Model *body.Model
 	// Resolution of the voxel grid along the longest axis.
@@ -37,25 +43,27 @@ type Reconstructor struct {
 	// the narrow-band sparse extraction (O(R²)); used by the ablation
 	// bench to show why narrow-band evaluation is mandatory at high R.
 	// The dense path always runs cold (no warm start, no sample reuse).
+	// Reconstruct only: Skin's canonical pass is always narrow-band.
 	Dense bool
-	// Workers bounds extraction parallelism: 0 uses GOMAXPROCS, 1 forces
-	// the serial path. Output is byte-identical for every worker count
-	// (the field is pure, and the extractors merge deterministically).
+	// Workers bounds extraction and skinning parallelism: 0 uses
+	// GOMAXPROCS, 1 forces the serial path. Output is byte-identical for
+	// every worker count (the field is pure, the extractors merge
+	// deterministically, and every skinned vertex is independent).
 	Workers int
 
 	// WarmStart enables the temporal-coherence warm path: the previous
 	// frame's surface band seeds the next frame's wavefront, and lattice
 	// samples are reused wherever no nearby bone moved (an exact,
 	// bitwise-sound test — the output stays byte-identical to a cold
-	// reconstruction at every worker count).
+	// reconstruction at every worker count). Reconstruct only.
 	WarmStart bool
-	// Cache, when non-nil, short-circuits Reconstruct for repeated
-	// (optionally quantized) poses with a bounded LRU of shared, read-only
-	// meshes.
+	// Cache, when non-nil, short-circuits Reconstruct and Skin for
+	// repeated (optionally quantized) poses with a bounded LRU of shared,
+	// read-only meshes.
 	Cache *MeshCache
 	// Counters, when non-nil, receives warm/cold frame counts and
 	// per-sample reuse telemetry (the mesh LRU reports through the
-	// cache's own Counters field).
+	// cache's own Counters field); a skinned frame counts as cold.
 	Counters *metrics.ReconCounters
 
 	// Unpruned disables the capsule culling grid, forcing every field
@@ -79,6 +87,11 @@ type Reconstructor struct {
 	lastRes     int
 	lastK       float64
 	fieldGrid   capsuleGrid // per-frame culling bins, reused across frames
+
+	// Skin state: the canonical surface and the per-frame joint
+	// transforms (see skin.go).
+	canon    canonicalSurface
+	skinMats [body.NumJoints]geom.Mat4
 }
 
 // smoothMin blends two distances with blending radius k (polynomial
@@ -360,7 +373,7 @@ const warmResetCells = 3.0
 // parameters).
 func (r *Reconstructor) Reconstruct(p *body.Params) *mesh.Mesh {
 	if r.Cache != nil {
-		return r.Cache.GetOrCompute(p, r)
+		return r.Cache.getOrCompute(p, r, false)
 	}
 	return r.reconstruct(p)
 }
@@ -458,15 +471,4 @@ func (r *Reconstructor) reconstruct(p *body.Params) *mesh.Mesh {
 
 func capsuleBox(bg boneGeometry, i int) geom.AABB {
 	return geom.EmptyAABB().Extend(bg.a[i]).Extend(bg.b[i]).Expand(bg.radius[i])
-}
-
-// ResetWarmState releases all cross-frame state (band, lattice samples,
-// extraction scratch, previous pose), forcing the next frame to
-// reconstruct cold. Meshes are unaffected — the warm path is
-// byte-identical anyway. The state is freed rather than truncated: after
-// a tier switch the decoder a stream left may never run again, and must
-// not keep its dense slot and sample arrays resident.
-func (r *Reconstructor) ResetWarmState() {
-	r.havePrev = false
-	r.state = nil
 }

@@ -225,14 +225,26 @@ func capsule(a, b geom.Vec3, r float64, circ, rings int) *mesh.Mesh {
 	return m
 }
 
+// BindWeights binds rest-pose surface vertices to the skeleton with the
+// model's own proximity weights — the binding Weights holds for the
+// template — so Skin can pose any surface extracted in the rest pose.
+func (m *Model) BindWeights(verts []geom.Vec3) [][]Influence {
+	rest := m.Skeleton.restGlobalTransforms()
+	restPos := JointPositions(&rest)
+	return computeWeights(verts, m.Skeleton, &restPos)
+}
+
 // computeWeights assigns up to maxInfluences bone weights per vertex by
 // proximity to bone segments, with a Gaussian falloff that blends
-// smoothly across joints.
+// smoothly across joints. Every vertex's influences are a window of one
+// flat backing array.
 func computeWeights(verts []geom.Vec3, skel *Skeleton, restPos *[NumJoints]geom.Vec3) [][]Influence {
 	weights := make([][]Influence, len(verts))
+	flat := make([]Influence, 0, len(verts)*maxInfluences)
+	best := make([]Influence, 0, maxInfluences+1)
 	const sigma = 0.04
 	for vi, v := range verts {
-		best := make([]Influence, 0, maxInfluences+1)
+		best = best[:0]
 		for j := 1; j < NumJoints; j++ { // skip root (no bone)
 			a, b, ok := boneSegment(restPos, Joint(j))
 			if !ok {
@@ -273,7 +285,9 @@ func computeWeights(verts []geom.Vec3, skel *Skeleton, restPos *[NumJoints]geom.
 		for i := range best {
 			best[i].W /= sum
 		}
-		weights[vi] = best
+		start := len(flat)
+		flat = append(flat, best...)
+		weights[vi] = flat[start:len(flat):len(flat)]
 	}
 	return weights
 }
@@ -345,11 +359,8 @@ func effectivePose(p *Params) [NumJoints]geom.Vec3 {
 // "PtCl/Mesh synthesis" stage of Figure 1's traditional pipeline and the
 // ground-truth generator for the keypoint pipeline's quality metrics.
 func (m *Model) Mesh(p *Params) *mesh.Mesh {
-	g := m.JointGlobals(p)
 	var skin [NumJoints]geom.Mat4
-	for j := 0; j < NumJoints; j++ {
-		skin[j] = g[j].Mul(m.restInv[j])
-	}
+	m.SkinMatrices(p, &skin)
 	// Expression displacement in rest space, then skinning.
 	displaced := m.Template.Vertices
 	needCopy := false
@@ -375,15 +386,34 @@ func (m *Model) Mesh(p *Params) *mesh.Mesh {
 		Vertices: make([]geom.Vec3, len(displaced)),
 		Faces:    m.Template.Faces, // shared: connectivity never changes
 	}
-	for vi, v := range displaced {
-		var acc geom.Vec3
-		for _, in := range m.Weights[vi] {
-			acc = acc.Add(skin[in.Joint].TransformPoint(v).Scale(in.W))
-		}
-		out.Vertices[vi] = acc
-	}
+	Skin(out.Vertices, displaced, m.Weights, &skin)
 	out.ComputeNormals()
 	return out
+}
+
+// SkinMatrices writes the linear-blend-skinning transform of every joint
+// for p into skin: the posed global transform times the inverse rest
+// transform, so a rest-pose point bound to joint j moves with it.
+func (m *Model) SkinMatrices(p *Params, skin *[NumJoints]geom.Mat4) {
+	g := m.JointGlobals(p)
+	for j := 0; j < NumJoints; j++ {
+		skin[j] = g[j].Mul(m.restInv[j])
+	}
+}
+
+// Skin poses rest-pose vertices by linear blend skinning: dst[i] is the
+// weights[i] blend of the skin transforms applied to rest[i]. It is the
+// one LBS loop behind both Model.Mesh and the avatar reconstructor's
+// skinned surfaces; every vertex is independent, so callers may skin
+// disjoint subslices concurrently.
+func Skin(dst, rest []geom.Vec3, weights [][]Influence, skin *[NumJoints]geom.Mat4) {
+	for vi, v := range rest {
+		var acc geom.Vec3
+		for _, in := range weights[vi] {
+			acc = acc.Add(skin[in.Joint].TransformPoint(v).Scale(in.W))
+		}
+		dst[vi] = acc
+	}
 }
 
 // KeypointCount is the number of keypoints Keypoints returns: all joints

@@ -34,10 +34,7 @@ func (a *AdaptiveDecoder) ResetState() {
 	if a.Image != nil {
 		a.Image.ResetState()
 	}
-	if a.Hybrid != nil {
-		a.Hybrid.ResetState()
-	}
-	// Traditional and Cloud decoders are stateless.
+	// Traditional, Cloud and Hybrid decoders carry no per-frame state.
 }
 
 // Decode implements Decoder.

@@ -151,32 +151,36 @@ func (c *fovealCut) apply(src *mesh.Mesh, sel gaze.FovealSelector, anchor geom.V
 	return out
 }
 
-// HybridDecoder reconstructs the periphery from keypoints at a reduced
-// resolution and grafts the received foveal mesh over it: peripheral
-// faces falling inside the foveal region are dropped, then the foveal
-// patch is merged — into a fresh mesh, since with a Cache the peripheral
-// reconstruction is shared with other streams. The seam between the two
-// parts is the integration challenge §3.1 leaves open; the decoder makes
-// it measurable rather than hiding it.
+// HybridDecoder poses the periphery from keypoints — a rest-pose surface
+// extracted once at a reduced resolution, then skinned per frame, as in
+// KeypointDecoder — and grafts the received foveal mesh over it:
+// peripheral faces falling inside the foveal region are dropped, then the
+// foveal patch is merged — into a fresh mesh, since the peripheral mesh
+// shares its faces with the rest surface and, with a Cache, is shared
+// with other streams. The seam between the two parts is the integration
+// challenge §3.1 leaves open; the decoder makes it measurable rather
+// than hiding it.
 type HybridDecoder struct {
 	Model *body.Model
 	Codec compress.Codec
-	// PeripheralResolution is the keypoint-reconstruction resolution for
-	// the periphery (deliberately low; that is the point of the hybrid).
+	// PeripheralResolution is the rest-surface resolution for the
+	// periphery (deliberately low; that is the point of the hybrid).
 	PeripheralResolution int
 	Selector             gaze.FovealSelector
-	// Workers bounds peripheral-reconstruction parallelism (0 =
+	// Workers bounds peripheral extraction and skinning parallelism (0 =
 	// GOMAXPROCS, 1 = serial); output is identical at any setting.
 	Workers int
-	// WarmStart enables temporal-coherence peripheral reconstruction
-	// (byte-identical output, see avatar.Reconstructor).
+	// WarmStart has no effect on decoded meshes; kept because bench/
+	// sets it.
 	WarmStart bool
 	// Cache, when non-nil, serves repeated (quantized) poses from a mesh
-	// LRU before peripheral reconstruction runs.
+	// LRU before peripheral skinning runs.
 	Cache *avatar.MeshCache
-	// Counters, when non-nil, accumulates cache and warm-start telemetry.
+	// Counters, when non-nil, accumulates cache telemetry and counts each
+	// skinned frame as a cold frame.
 	Counters *metrics.ReconCounters
-	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry.
+	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry
+	// of the rest-surface extraction.
 	FieldStats *metrics.FieldCounters
 
 	rec *avatar.Reconstructor
@@ -196,14 +200,6 @@ func (d *HybridDecoder) SetGazeAnchor(p geom.Vec3) {
 // service sets each frame's pool grant here before decoding. Not safe
 // concurrently with Decode (callers serialize per stream).
 func (d *HybridDecoder) SetWorkers(n int) { d.Workers = n }
-
-// ResetState implements StateResetter: drop warm-start peripheral
-// reconstruction state so the next frame decodes as a cold start.
-func (d *HybridDecoder) ResetState() {
-	if d.rec != nil {
-		d.rec.ResetWarmState()
-	}
-}
 
 // Mode implements Decoder.
 func (d *HybridDecoder) Mode() Mode { return ModeHybrid }
@@ -260,14 +256,14 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	}
 	d.rec.Resolution = res
 	d.rec.Workers = d.Workers
-	d.rec.WarmStart = d.WarmStart
 	d.rec.Cache = d.Cache
 	d.rec.Counters = d.Counters
 	d.rec.FieldStats = d.FieldStats
-	peripheral := d.rec.Reconstruct(params)
+	peripheral := d.rec.Skin(params)
 
-	// peripheral may be a cached mesh other streams are reading: graft
-	// into a copy, never in place.
+	// peripheral shares its faces with the rest surface and may be a
+	// cached mesh other streams are reading: graft into a copy, never in
+	// place.
 	merged := peripheral
 	anchor := d.anchor.Load()
 	if foveal != nil && anchor != nil {

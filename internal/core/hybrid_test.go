@@ -80,7 +80,7 @@ func hybridWire(p *body.Params, fovealPayload []byte) []transport.Frame {
 // with no decoder anchor (the clone-and-merge branch), with an empty
 // fovea (the decoder hands back the shared peripheral mesh itself), and
 // with everything foveal. The decoder runs over a mesh cache, so the
-// peripheral mesh it cuts is the cached one; the reference reconstructs
+// peripheral mesh it cuts is the cached skinned one; the reference skins
 // its own.
 func TestHybridCutMatchesReference(t *testing.T) {
 	face := geom.V3(0, 1.5, 0.1)
@@ -105,7 +105,7 @@ func TestHybridCutMatchesReference(t *testing.T) {
 			enc := &HybridEncoder{Selector: tc.sel, MeshOptions: opts}
 			enc.SetGazeAnchor(*tc.encAnchor)
 			cache := &avatar.MeshCache{Capacity: frames}
-			dec := &HybridDecoder{Model: testModel, PeripheralResolution: res, Selector: tc.sel, WarmStart: true, Cache: cache}
+			dec := &HybridDecoder{Model: testModel, PeripheralResolution: res, Selector: tc.sel, Cache: cache}
 			if tc.decAnchor != nil {
 				dec.SetGazeAnchor(*tc.decAnchor)
 			}
@@ -136,7 +136,7 @@ func TestHybridCutMatchesReference(t *testing.T) {
 					}
 					grafted++
 				}
-				peripheral := refRec.Reconstruct(p)
+				peripheral := refRec.Skin(p)
 				want := referenceGraft(peripheral, foveal, tc.sel, tc.decAnchor)
 				got, err := dec.Decode(hybridWire(p, payload))
 				if err != nil {
@@ -147,8 +147,8 @@ func TestHybridCutMatchesReference(t *testing.T) {
 						len(got.Mesh.Vertices), len(want.Vertices), len(got.Mesh.Faces), len(want.Faces))
 				}
 				// The graft must leave the cached peripheral mesh as
-				// reconstructed.
-				if shared := cached.Reconstruct(p); !reflect.DeepEqual(shared, peripheral) {
+				// skinned.
+				if shared := cached.Skin(p); !reflect.DeepEqual(shared, peripheral) {
 					t.Fatalf("frame %d: decode modified the cached peripheral mesh", i)
 				} else if foveal == nil && got.Mesh != shared {
 					t.Fatalf("frame %d: no fovea, but the decoder copied the cached mesh", i)

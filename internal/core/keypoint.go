@@ -132,30 +132,35 @@ func observationsToPositions(obs []keypoint.Observation) []geom.Vec3 {
 }
 
 // KeypointDecoder reverses KeypointEncoder: decompress → parameters →
-// implicit-SDF reconstruction at the configured output resolution (the
-// Figure 2/4 knob).
+// a posed surface. The first frame extracts the avatar's rest-pose
+// surface from the implicit SDF at the configured output resolution (the
+// Figure 2/4 knob) and binds it to the skeleton; every frame then poses
+// that surface by linear blend skinning (avatar.Reconstructor.Skin), so
+// per-frame cost is O(vertices), not a lattice extraction. Decoded meshes
+// share their faces with that rest surface: read-only, Clone to mutate.
 type KeypointDecoder struct {
 	Model *body.Model
 	Codec compress.Codec
-	// Resolution is the reconstruction voxel resolution; 0 skips
-	// geometry reconstruction entirely (parameters only), which is how
-	// bandwidth-only experiments avoid paying reconstruction cost.
+	// Resolution is the rest-surface voxel resolution; 0 skips geometry
+	// entirely (parameters only), which is how bandwidth-only
+	// experiments avoid paying reconstruction cost. Changing it re-runs
+	// the rest-surface extraction on the next frame.
 	Resolution int
-	// Workers bounds reconstruction parallelism (0 = GOMAXPROCS,
-	// 1 = serial); the mesh is identical at any setting.
+	// Workers bounds extraction and skinning parallelism (0 =
+	// GOMAXPROCS, 1 = serial); the mesh is identical at any setting.
 	Workers int
-	// WarmStart enables temporal-coherence reconstruction: the persistent
-	// reconstructor seeds each frame's surface band from the previous
-	// frame and reuses SDF samples where no nearby joint moved. Output is
-	// byte-identical to cold reconstruction.
+	// WarmStart has no effect on decoded meshes; kept because bench/
+	// sets it.
 	WarmStart bool
 	// Cache, when non-nil, serves repeated (quantized) poses from a mesh
-	// LRU before any reconstruction runs.
+	// LRU before any skinning runs.
 	Cache *avatar.MeshCache
-	// Counters, when non-nil, accumulates cache and warm-start telemetry.
+	// Counters, when non-nil, accumulates cache telemetry and counts each
+	// skinned frame as a cold frame.
 	Counters *metrics.ReconCounters
 	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry
-	// (samples, capsule tests, culling-bin stats).
+	// (samples, capsule tests, culling-bin stats) of the rest-surface
+	// extraction.
 	FieldStats *metrics.FieldCounters
 	// Obs, when non-nil, records the reconstruct stage span separately
 	// from the enclosing decode span.
@@ -168,15 +173,14 @@ type KeypointDecoder struct {
 }
 
 // reconstructor returns the decoder's persistent reconstructor, rebuilt
-// only when the identity-defining knobs change (the reconstructor itself
-// invalidates warm state on resolution changes).
+// only when the model changes (the reconstructor itself re-runs its
+// rest-surface pass on resolution changes).
 func (d *KeypointDecoder) reconstructor() *avatar.Reconstructor {
 	if d.rec == nil || d.rec.Model != d.Model {
 		d.rec = &avatar.Reconstructor{Model: d.Model}
 	}
 	d.rec.Resolution = d.Resolution
 	d.rec.Workers = d.Workers
-	d.rec.WarmStart = d.WarmStart
 	d.rec.Cache = d.Cache
 	d.rec.Counters = d.Counters
 	d.rec.FieldStats = d.FieldStats
@@ -221,7 +225,7 @@ func (d *KeypointDecoder) Decode(channels []transport.Frame) (FrameData, error) 
 			out.Params = params
 			if d.Resolution > 0 && d.Model != nil {
 				stop := d.Obs.StartStage(obs.StageReconstruct)
-				out.Mesh = d.reconstructor().Reconstruct(params)
+				out.Mesh = d.reconstructor().Skin(params)
 				stop()
 			}
 		default:
@@ -239,13 +243,11 @@ func (d *KeypointDecoder) LastTexture() ([]pointcloud.Color, int, int) {
 	return d.lastTexture, d.texW, d.texH
 }
 
-// ResetState implements StateResetter: drop warm-start reconstruction
-// state and texture history so the next frame decodes exactly as a cold
-// start — the receiver-side half of a mid-stream tier switch.
+// ResetState implements StateResetter: drop texture history so the next
+// frame decodes exactly as a cold start — the receiver-side half of a
+// mid-stream tier switch. The rest surface is per identity, not per
+// frame, and survives.
 func (d *KeypointDecoder) ResetState() {
-	if d.rec != nil {
-		d.rec.ResetWarmState()
-	}
 	d.lastTexture = nil
 	d.texW, d.texH = 0, 0
 }

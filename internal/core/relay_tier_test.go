@@ -134,8 +134,8 @@ func TestRelayTiersPerSubscriber(t *testing.T) {
 		name string
 		res  legResult
 	}{{"fast", fastLeg}, {"slow", slowLeg}} {
-		kpDec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 0, WarmStart: true}
-		hyDec := &HybridDecoder{Model: testModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel, WarmStart: true}
+		kpDec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 0}
+		hyDec := &HybridDecoder{Model: testModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel}
 		hyDec.SetGazeAnchor(anchor)
 		dec := &AdaptiveDecoder{Keypoint: kpDec, Hybrid: hyDec}
 

@@ -21,7 +21,7 @@ type KeyframeForcer interface {
 }
 
 // StateResetter is implemented by decoders that carry cross-frame
-// state (delta references, warm-start bands, texture history).
+// state (delta references, texture history, trained fields).
 // ResetState drops that state so the next decoded frame is treated as
 // a cold start — the receiver-side half of a mid-stream tier switch:
 // resetting exactly on the tier-switch keyframe boundary makes the

@@ -44,13 +44,12 @@ type Env struct {
 	// compute kernel (capture rig, isosurface extraction, rasterizer,
 	// NeRF training). Always ≥ 1 after NewEnv.
 	Parallelism int
-	// Cache enables temporal-coherence reconstruction in the pipeline
-	// decoders this env builds: warm-started extraction plus a shared
+	// Cache gives the pipeline decoders this env builds a shared
 	// pose-keyed mesh LRU. Meshes are byte-identical either way; only
 	// the rate changes.
 	Cache bool
-	// Recon accumulates cache and warm-start telemetry for decoders
-	// built from this env.
+	// Recon accumulates cache and frame telemetry for decoders built
+	// from this env.
 	Recon metrics.ReconCounters
 
 	meshCache *avatar.MeshCache

@@ -177,6 +177,6 @@ func newTextDecoderFor() *core.TextDecoder {
 func newKeypointDecoderFor(env *Env, res int) *core.KeypointDecoder {
 	return &core.KeypointDecoder{
 		Model: env.Model, Codec: lzrCodec(), Resolution: res,
-		WarmStart: env.Cache, Cache: env.reconCache(), Counters: env.reconCounters(),
+		Cache: env.reconCache(), Counters: env.reconCounters(),
 	}
 }

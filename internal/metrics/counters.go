@@ -117,7 +117,7 @@ func (c *ReconCounters) Register(reg *obs.Registry) {
 	samples.Func(func() float64 { return float64(c.reused.Load()) }, "reused")
 	samples.Func(func() float64 { return float64(c.evaluated.Load()) }, "evaluated")
 	reg.GaugeFunc("semholo_recon_mesh_cache_hit_rate",
-		"Fraction of Reconstruct calls served from the mesh LRU.",
+		"Fraction of Reconstruct and Skin calls served from the mesh LRU.",
 		func() float64 { return c.Snapshot().HitRate() })
 }
 

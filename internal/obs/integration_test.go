@@ -79,7 +79,6 @@ func TestEndToEndScrape(t *testing.T) {
 	enc, kd := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 16})
 	var recon metrics.ReconCounters
 	recon.Register(reg)
-	kd.WarmStart = true
 	kd.Cache = &avatar.MeshCache{Capacity: 4, Quant: 0.05}
 	kd.Counters = &recon
 	kd.Obs = pm
@@ -213,11 +212,16 @@ func TestEndToEndScrape(t *testing.T) {
 		t.Errorf("receiver RTT = %v, want > 0 (ping answered over a 3 ms link)", got)
 	}
 
-	// Reconstruction-cache counters.
+	// Reconstruction counters: every decoded frame is a mesh-cache hit or
+	// a skinned frame, which counts as cold with no sample reuse.
 	warm := metricValue(exp, `semholo_recon_frames_total{kind="warm"}`)
 	cold := metricValue(exp, `semholo_recon_frames_total{kind="cold"}`)
-	if warm+cold < 1 {
-		t.Errorf("recon frames warm=%v cold=%v, want at least one reconstruction", warm, cold)
+	hits := metricValue(exp, `semholo_recon_mesh_cache_ops_total{op="hit"}`)
+	if warm != 0 || cold < 1 || cold+hits != frames {
+		t.Errorf("recon frames warm=%v cold=%v, cache hits %v: want warm 0 and cold+hits = %d decoded frames", warm, cold, hits, frames)
+	}
+	if got := metricValue(exp, `semholo_recon_samples_total{kind="reused"}`); got != 0 {
+		t.Errorf("recon samples reused = %v, want 0 (skinning reuses no lattice samples)", got)
 	}
 	if got := metricValue(exp, "semholo_recon_mesh_cache_hit_rate"); got < 0 {
 		t.Error("mesh cache hit rate missing from scrape")

@@ -118,10 +118,10 @@ func TestMidStreamTierSwitchMatchesColdDecode(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		newKP := func() *core.KeypointDecoder {
-			return &core.KeypointDecoder{Model: seqModel, Codec: compress.LZR(), Resolution: 24, WarmStart: true, Workers: workers}
+			return &core.KeypointDecoder{Model: seqModel, Codec: compress.LZR(), Resolution: 24, Workers: workers}
 		}
 		newHy := func() *core.HybridDecoder {
-			hy := &core.HybridDecoder{Model: seqModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel, WarmStart: true, Workers: workers}
+			hy := &core.HybridDecoder{Model: seqModel, Codec: compress.LZR(), PeripheralResolution: 16, Selector: sel, Workers: workers}
 			hy.SetGazeAnchor(anchor)
 			return hy
 		}

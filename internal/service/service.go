@@ -50,7 +50,8 @@ type Options struct {
 	Resolution int
 	// Codec decompresses keypoint payloads (default LZR).
 	Codec compress.Codec
-	// WarmStart enables temporal-coherence reconstruction per stream.
+	// WarmStart has no effect on decoded meshes; kept because bench/
+	// sets it.
 	WarmStart bool
 	// Cache is the pose-keyed mesh LRU shared by all tenants; nil creates
 	// one of the avatar default capacity.
@@ -154,7 +155,6 @@ func (s *DecodeService) newDecoder() core.Decoder {
 		Model:      s.opt.Model,
 		Codec:      s.opt.Codec,
 		Resolution: s.opt.Resolution,
-		WarmStart:  s.opt.WarmStart,
 		Cache:      s.opt.Cache,
 		Counters:   s.opt.Counters,
 		FieldStats: s.opt.FieldStats,
@@ -162,7 +162,7 @@ func (s *DecodeService) newDecoder() core.Decoder {
 }
 
 // Admit registers a tenant and returns its stream context. Admission
-// allocates only per-stream state (decoder scratch, warm-start band);
+// allocates only per-stream state (decoder scratch, rest surface);
 // the kernels, cache, and pool are shared. The id must be unique among
 // live tenants.
 func (s *DecodeService) Admit(id string) (*StreamCtx, error) {

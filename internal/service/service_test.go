@@ -57,7 +57,6 @@ func TestServiceByteIdentityVsBareDecoder(t *testing.T) {
 		svc := New(Options{
 			Model:      testModel,
 			Resolution: res,
-			WarmStart:  true,
 			Pool:       par.NewPool(poolSize),
 		})
 		for ti := 0; ti < tenants; ti++ {
@@ -66,7 +65,7 @@ func TestServiceByteIdentityVsBareDecoder(t *testing.T) {
 				t.Fatal(err)
 			}
 			solo := &core.KeypointDecoder{
-				Model: testModel, Codec: compress.LZR(), Resolution: res, WarmStart: true,
+				Model: testModel, Codec: compress.LZR(), Resolution: res,
 			}
 			for fi, raw := range motionWire(codec, float64(ti)*0.37, frames) {
 				got, err := st.Decode(context.Background(), raw)
@@ -180,7 +179,7 @@ func (w testingWriter) Write(p []byte) (int, error) {
 func TestServiceConcurrentAdmitDetachHammer(t *testing.T) {
 	const tenants = 32
 	codec := compress.LZR()
-	svc := New(Options{Model: testModel, Resolution: 16, WarmStart: true, Cache: &avatar.MeshCache{Capacity: 16}})
+	svc := New(Options{Model: testModel, Resolution: 16, Cache: &avatar.MeshCache{Capacity: 16}})
 	defer svc.Close()
 	var wg sync.WaitGroup
 	for ti := 0; ti < tenants; ti++ {

@@ -43,24 +43,24 @@ func hashMesh(m *mesh.Mesh) uint64 {
 // foveal patch over the peripheral mesh) and a keypoint tenant decode
 // the same 50-pose stream concurrently while a third goroutine keeps
 // re-reading every cached mesh; afterwards each cached mesh must still
-// equal a cold reconstruction, and so must every keypoint output.
+// equal a solo skinned decode, and so must every keypoint output.
 func TestServiceSharedMeshReadOnly(t *testing.T) {
 	const frames, res = 50, 24
 	codec := compress.LZR()
 	anchor := geom.V3(0, 1.5, 0.1)
 	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
 	svc := New(Options{
-		Model: testModel, Resolution: res, WarmStart: true,
+		Model: testModel, Resolution: res,
 		NewDecoder: func(o Options) core.Decoder {
 			hy := &core.HybridDecoder{
 				Model: o.Model, Codec: o.Codec, PeripheralResolution: o.Resolution,
-				Selector: sel, WarmStart: o.WarmStart, Cache: o.Cache,
+				Selector: sel, Cache: o.Cache,
 			}
 			hy.SetGazeAnchor(anchor)
 			return &core.AdaptiveDecoder{
 				Keypoint: &core.KeypointDecoder{
 					Model: o.Model, Codec: o.Codec, Resolution: o.Resolution,
-					WarmStart: o.WarmStart, Cache: o.Cache,
+					Cache: o.Cache,
 				},
 				Hybrid: hy,
 			}
@@ -127,7 +127,7 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 					return
 				default:
 				}
-				hashMesh(rec.Reconstruct(p))
+				hashMesh(rec.Skin(p))
 			}
 		}
 	}()
@@ -136,14 +136,17 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 	reader.Wait()
 
 	cached := &avatar.Reconstructor{Model: testModel, Resolution: res, Cache: svc.Cache()}
-	cold := &avatar.Reconstructor{Model: testModel, Resolution: res}
+	solo := &core.KeypointDecoder{Model: testModel, Codec: codec, Resolution: res}
 	for i, p := range poses {
-		want := cold.Reconstruct(p)
-		if !reflect.DeepEqual(cached.Reconstruct(p), want) {
-			t.Fatalf("pose %d: cached mesh no longer equals a cold reconstruction", i)
+		ref, err := solo.Decode(wireRaw(codec, p).Frames)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if kpOut[i] != nil && !reflect.DeepEqual(kpOut[i], want) {
-			t.Fatalf("pose %d: keypoint tenant's mesh differs from a cold reconstruction", i)
+		if !reflect.DeepEqual(cached.Skin(p), ref.Mesh) {
+			t.Fatalf("pose %d: cached mesh no longer equals a solo skinned decode", i)
+		}
+		if kpOut[i] != nil && !reflect.DeepEqual(kpOut[i], ref.Mesh) {
+			t.Fatalf("pose %d: keypoint tenant's mesh differs from a solo skinned decode", i)
 		}
 	}
 }

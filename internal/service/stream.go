@@ -12,7 +12,7 @@ import (
 )
 
 // StreamCtx is one tenant's per-stream state inside a DecodeService: a
-// stateful decoder (warm-start band, codec and graft scratch) over the
+// stateful decoder (rest surface, codec and graft scratch) over the
 // service's shared kernels and shared read-only cached meshes, plus the
 // one-decode-at-a-time token that keeps the tenant's bursts queued
 // against itself. Obtain one from DecodeService.Admit.
@@ -93,7 +93,7 @@ func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameD
 
 	if tierSwitched(raw) {
 		// Mid-stream tier switch: drop the decoder's cross-frame state
-		// (warm-start bands, texture history, delta references) on
+		// (texture history, delta references, trained fields) on
 		// exactly this keyframe boundary, so the switched stream decodes
 		// byte-identically to a cold decode of the new tier.
 		if rs, ok := st.dec.(core.StateResetter); ok {

@@ -192,8 +192,8 @@ func (w *World) FrameAt(i int) Capture { return w.Sequence.FrameAt(i) }
 
 // KeypointOptions tunes the keypoint pipeline.
 type KeypointOptions struct {
-	// Resolution is the receiver reconstruction resolution (default 64;
-	// 0 disables geometry reconstruction).
+	// Resolution is the receiver's rest-surface resolution (default 64;
+	// negative disables geometry reconstruction).
 	Resolution int
 	// SendTexture ships a compressed 2D texture view alongside the pose.
 	SendTexture bool
@@ -203,7 +203,8 @@ type KeypointOptions struct {
 
 // NewKeypointPipeline builds the paper's proof-of-concept pipeline (§4):
 // 3D keypoints → SMPL-X-style parameters → LZMA-family compression on
-// the wire, implicit-surface reconstruction at the receiver.
+// the wire; at the receiver, an implicit-surface rest pose extracted once
+// and posed per frame by linear blend skinning.
 func NewKeypointPipeline(w *World, opt KeypointOptions) (Encoder, *core.KeypointDecoder) {
 	det := keypoint.DefaultDetector()
 	if opt.Detector != nil {
