@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check
+.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check fuzz-smoke
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -41,7 +41,8 @@ bench-m2p:
 ## ci: the full gate — vet, build, race-enabled tests, the
 ## temporal-coherence determinism suite (warm/cached output must stay
 ## byte-identical to cold reconstruction, skinned output deterministic
-## and no worse than extraction), and the observability gate.
+## and no worse than extraction), the per-subsystem gates, the
+## allocation pins and 10 s of fuzzing per peer-bytes parser.
 ci: vet build
 	$(GO) test -race -short ./...
 	$(MAKE) cache-determinism
@@ -54,6 +55,7 @@ ci: vet build
 	$(MAKE) tier-check
 	$(MAKE) cluster-check
 	$(MAKE) alloc-check
+	$(MAKE) fuzz-smoke
 
 ## pipeline-check: the staged-runtime gate — race-enabled goroutine-leak
 ## tests (pipeline, relay, session) plus the staged-vs-sequential
@@ -123,7 +125,11 @@ trace-check:
 
 ## tier-check: the adaptive-tiering gate — race-enabled ladder encode
 ## suites (rung ordering, per-tier state reuse, ladder-of-one byte
-## identity), the tier wire-extension compat suites, the TierSelector
+## identity, every rung byte-identical to its standalone encoder on the
+## quantised pose while a standalone encoder keeps the float64 frame,
+## rung 0's wire frame inside a 200 kbps leg's headroom at 30 fps), the
+## quantised pose codec's round-trip and fallback suite, the tier
+## wire-extension compat suites, the TierSelector
 ## signal/backoff unit tests, the AdaptiveDecoder channel demux, the
 ## decode-service tenant's mid-stream switch regression (byte-identical
 ## to a cold decode at the switch boundary), the newest-wins dequeue suites that feed the
@@ -137,7 +143,7 @@ trace-check:
 ## is the wall-clock test that catches a starved leg probing upward
 ## when its shedding stops reaching the TierSelector.
 tier-check:
-	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport ./internal/service
+	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder|TestCompactPose' ./internal/core ./internal/transport ./internal/service ./internal/body
 	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
 ## cluster-check: the sharded-cluster gate — race-enabled placement /
@@ -158,8 +164,22 @@ cluster-check:
 ## Reconstructor.Reconstruct allocates nothing, a steady-state skinned
 ## frame allocates two objects (mesh header + vertex array; the faces are
 ## the rest surface's), the hybrid graft allocates three objects per frame
-## (mesh header + two exact-size arrays), and steady-state lzr.Compress of
+## (mesh header + two exact-size arrays), steady-state lzr.Compress of
 ## a marshalled pose stays under 8 KiB per call (its 256 KiB hash-head
-## table is pooled).
+## table is pooled), lzr.Decompress of a 14-byte stream declaring 4 GiB
+## fails with ErrCorrupt having allocated ≤ 64 KiB, and
+## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B.
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh
+
+## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
+## — the pose frame (both magics), lzr streams, the hop-trace wire
+## extension — plus the pruned SDF evaluator. Each target asserts an
+## allocation ceiling or a bitwise identity, not only the absence of a
+## panic; a crasher lands in the package's testdata/fuzz and must be
+## committed as a regression case.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalParams$$' -fuzztime 10s ./internal/body
+	$(GO) test -run '^$$' -fuzz '^FuzzLZRDecompress$$' -fuzztime 10s ./internal/compress/lzr
+	$(GO) test -run '^$$' -fuzz '^FuzzHopTraceRoundTrip$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzFieldPrunedEval$$' -fuzztime 10s ./internal/avatar

@@ -181,8 +181,25 @@ func Compress(src []byte) []byte {
 	return append(hdr, e.flush()...)
 }
 
+// reserveRatio bounds Decompress's up-front output reservation at this
+// many bytes per stream byte. The declared length is the peer's claim,
+// not yet backed by data: reserving it outright would let a 14-byte
+// header declaring 4 GiB allocate 4 GiB before the stream fails. Output
+// past the reservation grows only as the stream produces it.
+const reserveRatio = 64
+
 // Decompress reverses Compress.
 func Decompress(data []byte) ([]byte, error) {
+	out, err := decompress(data)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decompress is Decompress, returning on error the output produced
+// before the stream failed (what its allocations are bounded by).
+func decompress(data []byte) ([]byte, error) {
 	if len(data) < 4 || data[0] != magic[0] || data[1] != magic[1] || data[2] != magic[2] || data[3] != magic[3] {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
@@ -201,12 +218,12 @@ func Decompress(data []byte) ([]byte, error) {
 
 	m := newModel()
 	d := newRangeDecoder(rest)
-	out := make([]byte, 0, origLen)
+	out := make([]byte, 0, min(origLen, reserveRatio*uint64(len(rest))))
 	prevByte := byte(0)
 	lastWasMatch := 0
 	for uint64(len(out)) < origLen {
 		if d.err {
-			return nil, fmt.Errorf("%w: truncated stream", ErrCorrupt)
+			return out, fmt.Errorf("%w: truncated stream", ErrCorrupt)
 		}
 		if d.decodeBit(&m.isMatch[lastWasMatch]) == 1 {
 			length := int(m.length.decode(d)) + minMatch
@@ -218,10 +235,10 @@ func Decompress(data []byte) ([]byte, error) {
 			}
 			dist := int(distFromSlot(slot, footer))
 			if dist <= 0 || dist > len(out) {
-				return nil, fmt.Errorf("%w: distance %d beyond window %d", ErrCorrupt, dist, len(out))
+				return out, fmt.Errorf("%w: distance %d beyond window %d", ErrCorrupt, dist, len(out))
 			}
 			if uint64(len(out)+length) > origLen {
-				return nil, fmt.Errorf("%w: match overruns declared length", ErrCorrupt)
+				return out, fmt.Errorf("%w: match overruns declared length", ErrCorrupt)
 			}
 			start := len(out) - dist
 			for i := 0; i < length; i++ {

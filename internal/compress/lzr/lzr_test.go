@@ -2,6 +2,8 @@ package lzr
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -235,5 +237,38 @@ func TestCompressPoseAllocs(t *testing.T) {
 	})
 	if got := res.AllocedBytesPerOp(); got >= 8<<10 {
 		t.Fatalf("Compress of a %d-byte pose allocates %d B/op, want < 8 KiB", len(src), got)
+	}
+}
+
+// hostileLength is a 14-byte stream whose header declares 4 GiB of
+// output backed by five bytes of range-coder input.
+func hostileLength() []byte {
+	data := binary.AppendUvarint(append([]byte(nil), magic[:]...), 1<<32)
+	return append(data, 0, 0, 0, 0, 0)
+}
+
+// TestDecompressHostileLengthAllocs pins validate-before-allocate: a
+// stream declaring far more output than its bytes can back fails with
+// ErrCorrupt having allocated at most 64 KiB, not the declared 4 GiB.
+// The allocation half runs on a non-race line (make alloc-check).
+func TestDecompressHostileLengthAllocs(t *testing.T) {
+	data := hostileLength()
+	if len(data) != 14 {
+		t.Fatalf("hostile stream is %d bytes, want 14", len(data))
+	}
+	if _, err := Decompress(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decompress = %v, want ErrCorrupt", err)
+	}
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = Decompress(data)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 64<<10 {
+		t.Fatalf("Decompress of a 14-byte stream declaring 4 GiB allocates %d B/op, want ≤ 64 KiB", got)
 	}
 }

@@ -19,9 +19,16 @@ import (
 // KeypointEncoder implements the paper's proof-of-concept pipeline (§4):
 // detect 3D keypoints from the RGB-D views, temporally filter them,
 // encode them into body-model parameters (the SMPL-X alignment step),
-// and ship the ~1.6 KB parameter frame LZMA-compressed — Table 2's left
-// half. Optionally one compressed 2D texture view rides along for
-// receiver-side projection mapping (§3.1's texture-alignment agenda).
+// and ship the ~1.6 KB float64 parameter frame (body.Params.Marshal)
+// LZMA-compressed — Table 2's left half. Optionally one compressed 2D
+// texture view rides along for receiver-side projection mapping (§3.1's
+// texture-alignment agenda).
+//
+// The pose encoder of NewSemanticLadder ships the 408-byte quantised
+// frame (body.Params.MarshalCompact) instead, falling back to the
+// float64 frame for any frame with a value out of its integer range; a
+// standalone encoder always ships the float64 frame. KeypointDecoder and
+// HybridDecoder read either, by magic.
 type KeypointEncoder struct {
 	Model    *body.Model
 	Detector *keypoint.Detector
@@ -40,7 +47,10 @@ type KeypointEncoder struct {
 	// deployments without depth sensors.
 	UseLifting bool
 
-	lastFit *body.Params
+	// compactPose selects body.Params.MarshalCompact for the pose frame;
+	// set only by NewSemanticLadder.
+	compactPose bool
+	lastFit     *body.Params
 	// chanScratch is the EncodedFrame.Channels backing array, reused
 	// across frames — senders consume the slice before the next Encode,
 	// so steady-state encoding allocates no per-frame channel slice.
@@ -89,7 +99,12 @@ func (e *KeypointEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 	// from the face tracker, a keypoint source in its own right).
 	params.Expression = c.Truth.Expression
 
-	raw := params.Marshal()
+	var raw []byte
+	if e.compactPose {
+		raw = params.MarshalCompact()
+	} else {
+		raw = params.Marshal()
+	}
 	flags := transport.FlagKeyframe | transport.FlagEndOfFrame
 	payload := raw
 	if !e.Uncompressed && e.Codec != nil {
@@ -131,13 +146,14 @@ func observationsToPositions(obs []keypoint.Observation) []geom.Vec3 {
 	return out
 }
 
-// KeypointDecoder reverses KeypointEncoder: decompress → parameters →
-// a posed surface. The first frame extracts the avatar's rest-pose
-// surface from the implicit SDF at the configured output resolution (the
-// Figure 2/4 knob) and binds it to the skeleton; every frame then poses
-// that surface by linear blend skinning (avatar.Reconstructor.Skin), so
-// per-frame cost is O(vertices), not a lattice extraction. Decoded meshes
-// share their faces with that rest surface: read-only, Clone to mutate.
+// KeypointDecoder reverses KeypointEncoder: decompress → parameters
+// (float64 or quantised frame, told apart by magic) → a posed surface.
+// The first frame extracts the avatar's rest-pose surface from the
+// implicit SDF at the configured output resolution (the Figure 2/4 knob)
+// and binds it to the skeleton; every frame then poses that surface by
+// linear blend skinning (avatar.Reconstructor.Skin), so per-frame cost is
+// O(vertices), not a lattice extraction. Decoded meshes share their
+// faces with that rest surface: read-only, Clone to mutate.
 type KeypointDecoder struct {
 	Model *body.Model
 	Codec compress.Codec

@@ -171,17 +171,27 @@ func (l *TierLadder) EncodeAll(c capture.Capture) (LadderFrame, error) {
 
 // NewSemanticLadder builds the paper's three-rung semantic ladder:
 //
-//	tier 0  keypoint          body params only            (~0.3 Mbps)
+//	tier 0  keypoint          quantised body params       (~0.1 Mbps)
 //	tier 1  keypoint+texture  params + one BTC view       (~2 Mbps)
 //	tier 2  hybrid            params + texture + foveal mesh
 //
+// Tier 0's pose channel is the 408-byte quantised frame
+// (body.Params.MarshalCompact, ≈310 B after compression, against ≈1.1 KB
+// for the float64 frame), so the cheapest rung fits a 200 kbps leg; a
+// frame with a value out of the quantiser's range ships the float64
+// frame instead. Either is self-contained, so relay newest-wins can
+// supersede it, and decoders tell them apart by magic. NewSemanticLadder
+// switches pose to the quantised frame; a standalone KeypointEncoder
+// keeps the float64 one.
+//
 // Tiers 1 and 2 derive from tier 0's frame — keypoint detection, the
 // body fit, and pose compression run once per capture; each rung adds
-// only its own increment (texture compression, foveal mesh encode).
-// The derived channels are byte-identical to what
-// KeypointEncoder{SendTexture: true} and HybridEncoder would emit for
-// the same capture, so a subscriber pinned to one tier sees exactly
-// the single-encoder stream.
+// only its own increment (texture compression, foveal mesh encode), and
+// carries the same quantised pose. The derived channels are
+// byte-identical to what KeypointEncoder{SendTexture: true} and
+// HybridEncoder would emit for the same capture with the quantised pose,
+// so a subscriber pinned to one tier sees exactly that single-encoder
+// stream.
 //
 // pose must have SendTexture false (tier 1 adds the texture channel);
 // hybrid supplies the gaze anchor and mesh options for tier 2 (its own
@@ -193,6 +203,7 @@ func NewSemanticLadder(pose *KeypointEncoder, hybrid *HybridEncoder, bitrates [3
 	if pose.SendTexture {
 		return nil, fmt.Errorf("core: semantic ladder tier 0 must not send texture (tier 1 adds it)")
 	}
+	pose.compactPose = true
 	return NewTierLadder([]Tier{
 		{Name: "keypoint", Bitrate: bitrates[0], Encoder: pose},
 		{

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"semholo/internal/body"
 	"semholo/internal/capture"
 	"semholo/internal/compress"
 	"semholo/internal/compress/dracogo"
 	"semholo/internal/gaze"
 	"semholo/internal/geom"
+	"semholo/internal/obs"
 	"semholo/internal/textsem"
 	"semholo/internal/transport"
 )
@@ -98,11 +100,13 @@ func TestTierLadderOfOneByteIdentity(t *testing.T) {
 }
 
 // TestSemanticLadderMatchesSingleEncoders pins each rung of the shared
-// ladder against the standalone encoder it replaces: tier 0 against
-// KeypointEncoder, tier 1 against KeypointEncoder{SendTexture: true},
-// tier 2 against HybridEncoder — byte-identical across a motion
-// sequence, even though the ladder runs keypoint detection and the
-// body fit once per capture instead of three times.
+// ladder against the standalone encoder it replaces, each switched to
+// the quantised pose frame as the ladder switches its own: tier 0
+// against KeypointEncoder, tier 1 against KeypointEncoder{SendTexture:
+// true}, tier 2 against HybridEncoder — byte-identical across a motion
+// sequence, even though the ladder runs keypoint detection and the body
+// fit once per capture instead of three times. A standalone encoder left
+// alone still ships the float64 frame.
 func TestSemanticLadderMatchesSingleEncoders(t *testing.T) {
 	ladder, sel, anchor := newSemanticLadderFixture(t)
 	refKP := newKeypointEncoder(false)
@@ -113,6 +117,11 @@ func TestSemanticLadderMatchesSingleEncoders(t *testing.T) {
 		MeshOptions: dracogo.Options{PositionBits: 14},
 	}
 	refHybrid.SetGazeAnchor(anchor)
+	for _, e := range []*KeypointEncoder{refKP, refTex, refHybrid.Keypoint} {
+		e.compactPose = true
+	}
+	standalone := newKeypointEncoder(false)
+	standalone.Uncompressed = true
 
 	for i := 0; i < 5; i++ {
 		c := testSeq.FrameAt(i)
@@ -125,6 +134,9 @@ func TestSemanticLadderMatchesSingleEncoders(t *testing.T) {
 		}
 		wantKP, _ := refKP.Encode(c)
 		framesEqual(t, "tier0", lf.Tiers[0], wantKP)
+		if raw, _ := standalone.Encode(c); raw.TotalBytes() != body.MarshaledSize {
+			t.Fatalf("frame %d: standalone encoder ships %d raw bytes, want the float64 frame's %d", i, raw.TotalBytes(), body.MarshaledSize)
+		}
 		wantTex, _ := refTex.Encode(c)
 		framesEqual(t, "tier1", lf.Tiers[1], wantTex)
 		wantHybrid, err := refHybrid.Encode(c)
@@ -132,6 +144,55 @@ func TestSemanticLadderMatchesSingleEncoders(t *testing.T) {
 			t.Fatal(err)
 		}
 		framesEqual(t, "tier2", lf.Tiers[2], wantHybrid)
+	}
+}
+
+// TestSemanticLadderRung0FitsStarvedLeg is the machine-independent pin
+// of the quantised rung 0: its pose payload is at most 40 % of a
+// standalone encoder's float64 one, and its full wire frame — header,
+// trace extension, one hop record, tier extension, CRC — at 30 fps stays
+// below a 200 kbps leg's TierSelector headroom (200 kbps / 1.25), so a
+// starved leg can carry every frame instead of shedding.
+func TestSemanticLadderRung0FitsStarvedLeg(t *testing.T) {
+	const (
+		fps       = 30
+		legBps    = 200e3
+		headroom  = 1.25
+		maxRatio  = 0.40
+		numFrames = 8
+	)
+	ladder, _, _ := newSemanticLadderFixture(t)
+	standalone := newKeypointEncoder(false)
+	for i := 0; i < numFrames; i++ {
+		c := testSeq.FrameAt(i)
+		lf, err := ladder.EncodeAll(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := standalone.Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rung0 := lf.Tiers[0].Channels[0]
+		if got, full := len(rung0.Payload), ref.TotalBytes(); float64(got) > maxRatio*float64(full) {
+			t.Errorf("frame %d: rung-0 pose %d B is %.0f %% of the float64 frame's %d B, want ≤ %.0f %%",
+				i, got, 100*float64(got)/float64(full), full, 100*maxRatio)
+		}
+		f := &transport.Frame{
+			Type: transport.TypeSemantic, Channel: rung0.Channel,
+			Flags: rung0.Flags | transport.FlagTrace | transport.FlagTier,
+			Tier:  0, TierCount: uint8(len(lf.Tiers)),
+			Payload: rung0.Payload,
+		}
+		f.AppendHop(obs.Hop{Kind: obs.HopSender})
+		var wire bytes.Buffer
+		if err := transport.NewFrameWriter(&wire).WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		if bps := float64(wire.Len()*8) * fps; bps >= legBps/headroom {
+			t.Errorf("frame %d: rung-0 wire frame %d B × %d fps = %.0f kbps, want < %.0f kbps",
+				i, wire.Len(), fps, bps/1e3, legBps/headroom/1e3)
+		}
 	}
 }
 

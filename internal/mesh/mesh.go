@@ -207,13 +207,14 @@ func (m *Mesh) EulerCharacteristic() int {
 // SamplePoints samples approximately n points uniformly over the surface
 // using a deterministic low-discrepancy scheme (per-face stratification
 // proportional to area). The rng-free determinism keeps experiment runs
-// reproducible.
+// reproducible. The per-face counts are floors of a running total that
+// ends at n, so at most n points come back, in one allocation of n.
 func (m *Mesh) SamplePoints(n int) []geom.Vec3 {
 	total := m.SurfaceArea()
 	if total <= 0 || n <= 0 {
 		return nil
 	}
-	pts := make([]geom.Vec3, 0, n+len(m.Faces))
+	pts := make([]geom.Vec3, 0, n)
 	carry := 0.0
 	seq := 0
 	for i, f := range m.Faces {

@@ -167,6 +167,32 @@ func TestSamplePointsOnSurface(t *testing.T) {
 	}
 }
 
+// TestSamplePointsAllocs pins SamplePoints to one allocation of at most
+// (n+1)×24 B: it reserves the n points it can return, not n plus the
+// face count. n = 1024 makes n×24 B exactly a heap size class, and the
+// 1280-face sphere would push the old reservation past the bound. Run on
+// a non-race line (make alloc-check).
+func TestSamplePointsAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	const n = 1024
+	m := UnitSphere(3)
+	var got int
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got = len(m.SamplePoints(n))
+		}
+	})
+	if got > n {
+		t.Fatalf("SamplePoints(%d) returned %d points", n, got)
+	}
+	if allocs, size := res.AllocsPerOp(), res.AllocedBytesPerOp(); allocs != 1 || size > (n+1)*24 {
+		t.Fatalf("SamplePoints(%d) on %d faces: %d allocs, %d B/op; want 1 alloc of ≤ %d B", n, len(m.Faces), allocs, size, (n+1)*24)
+	}
+}
+
 func TestCompactVertices(t *testing.T) {
 	m := tetra()
 	// Add an orphan vertex.
