@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check fuzz-smoke
+.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci run-patterns-check cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check fuzz-smoke
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -38,12 +38,14 @@ bench-parallel:
 bench-m2p:
 	bash bench/run.sh --trace 0
 
-## ci: the full gate — vet, build, race-enabled tests, the
-## temporal-coherence determinism suite (warm/cached output must stay
-## byte-identical to cold reconstruction, skinned output deterministic
-## and no worse than extraction), the per-subsystem gates, the
-## allocation pins and 10 s of fuzzing per peer-bytes parser.
+## ci: the full gate — vet, build, a check that every test pattern below
+## still names a test, race-enabled tests, the reconstruction determinism
+## suite (reused and cached output must stay byte-identical to a fresh
+## reconstruction, skinned output deterministic and no worse than
+## extraction), the per-subsystem gates, the allocation pins and 10 s of
+## fuzzing per peer-bytes parser.
 ci: vet build
+	$(MAKE) run-patterns-check
 	$(GO) test -race -short ./...
 	$(MAKE) cache-determinism
 	$(MAKE) obs-check
@@ -96,13 +98,24 @@ service-check:
 	$(GO) test -race ./internal/par ./internal/service
 	$(GO) test -race -run 'TestMeshCache|TestHybridGazeAnchor' ./internal/avatar ./internal/core
 
-## cache-determinism: the warm-vs-cold byte-identity regression tests,
-## plus the skinned decode's gates: skinned chamfer against the
-## ground-truth body no worse than extraction's (3 motions × res 32/64 ×
-## 50 frames), and skinned output identical across worker counts, cache
-## and resolution changes.
+## run-patterns-check: every -run/-bench/-fuzz alternative in this
+## Makefile must match at least one test of the packages on its line —
+## `go test -run` with no match exits 0, so a renamed or deleted test
+## would otherwise leave its gate green and empty.
+run-patterns-check:
+	GO=$(GO) bash scripts/check-run-patterns.sh Makefile
+
+## cache-determinism: the reconstruction byte-identity regression tests
+## — the golden digest of 20 frames at res 32/64, a reused Reconstructor
+## against a fresh one per frame (50 motion frames, workers 1/4, and
+## across a large pose jump), the narrow-band extractor against the dense
+## sweep and across worker counts, grid anchoring, the mesh LRU — plus
+## the skinned decode's gates: skinned chamfer against the ground-truth
+## body no worse than extraction's (3 motions × res 32/64 × 50 frames),
+## and skinned output identical across worker counts, cache and
+## resolution changes.
 cache-determinism:
-	$(GO) test -run 'Temporal|Anchored|WarmStart|MeshCache|CacheAndWarm|TestSkinnedChamferNoWorseThanExtracted|TestSkinDeterministic' ./internal/mesh ./internal/avatar
+	$(GO) test -run 'TestReconstructGoldenHash|TestWarmStart|TestSparseBatchMatchesScalar|TestExtractIsosurfaceSparseParallelDeterministic|Anchored|MeshCache|CacheAndWarm|TestSkinnedChamferNoWorseThanExtracted|TestSkinDeterministic' ./internal/mesh ./internal/avatar
 
 ## field-check: the SDF-acceleration gate — race-enabled pruned-vs-brute
 ## bitwise identity (property + fuzz seed corpus), the 50-frame motion
@@ -143,7 +156,7 @@ trace-check:
 ## is the wall-clock test that catches a starved leg probing upward
 ## when its shedding stops reaching the TierSelector.
 tier-check:
-	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder|TestCompactPose' ./internal/core ./internal/transport ./internal/service ./internal/body
+	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder|TestCompactPose' ./internal/core ./internal/transport ./internal/service ./internal/body
 	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
 ## cluster-check: the sharded-cluster gate — race-enabled placement /
@@ -155,7 +168,7 @@ tier-check:
 ## their own non-race line: race instrumentation perturbs alloc counts.
 cluster-check:
 	$(GO) test -race ./internal/cluster
-	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestTrunkReshare|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
+	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
 	$(GO) test -run 'TestTrunkLegAllocs' ./internal/transport
 
 ## alloc-check: the decode-path allocation pins, on a non-race line (race
@@ -167,14 +180,17 @@ cluster-check:
 ## (mesh header + two exact-size arrays), steady-state lzr.Compress of
 ## a marshalled pose stays under 8 KiB per call (its 256 KiB hash-head
 ## table is pooled), lzr.Decompress of a 14-byte stream declaring 4 GiB
-## fails with ErrCorrupt having allocated ≤ 64 KiB, and
-## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B.
+## fails with ErrCorrupt having allocated ≤ 64 KiB,
+## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B, and a
+## 24-byte frame header declaring a 16 MiB payload, then EOF, fails
+## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error).
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
 ## — the pose frame (both magics), lzr streams, the hop-trace wire
-## extension — plus the pruned SDF evaluator. Each target asserts an
+## extension, the frame reader over every flag combination and batch
+## boundary — plus the pruned SDF evaluator. Each target asserts an
 ## allocation ceiling or a bitwise identity, not only the absence of a
 ## panic; a crasher lands in the package's testdata/fuzz and must be
 ## committed as a regression case.
@@ -182,4 +198,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalParams$$' -fuzztime 10s ./internal/body
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRDecompress$$' -fuzztime 10s ./internal/compress/lzr
 	$(GO) test -run '^$$' -fuzz '^FuzzHopTraceRoundTrip$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldPrunedEval$$' -fuzztime 10s ./internal/avatar

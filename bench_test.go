@@ -165,37 +165,6 @@ func BenchmarkReconstructParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkReconstructWarm compares cold and warm-started extraction on
-// the identical workload: consecutive motion frames through one
-// persistent Reconstructor, with only WarmStart toggled between the two
-// arms. The warm mesh is byte-identical to the cold one
-// (regression-tested in internal/avatar), so the cold/warm delta at each
-// resolution is pure rate and allocation behavior.
-func BenchmarkReconstructWarm(b *testing.B) {
-	const frames = 16
-	poses := make([]*BodyParams, frames)
-	for i := range poses {
-		poses[i] = benchEnv.Seq.Motion.At(0.5 + float64(i)/benchEnv.FPS)
-	}
-	for _, res := range []int{64, 128} {
-		for _, warm := range []bool{false, true} {
-			mode := "cold"
-			if warm {
-				mode = "warm"
-			}
-			b.Run(fmt.Sprintf("res%d/%s", res, mode), func(b *testing.B) {
-				rec := &avatar.Reconstructor{Model: benchEnv.Model, Resolution: res, Workers: 1, WarmStart: warm}
-				rec.Reconstruct(poses[0]) // prime the warm state and arenas
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rec.Reconstruct(poses[1+i%(frames-1)])
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkReconstructCacheHit times a pose-keyed mesh-LRU hit: the
 // floor reconstruction cost when a (quantized) pose repeats.
 func BenchmarkReconstructCacheHit(b *testing.B) {

@@ -157,10 +157,9 @@ func printFig3(env *experiments.Env) {
 
 func printFig4(env *experiments.Env, resolutions []int) {
 	fmt.Println("Reconstruction rate vs resolution (paper Figure 4: <3 FPS at 128 even on an A100).")
-	fmt.Println("cold = from-scratch extraction; warm = temporal-coherence warm start (identical mesh).")
-	fmt.Printf("%10s %14s %10s %14s %10s %10s %14s %10s %10s %18s\n",
-		"resolution", "cold s/frame", "FPS", "par s/frame", "par FPS", "speedup",
-		"warm s/frame", "warm FPS", "hit rate", "dense sec/frame")
+	fmt.Printf("%10s %14s %10s %14s %10s %10s %10s %18s\n",
+		"resolution", "s/frame", "FPS", "par s/frame", "par FPS", "speedup",
+		"hit rate", "dense sec/frame")
 	for _, p := range experiments.Fig4(env, resolutions, true, 128) {
 		dense, parSec, parFPS, speedup := "-", "-", "-", "-"
 		if p.DenseSecondsPerFrame > 0 {
@@ -171,9 +170,9 @@ func printFig4(env *experiments.Env, resolutions []int) {
 			parFPS = fmt.Sprintf("%.2f", p.ParFPS)
 			speedup = fmt.Sprintf("%.2fx@%d", p.SecondsPerFrame/p.ParSecondsPerFrame, p.Workers)
 		}
-		fmt.Printf("%10d %14.3f %10.2f %14s %10s %10s %14.3f %10.2f %10.2f %18s\n",
+		fmt.Printf("%10d %14.3f %10.2f %14s %10s %10s %10.2f %18s\n",
 			p.Resolution, p.SecondsPerFrame, p.FPS, parSec, parFPS, speedup,
-			p.WarmSecondsPerFrame, p.WarmFPS, p.CacheHitRate, dense)
+			p.CacheHitRate, dense)
 	}
 }
 

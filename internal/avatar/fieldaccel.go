@@ -34,7 +34,6 @@ import (
 	"sync"
 
 	"semholo/internal/geom"
-	"semholo/internal/mesh"
 	"semholo/internal/metrics"
 )
 
@@ -46,14 +45,9 @@ import (
 // the sample cost it saves: a bin serves ~tens of samples per frame.
 const binCells = 4
 
-// gridBin is one built culling bin: its candidate list (an offset/length
-// into the shared arena), a bitmask of the candidates (bone i ⇔ bit i,
-// for i < 64), and the upper bound U on m1 anywhere in the bin.
-type gridBin struct {
-	off, n int32
-	mask   uint64
-	upper  float64
-}
+// gridBin is one built culling bin: its candidate list, an offset/length
+// into the shared arena.
+type gridBin struct{ off, n int32 }
 
 // capsuleGrid is the per-frame culling structure. It is rebuilt (cheaply:
 // maps cleared, arenas truncated) by reset at the start of every frame
@@ -98,7 +92,7 @@ func (g *capsuleGrid) reset(bg boneGeometry, k, cell float64, stats *metrics.Fie
 }
 
 // binBias packs signed bin coordinates into one map key, 21 bits per axis
-// (the same scheme the extractor uses for lattice cells).
+// around a 2²⁰ bias.
 const binBias = 1 << 20
 
 func (g *capsuleGrid) keyOf(q geom.Vec3) int64 {
@@ -108,11 +102,11 @@ func (g *capsuleGrid) keyOf(q geom.Vec3) int64 {
 	return int64(i+binBias)<<42 | int64(j+binBias)<<21 | int64(k+binBias)
 }
 
-// lookup returns the candidate list and bin record for the bin containing
-// q, building it on first touch. The returned slice stays valid for the
-// rest of the frame even if the arena's backing array is later regrown:
-// appends never mutate already-handed-out elements.
-func (g *capsuleGrid) lookup(q geom.Vec3) ([]uint16, gridBin) {
+// lookup returns the candidate list for the bin containing q, building
+// it on first touch. The returned slice stays valid for the rest of the
+// frame even if the arena's backing array is later regrown: appends
+// never mutate already-handed-out elements.
+func (g *capsuleGrid) lookup(q geom.Vec3) []uint16 {
 	bi := math.Floor(q.X * g.invBin)
 	bj := math.Floor(q.Y * g.invBin)
 	bk := math.Floor(q.Z * g.invBin)
@@ -123,7 +117,7 @@ func (g *capsuleGrid) lookup(q geom.Vec3) ([]uint16, gridBin) {
 		e := g.entries[idx]
 		c := g.cands[e.off : e.off+e.n]
 		g.mu.Unlock()
-		return c, e
+		return c
 	}
 
 	// Build the bin: expanded box, center-based upper bound, then the
@@ -142,28 +136,24 @@ func (g *capsuleGrid) lookup(q geom.Vec3) ([]uint16, gridBin) {
 	}
 	upper := m1c + 0.5*box.Diagonal()
 	thresh := upper + g.k
-	var mask uint64
 	off := int32(len(g.cands))
 	for i := range g.bg.a {
 		rhs := thresh + g.bg.radius[i]
 		if rhs > 0 && g.segBox[i].DistSqBox(box) < rhs*rhs {
 			g.cands = append(g.cands, uint16(i))
-			if i < 64 {
-				mask |= 1 << uint(i)
-			}
 		}
 	}
-	e := gridBin{off: off, n: int32(len(g.cands)) - off, mask: mask, upper: upper}
+	e := gridBin{off: off, n: int32(len(g.cands)) - off}
 	g.entries = append(g.entries, e)
 	g.bins[key] = int32(len(g.entries)) - 1
 	c := g.cands[e.off : e.off+e.n]
 	g.mu.Unlock()
 
 	g.stats.AddBin(int(e.n))
-	return c, e
+	return c
 }
 
-// evalPruned is the fold of Eval restricted to the bin's candidate list.
+// evalPruned is the fold of evalFull restricted to the bin's candidate list.
 // Candidates are in bone order and provably cover the relevant set, so
 // the result is bitwise-identical to the full fold (see the proof at the
 // top of this file).
@@ -196,7 +186,7 @@ func (f *frameField) evalPruned(q geom.Vec3, cands []uint16) (float64, float64) 
 // capsule tests performed alongside the sample.
 func (f *frameField) eval1(q geom.Vec3) (v, aux float64, tests uint64) {
 	if f.grid != nil {
-		if cands, _ := f.grid.lookup(q); len(cands) > 0 {
+		if cands := f.grid.lookup(q); len(cands) > 0 {
 			v, aux = f.evalPruned(q, cands)
 			return v, aux, uint64(len(cands))
 		}
@@ -210,7 +200,7 @@ func (f *frameField) eval1(q geom.Vec3) (v, aux float64, tests uint64) {
 // spatially coherent, so runs of points share a bin) and flushing the
 // telemetry counters once per batch instead of once per sample. Each
 // out[i] is exactly what Eval(pts[i]) would return.
-func (f *frameField) EvalBatch(pts []geom.Vec3, out []mesh.Sample) {
+func (f *frameField) EvalBatch(pts []geom.Vec3, out []float64) {
 	var tests uint64
 	if g := f.grid; g != nil {
 		var cands []uint16
@@ -218,25 +208,23 @@ func (f *frameField) EvalBatch(pts []geom.Vec3, out []mesh.Sample) {
 		for i, q := range pts {
 			key := g.keyOf(q)
 			if !haveBin || key != lastKey {
-				cands, _ = g.lookup(q)
+				cands = g.lookup(q)
 				lastKey, haveBin = key, true
 			}
-			var v, a float64
 			if len(cands) > 0 {
-				v, a = f.evalPruned(q, cands)
+				out[i], _ = f.evalPruned(q, cands)
 				tests += uint64(len(cands))
 			} else {
-				v, a = f.evalFull(q)
+				out[i], _ = f.evalFull(q)
 				tests += uint64(len(f.cur.a))
 			}
-			out[i] = mesh.Sample{Val: v, Aux: a}
 		}
 	} else {
 		for i, q := range pts {
-			v, a := f.evalFull(q)
-			out[i] = mesh.Sample{Val: v, Aux: a}
+			out[i], _ = f.evalFull(q)
 		}
 		tests = uint64(len(pts)) * uint64(len(f.cur.a))
 	}
 	f.stats.AddSamples(uint64(len(pts)), tests)
+	f.evaluated.Add(uint64(len(pts)))
 }

@@ -4,7 +4,7 @@ package avatar
 // bitwise-identical to the brute-force fold at every point — randomized
 // poses, blending radii, lattice points, and points deep inside capsules
 // — and full reconstructions must stay byte-identical with pruning on or
-// off, warm or cold, at every worker count.
+// off, on fresh or reused reconstructors, at every worker count.
 
 import (
 	"math"
@@ -65,7 +65,7 @@ func TestFieldPrunedMatchesBruteForce(t *testing.T) {
 		for s := 0; s < 400; s++ {
 			q := bounds.Min.Add(geom.V3(
 				rng.Float64()*size.X, rng.Float64()*size.Y, rng.Float64()*size.Z))
-			v1, a1 := pruned.Eval(q)
+			v1, a1, _ := pruned.eval1(q)
 			v2, a2 := full.evalFull(q)
 			samePair(t, "random point", v1, a1, v2, a2)
 		}
@@ -74,7 +74,7 @@ func TestFieldPrunedMatchesBruteForce(t *testing.T) {
 		for i := range pruned.cur.a {
 			for _, tt := range []float64{-0.2, 0, 0.3, 0.5, 1, 1.2} {
 				q := pruned.cur.a[i].Lerp(pruned.cur.b[i], tt)
-				v1, a1 := pruned.Eval(q)
+				v1, a1, _ := pruned.eval1(q)
 				v2, a2 := full.evalFull(q)
 				samePair(t, "capsule point", v1, a1, v2, a2)
 			}
@@ -86,7 +86,7 @@ func TestFieldPrunedMatchesBruteForce(t *testing.T) {
 				float64(int(bounds.Min.X/cell)+rng.Intn(70))*cell,
 				float64(int(bounds.Min.Y/cell)+rng.Intn(70))*cell,
 				float64(int(bounds.Min.Z/cell)+rng.Intn(70))*cell)
-			v1, a1 := pruned.Eval(q)
+			v1, a1, _ := pruned.eval1(q)
 			v2, a2 := full.evalFull(q)
 			samePair(t, "lattice point", v1, a1, v2, a2)
 		}
@@ -106,7 +106,7 @@ func FuzzFieldPrunedEval(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		pruned, full := prunedPair(rec, randPose(rng), 0.015)
 		q := geom.V3(x, y, z)
-		v1, a1 := pruned.Eval(q)
+		v1, a1, _ := pruned.eval1(q)
 		v2, a2 := full.evalFull(q)
 		samePair(t, "fuzz point", v1, a1, v2, a2)
 	})
@@ -114,26 +114,21 @@ func FuzzFieldPrunedEval(f *testing.F) {
 
 // TestFieldPruningMotionByteIdentity is the tentpole regression: a
 // 50-frame motion replay must produce byte-identical meshes with pruning
-// on and off, warm and cold, at several worker counts including
-// GOMAXPROCS.
+// on and off at several worker counts including GOMAXPROCS.
 func TestFieldPruningMotionByteIdentity(t *testing.T) {
 	frames := motionFrames(body.Talking(nil), 50, 1.0/30)
 	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, workers := range workerSet {
-		prunedWarm := &Reconstructor{Model: fitModel, Resolution: 32, Workers: workers, WarmStart: true}
-		unprunedWarm := &Reconstructor{Model: fitModel, Resolution: 32, Workers: workers, WarmStart: true, Unpruned: true}
-		prunedCold := &Reconstructor{Model: fitModel, Resolution: 32, Workers: 1}
-		unprunedCold := &Reconstructor{Model: fitModel, Resolution: 32, Workers: 1, Unpruned: true}
+		pruned := &Reconstructor{Model: fitModel, Resolution: 32, Workers: workers}
+		unpruned := &Reconstructor{Model: fitModel, Resolution: 32, Workers: workers, Unpruned: true}
+		ref := &Reconstructor{Model: fitModel, Resolution: 32, Workers: 1, Unpruned: true}
 		for fi, p := range frames {
-			ref := unprunedCold.Reconstruct(p)
-			if m := prunedCold.Reconstruct(p); !reflect.DeepEqual(m, ref) {
-				t.Fatalf("workers=%d frame %d: pruned cold mesh differs from unpruned cold", workers, fi)
+			want := ref.Reconstruct(p)
+			if m := pruned.Reconstruct(p); !reflect.DeepEqual(m, want) {
+				t.Fatalf("workers=%d frame %d: pruned mesh differs from serial unpruned", workers, fi)
 			}
-			if m := prunedWarm.Reconstruct(p); !reflect.DeepEqual(m, ref) {
-				t.Fatalf("workers=%d frame %d: pruned warm mesh differs from unpruned cold", workers, fi)
-			}
-			if m := unprunedWarm.Reconstruct(p); !reflect.DeepEqual(m, ref) {
-				t.Fatalf("workers=%d frame %d: unpruned warm mesh differs from unpruned cold", workers, fi)
+			if m := unpruned.Reconstruct(p); !reflect.DeepEqual(m, want) {
+				t.Fatalf("workers=%d frame %d: unpruned mesh differs from serial unpruned", workers, fi)
 			}
 		}
 	}
@@ -156,9 +151,9 @@ func TestFieldDenseBatchByteIdentity(t *testing.T) {
 // reported as +Inf rather than a finite sentinel.
 func TestFieldEmptyBones(t *testing.T) {
 	f := &frameField{k: 0.015}
-	v, aux := f.Eval(geom.V3(0.3, -1, 2))
+	v, aux, _ := f.eval1(geom.V3(0.3, -1, 2))
 	if !math.IsInf(v, 1) || !math.IsInf(aux, 1) {
-		t.Fatalf("empty field Eval = (%g, %g), want (+Inf, +Inf)", v, aux)
+		t.Fatalf("empty field = (%g, %g), want (+Inf, +Inf)", v, aux)
 	}
 }
 

@@ -33,14 +33,14 @@ type canonicalSurface struct {
 // body.Model.Mesh applies to the template. The first call, and the first
 // after Model, Resolution or SmoothK changes, runs that extraction; every
 // other call costs one pass over the vertices. Output is identical at any
-// Workers setting. Dense and WarmStart do not apply (the canonical pass
-// is a cold narrow-band extraction).
+// Workers setting. Dense does not apply (the canonical pass is a
+// narrow-band extraction).
 //
 // The returned mesh shares its Faces with the canonical surface, and with
 // Cache set the whole mesh is shared with every other caller of that pose
 // (skinned and extracted meshes are keyed apart): treat it as read-only
-// and Clone() before mutating. Each skinned frame counts as one cold,
-// zero-reuse frame in Counters.
+// and Clone() before mutating. Each skinned frame counts as one frame
+// with no evaluated samples in Counters.
 func (r *Reconstructor) Skin(p *body.Params) *mesh.Mesh {
 	if r.Cache != nil {
 		return r.Cache.getOrCompute(p, r, true)
@@ -64,14 +64,14 @@ func (r *Reconstructor) skin(p *body.Params) *mesh.Mesh {
 			body.Skin(out.Vertices[lo:hi], c.rest[lo:hi], c.weights[lo:hi], &r.skinMats)
 		})
 	}
-	r.Counters.AddFrame(false, 0, 0)
+	r.Counters.AddFrame(0)
 	return out
 }
 
 // canonical returns r's canonical surface, running the canonical pass
 // when none exists yet for the current Model, Resolution and SmoothK. The
-// pass is a fresh cold reconstructor's extraction, so it neither reads
-// nor disturbs r's warm state, and it does not count as a decoded frame.
+// pass is a fresh reconstructor's extraction, so it does not count as a
+// decoded frame.
 func (r *Reconstructor) canonical() *canonicalSurface {
 	c := &r.canon
 	if c.model == r.Model && c.res == r.Resolution && c.k == r.smoothK() {

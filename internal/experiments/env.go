@@ -88,8 +88,8 @@ type EnvOptions struct {
 	// 1 → serial. Results are worker-count invariant (see internal/par),
 	// so figures regenerate identically at any setting.
 	Parallelism int
-	// Cache enables warm-start reconstruction and the pose-keyed mesh
-	// LRU in decoders the env builds (output identical, faster).
+	// Cache enables the pose-keyed mesh LRU in decoders the env builds
+	// (output identical; only the rate changes).
 	Cache bool
 }
 

@@ -247,11 +247,6 @@ type Fig4Point struct {
 	Workers            int
 	ParSecondsPerFrame float64
 	ParFPS             float64
-	// WarmSecondsPerFrame is the steady-state cost of warm-started
-	// (temporal-coherence) extraction over a short motion window — the
-	// mesh stays byte-identical to the cold column.
-	WarmSecondsPerFrame float64
-	WarmFPS             float64
 	// CacheHitRate is the pose-keyed mesh-LRU hit rate when the same
 	// motion window is replayed (second pass served from cache).
 	CacheHitRate float64
@@ -287,34 +282,23 @@ func Fig4(env *Env, resolutions []int, measureDense bool, denseLimit int) []Fig4
 			recD.Reconstruct(fitted)
 			p.DenseSecondsPerFrame = time.Since(start).Seconds()
 		}
-		// Warm column: prime one cold frame, then time consecutive motion
-		// frames through the temporal-coherence path (byte-identical
-		// output; only the rate changes).
-		const warmFrames = 3
-		at := func(i int) *body.Params { return env.Seq.Motion.At(0.5 + float64(i)/env.FPS) }
-		warmRec := &avatar.Reconstructor{Model: env.Model, Resolution: res, Workers: env.Parallelism, WarmStart: true}
-		warmRec.Reconstruct(at(0))
-		start = time.Now()
-		for i := 1; i <= warmFrames; i++ {
-			warmRec.Reconstruct(at(i))
-		}
-		p.WarmSecondsPerFrame = time.Since(start).Seconds() / warmFrames
-		p.WarmFPS = 1 / p.WarmSecondsPerFrame
-		// Cache columns: replay the same window twice through an
+		// Cache columns: replay a short motion window twice through an
 		// exact-keyed LRU; the second pass is all hits.
+		const window = 4
+		at := func(i int) *body.Params { return env.Seq.Motion.At(0.5 + float64(i)/env.FPS) }
 		var rc metrics.ReconCounters
 		cacheRec := &avatar.Reconstructor{
 			Model: env.Model, Resolution: res, Workers: env.Parallelism,
-			WarmStart: true, Cache: &avatar.MeshCache{Counters: &rc},
+			Cache: &avatar.MeshCache{Counters: &rc},
 		}
-		for i := 0; i <= warmFrames; i++ {
+		for i := 0; i < window; i++ {
 			cacheRec.Reconstruct(at(i))
 		}
 		start = time.Now()
-		for i := 0; i <= warmFrames; i++ {
+		for i := 0; i < window; i++ {
 			cacheRec.Reconstruct(at(i))
 		}
-		p.CacheHitSecondsPerFrame = time.Since(start).Seconds() / (warmFrames + 1)
+		p.CacheHitSecondsPerFrame = time.Since(start).Seconds() / window
 		p.CacheHitRate = rc.Snapshot().HitRate()
 		out = append(out, p)
 	}

@@ -7,37 +7,35 @@ import (
 	"semholo/internal/par"
 )
 
-// BatchField is a TemporalField that can evaluate many lattice points in
+// BatchField is a scalar field that can evaluate many lattice points in
 // one call. EvalBatch fills out[i] with exactly what Eval(pts[i]) would
 // return — bitwise, not approximately — so the extractors may freely
 // substitute one for the other; batching exists purely so the field can
 // amortize per-call setup (and, for the avatar SDF, share its spatial
 // candidate pruning) across a whole chunk of points.
 //
-// Like Eval, EvalBatch must be safe for concurrent calls; out must have
-// the same length as pts.
+// Both methods must be safe for concurrent calls (the extractors
+// evaluate from several workers), which pure functions of the input
+// point satisfy trivially; out must have the same length as pts.
 type BatchField interface {
-	TemporalField
-	EvalBatch(pts []geom.Vec3, out []Sample)
+	Eval(p geom.Vec3) float64
+	EvalBatch(pts []geom.Vec3, out []float64)
 }
 
-// planeBufPool recycles the per-plane point/sample buffers the batched
-// dense extractor gathers lattice planes into.
+// planeBufPool recycles the per-plane point buffers the batched dense
+// extractor gathers lattice planes into.
 var planeBufPool sync.Pool
 
-type planeBuf struct {
-	pts []geom.Vec3
-	out []Sample
-}
+type planeBuf struct{ pts []geom.Vec3 }
 
 func getPlaneBuf(n int) *planeBuf {
 	if v := planeBufPool.Get(); v != nil {
 		if b := v.(*planeBuf); cap(b.pts) >= n {
-			b.pts, b.out = b.pts[:n], b.out[:n]
+			b.pts = b.pts[:n]
 			return b
 		}
 	}
-	return &planeBuf{pts: make([]geom.Vec3, n), out: make([]Sample, n)}
+	return &planeBuf{pts: make([]geom.Vec3, n)}
 }
 
 func putPlaneBuf(b *planeBuf) { planeBufPool.Put(b) }
@@ -82,10 +80,7 @@ func extractSlabRangeBatch(field BatchField, lay gridLayout, k0, k1 int) *slabMe
 				pb.pts[j*vx+i] = s.latticePoint(i, j, k)
 			}
 		}
-		field.EvalBatch(pb.pts, pb.out)
-		for n := range dst {
-			dst[n] = pb.out[n].Val
-		}
+		field.EvalBatch(pb.pts, dst)
 	}
 	sampleSlab(k0, cur)
 	for k := k0; k < k1; k++ {

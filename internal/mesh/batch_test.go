@@ -1,73 +1,20 @@
 package mesh
 
-// Tests for the batched evaluation path: a field that implements
-// BatchField must extract byte-identically to the same field evaluated
-// point-by-point, through both the dense extractor and the temporal
-// sparse extractor, at every worker count.
+// Tests for the batched dense extractor: a BatchField must extract
+// byte-identically to the same field evaluated point-by-point, at every
+// worker count.
 
 import (
 	"reflect"
 	"testing"
-
-	"semholo/internal/geom"
 )
 
-// batchSpheres wraps twoSpheres with an EvalBatch that delegates to Eval,
-// making it a BatchField with trivially identical semantics.
-type batchSpheres struct{ twoSpheres }
-
-func (f *batchSpheres) EvalBatch(pts []geom.Vec3, out []Sample) {
-	for i, p := range pts {
-		v, a := f.Eval(p)
-		out[i] = Sample{Val: v, Aux: a}
-	}
-}
-
-func TestSparseBatchMatchesScalar(t *testing.T) {
-	grid := temporalGrid()
-	for _, workers := range []int{1, 2, 4} {
-		plain := temporalFrame(0)
-		batch := &batchSpheres{twoSpheres: *temporalFrame(0)}
-		pm := ExtractIsosurfaceSparseTemporal(plain, grid, temporalSeeds(plain), workers, nil)
-		bm := ExtractIsosurfaceSparseTemporal(batch, grid, temporalSeeds(plain), workers, nil)
-		if !reflect.DeepEqual(pm, bm) {
-			t.Fatalf("workers=%d: batch-field sparse mesh differs from scalar path (%d/%d verts)",
-				workers, len(bm.Vertices), len(pm.Vertices))
-		}
-	}
-}
-
-func TestSparseBatchWarmMatchesCold(t *testing.T) {
-	grid := temporalGrid()
-	st := &SparseState{}
-	for i := 0; i < 8; i++ {
-		f := &batchSpheres{twoSpheres: *temporalFrame(i)}
-		warm := ExtractIsosurfaceSparseTemporal(f, grid, temporalSeeds(&f.twoSpheres), 3, st)
-		coldF := &batchSpheres{twoSpheres: *temporalFrame(i)}
-		coldF.warm = false
-		cold := ExtractIsosurfaceSparseTemporal(coldF, grid, temporalSeeds(&coldF.twoSpheres), 1, nil)
-		if !reflect.DeepEqual(warm, cold) {
-			t.Fatalf("frame %d: warm batch mesh differs from cold", i)
-		}
-		if i > 0 && st.Reused == 0 {
-			t.Fatalf("frame %d: batch path disabled exact sample reuse", i)
-		}
-	}
-}
-
 func TestDenseBatchMatchesScalar(t *testing.T) {
-	grid := GridSpec{
-		Bounds:     geom.NewAABB(geom.V3(-1, -0.8, -0.8), geom.V3(1, 0.8, 0.8)),
-		Resolution: 24,
-	}
-	f := &batchSpheres{twoSpheres: *temporalFrame(0)}
-	scalar := func(p geom.Vec3) float64 {
-		v, _ := f.Eval(p)
-		return v
-	}
+	field := twoBlobSDF()
+	grid := testGrid(24)
 	for _, workers := range []int{1, 2, 4} {
-		want := ExtractIsosurfaceParallel(scalar, grid, workers)
-		got := ExtractIsosurfaceBatch(f, grid, workers)
+		want := ExtractIsosurfaceParallel(field, grid, workers)
+		got := ExtractIsosurfaceBatch(batchOf(field), grid, workers)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: batched dense mesh differs from scalar dense mesh", workers)
 		}

@@ -30,8 +30,10 @@ type GridSpec struct {
 	// snapped down to an integer multiple of Cell and every lattice point
 	// is computed as float64(globalIndex)·Cell. A world point shared by
 	// two anchored grids is therefore bitwise-identical in both, even
-	// when their bounds differ — the property the temporal-coherence
-	// cache needs to reuse samples across frames whose grids drift.
+	// when their bounds differ: a surface patch that did not move is
+	// extracted at the same vertices however far another part of the
+	// shape grew the bounds, and the culling grid built on the same
+	// lattice (avatar's capsuleGrid) lines up with every frame's samples.
 	Cell float64
 }
 

@@ -71,51 +71,3 @@ func TestExtractIsosurfaceMatchesLegacySerial(t *testing.T) {
 		}
 	}
 }
-
-// TestExtractIsosurfaceSparseParallelDeterministic is the narrow-band
-// determinism regression: worker count must not change the output at all.
-func TestExtractIsosurfaceSparseParallelDeterministic(t *testing.T) {
-	field := twoBlobSDF()
-	grid := testGrid(36)
-	seeds := []geom.Vec3{geom.V3(-0.4, 0.1, 0.25), geom.V3(0.5, -0.2, -0.05)}
-	serial := ExtractIsosurfaceSparseParallel(field, grid, seeds, 1)
-	if len(serial.Faces) == 0 {
-		t.Fatal("serial sparse extraction produced no faces")
-	}
-	if err := serial.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 9} {
-		got := ExtractIsosurfaceSparseParallel(field, grid, seeds, workers)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("workers=%d sparse output differs from serial: %d/%d vertices, %d/%d faces",
-				workers, len(got.Vertices), len(serial.Vertices), len(got.Faces), len(serial.Faces))
-		}
-	}
-}
-
-// TestSparseMatchesDenseGeometry checks that the wavefront sparse
-// extractor still recovers the same surface as the dense sweep (same
-// lattice, same field ⇒ same vertex set up to ordering).
-func TestSparseMatchesDenseGeometry(t *testing.T) {
-	field := twoBlobSDF()
-	grid := testGrid(28)
-	dense := ExtractIsosurface(field, grid)
-	sparse := ExtractIsosurfaceSparse(field, grid, []geom.Vec3{geom.V3(-0.4, 0.1, 0.25), geom.V3(0.5, -0.2, -0.05)})
-	if len(sparse.Vertices) != len(dense.Vertices) || len(sparse.Faces) != len(dense.Faces) {
-		t.Fatalf("sparse %dv/%df vs dense %dv/%df",
-			len(sparse.Vertices), len(sparse.Faces), len(dense.Vertices), len(dense.Faces))
-	}
-	// Same vertex set, order-insensitively: match each sparse vertex to
-	// its nearest dense vertex exactly.
-	seen := make(map[geom.Vec3]int)
-	for _, v := range dense.Vertices {
-		seen[v]++
-	}
-	for _, v := range sparse.Vertices {
-		if seen[v] == 0 {
-			t.Fatalf("sparse vertex %v missing from dense extraction", v)
-		}
-		seen[v]--
-	}
-}

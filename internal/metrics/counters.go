@@ -1,9 +1,9 @@
 package metrics
 
-// Counters for the temporal-coherence reconstruction cache (mesh LRU
-// hits, warm vs cold frames, per-sample SDF reuse). One ReconCounters
-// instance may be shared by several reconstructors — e.g. every receiver
-// of a cloud session — so all fields are atomic.
+// Counters for reconstruction (mesh LRU hits, frames, SDF lattice
+// samples evaluated). One ReconCounters instance may be shared by several
+// reconstructors — e.g. every receiver of a cloud session — so all fields
+// are atomic.
 
 import (
 	"sync/atomic"
@@ -19,9 +19,7 @@ type ReconCounters struct {
 	meshMisses      atomic.Uint64
 	meshEvictions   atomic.Uint64
 	crossTenantHits atomic.Uint64
-	warmFrames      atomic.Uint64
-	coldFrames      atomic.Uint64
-	reused          atomic.Uint64
+	frames          atomic.Uint64
 	evaluated       atomic.Uint64
 }
 
@@ -57,19 +55,13 @@ func (c *ReconCounters) AddMeshEviction() {
 	}
 }
 
-// AddFrame records one reconstructed frame and its per-sample SDF
-// evaluation split: reused samples were copied from the previous frame's
-// lattice cache, evaluated samples ran the full smooth-union.
-func (c *ReconCounters) AddFrame(warm bool, reused, evaluated int) {
+// AddFrame records one reconstructed frame and the SDF lattice samples
+// its extraction evaluated (0 for a skinned frame).
+func (c *ReconCounters) AddFrame(evaluated int) {
 	if c == nil {
 		return
 	}
-	if warm {
-		c.warmFrames.Add(1)
-	} else {
-		c.coldFrames.Add(1)
-	}
-	c.reused.Add(uint64(reused))
+	c.frames.Add(1)
 	c.evaluated.Add(uint64(evaluated))
 }
 
@@ -85,9 +77,7 @@ func (c *ReconCounters) Snapshot() ReconStats {
 		MeshMisses:       c.meshMisses.Load(),
 		MeshEvictions:    c.meshEvictions.Load(),
 		CrossTenantHits:  c.crossTenantHits.Load(),
-		WarmFrames:       c.warmFrames.Load(),
-		ColdFrames:       c.coldFrames.Load(),
-		SamplesReused:    c.reused.Load(),
+		Frames:           c.frames.Load(),
 		SamplesEvaluated: c.evaluated.Load(),
 	}
 }
@@ -108,14 +98,12 @@ func (c *ReconCounters) Register(reg *obs.Registry) {
 	reg.Counter("semholo_meshcache_crosstenant_hits_total",
 		"Mesh LRU hits served to a tenant other than the entry's producer.").
 		Func(func() float64 { return float64(c.crossTenantHits.Load()) })
-	frames := reg.Counter("semholo_recon_frames_total",
-		"Reconstructed frames by extraction mode.", "kind")
-	frames.Func(func() float64 { return float64(c.warmFrames.Load()) }, "warm")
-	frames.Func(func() float64 { return float64(c.coldFrames.Load()) }, "cold")
-	samples := reg.Counter("semholo_recon_samples_total",
-		"SDF lattice samples by source.", "kind")
-	samples.Func(func() float64 { return float64(c.reused.Load()) }, "reused")
-	samples.Func(func() float64 { return float64(c.evaluated.Load()) }, "evaluated")
+	reg.Counter("semholo_recon_frames_total",
+		"Reconstructed frames by extraction mode.", "kind").
+		Func(func() float64 { return float64(c.frames.Load()) }, "cold")
+	reg.Counter("semholo_recon_samples_total",
+		"SDF lattice samples by source.", "kind").
+		Func(func() float64 { return float64(c.evaluated.Load()) }, "evaluated")
 	reg.GaugeFunc("semholo_recon_mesh_cache_hit_rate",
 		"Fraction of Reconstruct and Skin calls served from the mesh LRU.",
 		func() float64 { return c.Snapshot().HitRate() })
@@ -127,10 +115,11 @@ type ReconStats struct {
 	MeshMisses       uint64
 	MeshEvictions    uint64
 	CrossTenantHits  uint64
-	WarmFrames       uint64
-	ColdFrames       uint64
-	SamplesReused    uint64
+	Frames           uint64
 	SamplesEvaluated uint64
+	// SamplesReused always reads 0: every extraction is cold. Kept
+	// because bench/ reads it.
+	SamplesReused uint64
 }
 
 // HitRate is the fraction of Reconstruct calls served from the mesh LRU.
@@ -140,14 +129,4 @@ func (s ReconStats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.MeshHits) / float64(total)
-}
-
-// ReuseRate is the fraction of lattice samples satisfied by the
-// cross-frame cache instead of a fresh SDF evaluation.
-func (s ReconStats) ReuseRate() float64 {
-	total := s.SamplesReused + s.SamplesEvaluated
-	if total == 0 {
-		return 0
-	}
-	return float64(s.SamplesReused) / float64(total)
 }

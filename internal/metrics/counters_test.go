@@ -8,24 +8,18 @@ func TestReconCountersSnapshot(t *testing.T) {
 	c.AddMeshHit()
 	c.AddMeshMiss()
 	c.AddMeshEviction()
-	c.AddFrame(true, 90, 10)
-	c.AddFrame(false, 0, 200)
+	c.AddFrame(10)
+	c.AddFrame(200)
 
 	s := c.Snapshot()
 	if s.MeshHits != 2 || s.MeshMisses != 1 || s.MeshEvictions != 1 {
 		t.Fatalf("mesh counters %+v", s)
 	}
-	if s.WarmFrames != 1 || s.ColdFrames != 1 {
-		t.Fatalf("frame counters %+v", s)
-	}
-	if s.SamplesReused != 90 || s.SamplesEvaluated != 210 {
-		t.Fatalf("sample counters %+v", s)
+	if s.Frames != 2 || s.SamplesEvaluated != 210 || s.SamplesReused != 0 {
+		t.Fatalf("frame/sample counters %+v", s)
 	}
 	if hr := s.HitRate(); hr < 0.66 || hr > 0.67 {
 		t.Errorf("hit rate %v", hr)
-	}
-	if rr := s.ReuseRate(); rr != 0.3 {
-		t.Errorf("reuse rate %v", rr)
 	}
 }
 
@@ -36,11 +30,11 @@ func TestReconCountersNilSafe(t *testing.T) {
 	c.AddMeshHit()
 	c.AddMeshMiss()
 	c.AddMeshEviction()
-	c.AddFrame(true, 1, 2)
+	c.AddFrame(2)
 	if s := c.Snapshot(); s != (ReconStats{}) {
 		t.Fatalf("nil snapshot %+v", s)
 	}
-	if s := c.Snapshot(); s.HitRate() != 0 || s.ReuseRate() != 0 {
-		t.Fatal("nil rates nonzero")
+	if s := c.Snapshot(); s.HitRate() != 0 {
+		t.Fatal("nil hit rate nonzero")
 	}
 }

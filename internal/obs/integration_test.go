@@ -213,15 +213,14 @@ func TestEndToEndScrape(t *testing.T) {
 	}
 
 	// Reconstruction counters: every decoded frame is a mesh-cache hit or
-	// a skinned frame, which counts as cold with no sample reuse.
-	warm := metricValue(exp, `semholo_recon_frames_total{kind="warm"}`)
+	// a skinned frame, which evaluates no lattice samples.
 	cold := metricValue(exp, `semholo_recon_frames_total{kind="cold"}`)
 	hits := metricValue(exp, `semholo_recon_mesh_cache_ops_total{op="hit"}`)
-	if warm != 0 || cold < 1 || cold+hits != frames {
-		t.Errorf("recon frames warm=%v cold=%v, cache hits %v: want warm 0 and cold+hits = %d decoded frames", warm, cold, hits, frames)
+	if cold < 1 || cold+hits != frames {
+		t.Errorf("recon frames %v, cache hits %v: want frames+hits = %d decoded frames", cold, hits, frames)
 	}
-	if got := metricValue(exp, `semholo_recon_samples_total{kind="reused"}`); got != 0 {
-		t.Errorf("recon samples reused = %v, want 0 (skinning reuses no lattice samples)", got)
+	if got := metricValue(exp, `semholo_recon_samples_total{kind="evaluated"}`); got != 0 {
+		t.Errorf("recon samples evaluated = %v, want 0 (skinning evaluates no lattice samples)", got)
 	}
 	if got := metricValue(exp, "semholo_recon_mesh_cache_hit_rate"); got < 0 {
 		t.Error("mesh cache hit rate missing from scrape")

@@ -119,9 +119,9 @@ const (
 	// stay byte-identical to the pre-tier wire format.
 	FlagTier uint16 = 1 << 5
 	// FlagTierSwitch marks the first frame a given egress leg emits after
-	// changing tier, telling the receiver to reset decoder warm state
-	// (SparseState, texture arenas, delta documents) before decoding so
-	// it never warm-starts from another tier's state. It costs no wire
+	// changing tier, telling the receiver to reset per-stream decoder
+	// state (texture arenas, delta documents) before decoding so it never
+	// decodes against another tier's state. It costs no wire
 	// bytes (the flags field already exists) and is stamped per leg.
 	// Requires FlagTier; readers and writers reject it on untiered
 	// frames.
@@ -489,13 +489,11 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 			return Frame{}, err
 		}
 	}
-	if cap(fr.payload) < int(n) {
-		fr.payload = make([]byte, n)
-	}
-	fr.payload = fr.payload[:n]
-	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
+	payload, err := readPayload(fr.r, fr.payload, int(n))
+	if err != nil {
 		return Frame{}, fmt.Errorf("transport: truncated payload: %w", err)
 	}
+	fr.payload = payload
 	if _, err := io.ReadFull(fr.r, fr.trailer[:]); err != nil {
 		return Frame{}, fmt.Errorf("transport: truncated trailer: %w", err)
 	}
@@ -521,6 +519,50 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 	}
 	f.Payload = fr.payload
 	return f, nil
+}
+
+// payloadChunk bounds what ReadFrame allocates for a payload before any
+// of its bytes have arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads an n-byte payload, reusing buf when it is large
+// enough. Otherwise n is only the peer's word, not yet backed by a single
+// byte, so allocation follows the bytes that arrive: a payload of at most
+// payloadChunk gets one exact-size buffer, and a larger one is read in
+// chunks — payloadChunk first, then each chunk as large as everything
+// read so far — joined once complete. Whatever the stream does, the
+// reader allocates at most payloadChunk plus twice the bytes it received:
+// a header declaring MaxPayload and then hanging up costs 64 KiB, not
+// 16 MiB.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) < n && n <= payloadChunk {
+		buf = make([]byte, n)
+	}
+	if cap(buf) >= n {
+		buf = buf[:n]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var chunks [][]byte
+	for got := 0; got < n; {
+		c := make([]byte, min(n-got, max(got, payloadChunk)))
+		m, err := io.ReadFull(r, c)
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+	}
+	buf = make([]byte, 0, n)
+	for _, c := range chunks {
+		buf = append(buf, c...)
+	}
+	return buf, nil
 }
 
 // AdoptPayload transfers ownership of the last-read frame's payload
