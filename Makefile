@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci run-patterns-check cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check fuzz-smoke
+.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci run-patterns-check cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check fuzz-smoke bench-smoke
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -42,8 +42,9 @@ bench-m2p:
 ## still names a test, race-enabled tests, the reconstruction determinism
 ## suite (reused and cached output must stay byte-identical to a fresh
 ## reconstruction, skinned output deterministic and no worse than
-## extraction), the per-subsystem gates, the allocation pins and 10 s of
-## fuzzing per peer-bytes parser.
+## extraction), the per-subsystem gates, the allocation pins, 10 s of
+## fuzzing per peer-bytes parser and per byte-identity target, and a
+## short pass of every benchmark workload.
 ci: vet build
 	$(MAKE) run-patterns-check
 	$(GO) test -race -short ./...
@@ -58,6 +59,7 @@ ci: vet build
 	$(MAKE) cluster-check
 	$(MAKE) alloc-check
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-smoke
 
 ## pipeline-check: the staged-runtime gate — race-enabled goroutine-leak
 ## tests (pipeline, relay, session) plus the staged-vs-sequential
@@ -181,16 +183,22 @@ cluster-check:
 ## a marshalled pose stays under 8 KiB per call (its 256 KiB hash-head
 ## table is pooled), lzr.Decompress of a 14-byte stream declaring 4 GiB
 ## fails with ErrCorrupt having allocated ≤ 64 KiB,
-## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B, and a
+## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B, a
 ## 24-byte frame header declaring a 16 MiB payload, then EOF, fails
-## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error).
+## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error),
+## dracogo.DecodeMesh/DecodeCloud of a short stream declaring 2^24
+## vertices/points fail having allocated ≤ 64 KiB, and render.RenderMesh
+## on the serial path makes one allocation of ≤ 40 B per vertex.
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
 ## — the pose frame (both magics), lzr streams, the hop-trace wire
 ## extension, the frame reader over every flag combination and batch
-## boundary — plus the pruned SDF evaluator. Each target asserts an
+## boundary, dracogo mesh and cloud streams — plus the pruned SDF
+## evaluator and the rasteriser against its reference (triangle soups
+## with vertices behind the near plane, degenerate faces, slivers and
+## vertices within ulps of a pixel centre). Each target asserts an
 ## allocation ceiling or a bitwise identity, not only the absence of a
 ## panic; a crasher lands in the package's testdata/fuzz and must be
 ## committed as a regression case.
@@ -200,3 +208,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHopTraceRoundTrip$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldPrunedEval$$' -fuzztime 10s ./internal/avatar
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMesh$$' -fuzztime 10s ./internal/compress/dracogo
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCloud$$' -fuzztime 10s ./internal/compress/dracogo
+	$(GO) test -run '^$$' -fuzz '^FuzzRenderMesh$$' -fuzztime 10s ./internal/render
+
+## bench-smoke: a 3 s pass of each benchmark workload through
+## bench/run.sh. A pass that reads correct false, counts a failed
+## operation or is rejected exits non-zero and fails the target. ≈50 s.
+bench-smoke:
+	for w in room-e2e starved-legs decode-fanin fanout; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done

@@ -28,6 +28,10 @@ const (
 	flagNormals = 1 << 0
 	flagUVs     = 1 << 1
 	flagColors  = 1 << 2
+
+	// minElementBytes is the fewest payload bytes a vertex, face or point
+	// can take: three varints.
+	minElementBytes = 3
 )
 
 // Options controls quantization fidelity.
@@ -214,6 +218,12 @@ func DecodeMesh(data []byte) (*mesh.Mesh, error) {
 	if nv > 1<<28 || nf > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible sizes %d/%d", ErrCorrupt, nv, nf)
 	}
+	// Every vertex and face takes at least three varint bytes, so a
+	// declared count the payload cannot hold is refused before it sizes
+	// an allocation.
+	if nv+nf > uint64(len(buf))/minElementBytes {
+		return nil, fmt.Errorf("%w: %d vertices and %d faces in %d bytes", ErrCorrupt, nv, nf, len(buf))
+	}
 	var bounds [6]float64
 	for i := range bounds {
 		bounds[i], buf, err = readFloat(buf)
@@ -376,6 +386,9 @@ func DecodeCloud(data []byte) (*pointcloud.Cloud, error) {
 	}
 	if n > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible point count %d", ErrCorrupt, n)
+	}
+	if n > uint64(len(buf))/minElementBytes {
+		return nil, fmt.Errorf("%w: %d points in %d bytes", ErrCorrupt, n, len(buf))
 	}
 	var bounds [6]float64
 	for i := range bounds {
