@@ -145,7 +145,17 @@ trace-check:
 ## rung 0's wire frame inside a 200 kbps leg's headroom at 30 fps), the
 ## quantised pose codec's round-trip and fallback suite, the tier
 ## wire-extension compat suites, the TierSelector
-## signal/backoff unit tests, the AdaptiveDecoder channel demux, the
+## signal/backoff unit tests and its capacity gate
+## (TestTierSelectorCapacityGatesProbes: a leg probes only rungs its
+## capacity sample covers), the capacity sample itself
+## (TestTierCapacityReadWithinThirtyPercent: a ping sharing the frame's
+## write reads 200 kbps and 1 Mbps netsim legs within ±30 %;
+## TestTierCapacityNeedsUnloadedSample), the relay's per-rung demand
+## measured at ingress (TestRelayTiersDemandMeasuredAtIngress), the
+## capacity-gated relay legs at real rung sizes
+## (TestRelayTiersCapacityHoldsStarvedLeg: a calm 200 kbps leg never
+## probes across ten UpDwells; TestRelayTiersCapacityStopsAtRungOne;
+## TestRelayTiersCapacityClimbsBroadband), the AdaptiveDecoder channel demux, the
 ## decode-service tenant's mid-stream switch regression (byte-identical
 ## to a cold decode at the switch boundary), the newest-wins dequeue suites that feed the
 ## selector (TestRelayTiersNewestWinsAfterStall,
@@ -187,20 +197,26 @@ cluster-check:
 ## 24-byte frame header declaring a 16 MiB payload, then EOF, fails
 ## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error),
 ## dracogo.DecodeMesh/DecodeCloud of a short stream declaring 2^24
-## vertices/points fail having allocated ≤ 64 KiB, and render.RenderMesh
-## on the serial path makes one allocation of ≤ 40 B per vertex.
+## vertices/points fail having allocated ≤ 64 KiB, render.RenderMesh
+## on the serial path makes one allocation of ≤ 40 B per vertex, and a
+## relay leg's tiered cadence send (a rung plus its trailing capacity
+## ping, one write) allocates nothing in steady state.
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
 ## — the pose frame (both magics), lzr streams, the hop-trace wire
 ## extension, the frame reader over every flag combination and batch
-## boundary, dracogo mesh and cloud streams — plus the pruned SDF
+## boundary, dracogo mesh and cloud streams, the text rung's keyframe and
+## delta documents through TextDecoder — plus the pruned SDF
 ## evaluator and the rasteriser against its reference (triangle soups
 ## with vertices behind the near plane, degenerate faces, slivers and
-## vertices within ulps of a pixel centre). Each target asserts an
-## allocation ceiling or a bitwise identity, not only the absence of a
-## panic; a crasher lands in the package's testdata/fuzz and must be
+## vertices within ulps of a pixel centre). Text documents run to a few
+## hundred bytes, and the engine's minimiser is quadratic in input
+## length, so FuzzTextDecode caps minimisation at 1 s per input — without
+## the cap a 10 s run spends itself minimising its first find. Each
+## target asserts an allocation ceiling or a bitwise identity, not only
+## the absence of a panic; a crasher lands in the package's testdata/fuzz and must be
 ## committed as a regression case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalParams$$' -fuzztime 10s ./internal/body
@@ -211,6 +227,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMesh$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCloud$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderMesh$$' -fuzztime 10s ./internal/render
+	$(GO) test -run '^$$' -fuzz '^FuzzTextDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 ## bench-smoke: a 3 s pass of each benchmark workload through
 ## bench/run.sh. A pass that reads correct false, counts a failed

@@ -75,6 +75,9 @@ type Relay struct {
 	// egress leg runs its own TierSelector over these levels.
 	tierLevels  []transport.RateLevel
 	newSelector func(levels []transport.RateLevel) *transport.TierSelector
+	// demand measures every rung's demand from the tiered sets all
+	// publishers' pumps complete.
+	demand demandMeter
 
 	mu      sync.Mutex
 	peers   map[string]*relayPeer
@@ -116,13 +119,14 @@ type RelayOptions struct {
 	// Empty is exported as "default".
 	Room string
 	// TierLevels, when non-nil, turns on per-subscriber semantic
-	// tiering (one entry per ladder rung, ascending bitrate): tiered
+	// tiering (one entry per ladder rung, cheapest first): tiered
 	// ingress frames are assembled into one SharedFrameSet per media
-	// frame, and every egress leg runs its own TierSelector over these
-	// levels — picking, per subscriber, which rung that leg gets, from
-	// the leg's own queue depth, drop rate, RTT, and delivered
-	// throughput. When nil, tiered frames are forwarded verbatim (the
-	// relay is tier-transparent, every subscriber sees all rungs).
+	// frame, stamped with every rung's demand as measured here, and
+	// every egress leg runs its own TierSelector over these levels —
+	// picking, per subscriber, which rung that leg gets, from the leg's
+	// own queue depth, drop rate, RTT, delivered throughput and capacity
+	// samples. When nil, tiered frames are forwarded verbatim (the relay
+	// is tier-transparent, every subscriber sees all rungs).
 	TierLevels []transport.RateLevel
 	// NewTierSelector, when non-nil, builds each attaching leg's
 	// selector (tuned dwell/backoff); nil uses
@@ -448,6 +452,9 @@ type RelayPeerStats struct {
 	Tier int
 	// TierSwitches counts mid-stream tier switches applied on this leg.
 	TierSwitches uint64
+	// CapacityBps is the leg's latest capacity sample in bits/s
+	// (transport.Session.Capacity; 0 = none yet).
+	CapacityBps float64
 }
 
 // PeerStats snapshots per-subscriber delivery counters, sorted by name.
@@ -462,6 +469,7 @@ func (r *Relay) PeerStats() []RelayPeerStats {
 			Dropped:      p.out.Dropped(),
 			Tier:         int(p.tier.Load()),
 			TierSwitches: p.tierSwitches.Load(),
+			CapacityBps:  p.sess.Capacity(),
 		})
 	}
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Name < stats[j].Name })
@@ -549,6 +557,7 @@ func (r *Relay) pump(p *relayPeer) {
 				if !curSet.Complete() {
 					continue
 				}
+				r.demand.stamp(curSet, time.Now())
 				r.ingress.Add(1)
 				r.broadcast(p, egressItem{set: curSet, selfContained: setSelfContained(curSet)})
 				curSet = nil
@@ -688,7 +697,8 @@ func (r *Relay) egress(p *relayPeer) {
 
 // tierSignalEvery is the coarse cadence (in served media frames) at
 // which an egress leg pings the subscriber for a fresh RTT sample and,
-// absent any shedding, refreshes its drop-rate window.
+// absent any shedding, refreshes its drop-rate window. The frame after
+// each cadence frame carries a trailing ping for a capacity sample.
 const tierSignalEvery = 16
 
 // tierEgressState is one egress leg's tier-serving state, local to its
@@ -717,6 +727,13 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 	now := time.Now()
 	st.items++
 	cadence := st.items%tierSignalEvery == 1
+	// The capacity ping rides one frame behind the unloaded one, not with
+	// it: a link still busy with an earlier write would count that write's
+	// time as this frame's. On netsim any write, a lone ping included,
+	// holds the link for at least one timer tick (≈1 ms); a frame
+	// interval later a leg that keeps up is idle again, and one that does
+	// not under-reads its capacity, which only holds it down.
+	capacityProbe := st.items%tierSignalEvery == 2
 	if cadence || superseded > 0 {
 		// Refresh the drop-rate window from the queue's shed counter. A
 		// newest-wins leg keeps no standing backlog for the selector to
@@ -731,10 +748,10 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 		st.baseDropped, st.baseDelivered = dropped, delivered
 	}
 	if cadence {
-		// Keep the RTT sample fresh (the subscriber's Recv loop answers
-		// the ping; a stalled subscriber inflates RTT, which is itself a
-		// congestion signal). Cadence only: a ping per shed would spend a
-		// starved link's bytes on probes instead of frames.
+		// Keep the unloaded RTT sample fresh (the subscriber's Recv loop
+		// answers the ping; a stalled subscriber inflates RTT, which is
+		// itself a congestion signal). Cadence only: a ping per shed would
+		// spend a starved link's bytes on probes instead of frames.
 		_ = p.sess.Ping()
 	}
 	target, _ := p.sel.Decide(now, transport.TierSignals{
@@ -743,6 +760,8 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 		DropRate:    st.dropRate,
 		RTT:         p.sess.RTT(),
 		EstimateBps: p.est.EstimateAt(now),
+		CapacityBps: p.sess.Capacity(),
+		Demand:      it.set.Demand(),
 	})
 	frames, actual := it.set.Nearest(target)
 	if frames == nil {
@@ -785,11 +804,14 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 			int64(deq)-it.at.UnixMicro(), int64(actual))
 	}
 	// The rung leaves as one batch — one connection write when it spans
-	// several wire frames — and the leg's estimator sees the bytes that
-	// write actually carried (egress hops included), once per media frame.
+	// several wire frames or carries a trailing ping, whose extra round
+	// trip over the unloaded one is the leg's capacity sample — and the
+	// leg's estimator sees the bytes that write actually carried (egress
+	// hops included), once per media frame.
 	n, err := p.sess.SendSharedBatch(frames, transport.SharedSendOpts{
-		Egress:     &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq},
-		TierSwitch: switching,
+		Egress:       &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq},
+		TierSwitch:   switching,
+		TrailingPing: capacityProbe,
 	})
 	if err != nil {
 		return err
@@ -805,6 +827,56 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 		m.egressSeconds.Observe(time.Since(it.at).Seconds())
 	}
 	return nil
+}
+
+// demandMeter measures each rung's demand from the ladder the relay
+// ingests: the rung's egress wire bytes times the room's ingress frame
+// rate, both smoothed. Every publisher's sets count towards the rate,
+// because a leg serves each publisher at its one selected rung.
+type demandMeter struct {
+	mu   sync.Mutex
+	last time.Time
+	// interval is the smoothed time between complete sets (0 until two
+	// have arrived); bytes the smoothed egress wire bytes per rung.
+	interval time.Duration
+	bytes    [transport.MaxTiers]float64
+}
+
+// demandGain is the smoothing weight of the newest set; a gap longer
+// than demandGapMax (a paused publisher) counts as demandGapMax.
+const (
+	demandGain   = 1.0 / 8
+	demandGapMax = time.Second
+)
+
+// stamp folds a newly completed set into the measurement and stamps the
+// set with every rung's demand, before any egress leg can see it.
+func (m *demandMeter) stamp(set *transport.SharedFrameSet, now time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	first := m.last.IsZero()
+	if !first {
+		gap := min(now.Sub(m.last), demandGapMax)
+		if m.interval == 0 {
+			m.interval = gap
+		} else {
+			m.interval += time.Duration(demandGain * float64(gap-m.interval))
+		}
+	}
+	m.last = now
+	var demand [transport.MaxTiers]float64
+	for t := 0; t < set.TierCount(); t++ {
+		b := float64(set.EgressWireLen(t))
+		if first {
+			m.bytes[t] = b
+		} else {
+			m.bytes[t] += demandGain * (b - m.bytes[t])
+		}
+		if m.interval > 0 {
+			demand[t] = m.bytes[t] * 8 / m.interval.Seconds()
+		}
+	}
+	set.SetDemand(demand[:set.TierCount()])
 }
 
 // egressTrunkSet forwards one complete tiered media frame down a trunk

@@ -192,9 +192,7 @@ func (g *newestWinsRig) settledStats(published uint64) RelayPeerStats {
 	}
 }
 
-var syntheticLevels = []transport.RateLevel{
-	{Name: "pose", Bitrate: 0.3e6}, {Name: "pose+texture", Bitrate: 2e6}, {Name: "hybrid", Bitrate: 8e6},
-}
+var syntheticLevels = []transport.RateLevel{{Name: "pose"}, {Name: "pose+texture"}, {Name: "hybrid"}}
 
 // syntheticRungs is the wire shape of NewSemanticLadder's three rungs.
 var syntheticRungs = [][]uint16{
@@ -228,12 +226,17 @@ func (g *newestWinsRig) publishSet(id uint64) {
 	}
 }
 
-// checkNewestAfterStall asserts the newest-wins shape of what a leg
-// delivered across one stall: ids strictly increase, the last is the
-// newest published, and at most the one frame in flight came before it.
+// checkNewestAfterStall asserts the newest-wins shape of what a tiered
+// leg delivered across one stall: ids strictly increase, the last is the
+// newest published, and at most the frames in flight came before it.
+// That is one frame — a one-frame rung leaves in three writes and the
+// wedged pipe takes only the first — or two when the stall caught the
+// frame that carries the leg's capacity ping: frame and ping leave in a
+// single write, the pipe takes it whole, and the egress goroutine blocks
+// writing the next frame (as a trunk leg does with every ladder).
 func checkNewestAfterStall(t *testing.T, ids []uint64, newest uint64) {
 	t.Helper()
-	checkNewestAfterInFlight(t, ids, newest, 1)
+	checkNewestAfterInFlight(t, ids, newest, 2)
 }
 
 // checkNewestAfterInFlight is checkNewestAfterStall for a leg that can

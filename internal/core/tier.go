@@ -37,7 +37,9 @@ type StateResetter interface {
 type Tier struct {
 	// Name labels the rung ("keypoint", "keypoint+texture", "hybrid").
 	Name string
-	// Bitrate is the rung's expected demand in bits/s; rungs must ascend.
+	// Bitrate is the rung's nominal demand in bits/s; rungs must ascend.
+	// Nothing adapts on it: a tiering relay measures each rung's demand
+	// from the frames it ingests.
 	Bitrate float64
 	// Encoder, when set, encodes this rung independently. Required on
 	// tier 0 (there is nothing below to derive from).
@@ -102,12 +104,12 @@ func NewTierLadder(tiers []Tier) (*TierLadder, error) {
 // TierCount returns the number of rungs.
 func (l *TierLadder) TierCount() int { return len(l.tiers) }
 
-// Levels returns the ladder as rate levels (for TierSelector
+// Levels returns the ladder's rung names (for TierSelector
 // construction), cheapest first.
 func (l *TierLadder) Levels() []transport.RateLevel {
 	out := make([]transport.RateLevel, len(l.tiers))
 	for i, t := range l.tiers {
-		out[i] = transport.RateLevel{Name: t.Name, Bitrate: t.Bitrate}
+		out[i] = transport.RateLevel{Name: t.Name}
 	}
 	return out
 }

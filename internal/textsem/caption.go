@@ -317,5 +317,16 @@ func cellIDFromCaption(caption string) (CellID, error) {
 	if _, err := fmt.Sscanf(caption, "region %d %d %d", &x, &y, &z); err != nil {
 		return CellID{}, fmt.Errorf("textsem: bad cell caption %q: %w", caption, err)
 	}
+	return newCellID(x, y, z)
+}
+
+// newCellID refuses coordinates outside int8: converting one would alias
+// another cell (300 → 44).
+func newCellID(x, y, z int) (CellID, error) {
+	for _, v := range [3]int{x, y, z} {
+		if v < math.MinInt8 || v > math.MaxInt8 {
+			return CellID{}, fmt.Errorf("textsem: cell %d %d %d outside the grid", x, y, z)
+		}
+	}
 	return CellID{int8(x), int8(y), int8(z)}, nil
 }

@@ -161,7 +161,11 @@ func UnmarshalUpdate(data []byte) (Update, error) {
 			if _, err := fmt.Sscanf(line[2:], "%d %d %d", &x, &y, &z); err != nil {
 				return u, fmt.Errorf("textsem: bad removal line %q", line)
 			}
-			u.Removed = append(u.Removed, CellID{int8(x), int8(y), int8(z)})
+			id, err := newCellID(x, y, z)
+			if err != nil {
+				return u, err
+			}
+			u.Removed = append(u.Removed, id)
 		default:
 			return u, fmt.Errorf("textsem: unknown update line %q", line)
 		}

@@ -92,13 +92,21 @@ func parseCell(caption string) (cellDesc, error) {
 	if len(fields) < 18 || fields[0] != "region" {
 		return c, fmt.Errorf("textsem: malformed cell caption %q", caption)
 	}
-	ints, err := parseFloats(fields, 1, 3)
+	var xyz [3]int
+	for i := range xyz {
+		v, err := strconv.Atoi(fields[1+i])
+		if err != nil {
+			return c, fmt.Errorf("textsem: bad cell coordinate %q", fields[1+i])
+		}
+		xyz[i] = v
+	}
+	id, err := newCellID(xyz[0], xyz[1], xyz[2])
 	if err != nil {
 		return c, err
 	}
-	c.id = CellID{int8(ints[0]), int8(ints[1]), int8(ints[2])}
+	c.id = id
 	n, err := strconv.Atoi(fields[5])
-	if err != nil || fields[4] != "holds" || fields[6] != "points" {
+	if err != nil || n < 0 || fields[4] != "holds" || fields[6] != "points" {
 		return c, fmt.Errorf("textsem: malformed count in %q", caption)
 	}
 	c.count = n
@@ -186,6 +194,9 @@ func (g Generator) Generate(doc Document) (*pointcloud.Cloud, error) {
 		cd, err := parseCell(doc.Cells[id])
 		if err != nil {
 			return nil, err
+		}
+		if cd.count > math.MaxInt-total {
+			return nil, fmt.Errorf("textsem: cell counts overflow")
 		}
 		cells = append(cells, cd)
 		total += cd.count

@@ -113,27 +113,9 @@ func (e *BandwidthEstimator) EstimateAt(now time.Time) float64 {
 	return e.estimate * e.decayFactor(now)
 }
 
-// RateLevel is one operating point of the adaptive pipeline, ordered
-// from cheapest to most expensive.
+// RateLevel names one rung of a tier ladder, cheapest first.
 type RateLevel struct {
 	// Name identifies the level ("text", "keypoint", "keypoint+texture",
 	// "image-w16", "traditional", …).
 	Name string
-	// Bitrate is the level's expected demand in bits per second.
-	Bitrate float64
-}
-
-// walkLadder is the hysteresis ladder walk behind TierSelector's
-// strong-evidence override: step down while the current level's demand
-// exceeds the estimate, step up while the next level fits with
-// headroom. Asymmetric by design — downgrades are immediate, upgrades
-// need proof.
-func walkLadder(levels []RateLevel, current int, estimate, headroom float64) int {
-	for current > 0 && levels[current].Bitrate > estimate {
-		current--
-	}
-	for current+1 < len(levels) && levels[current+1].Bitrate*headroom <= estimate {
-		current++
-	}
-	return current
 }

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -61,10 +63,39 @@ type Session struct {
 	// Recv, which is single-goroutine by contract.
 	pongScratch []byte
 
-	pingMu   sync.Mutex
-	pingSeq  uint32
-	pingSent map[uint32]time.Time
-	lastRTT  time.Duration
+	pingMu  sync.Mutex
+	pingSeq uint32
+	// pings holds the outstanding pings: ping id lives in slot
+	// id%maxOutstandingPings, so a new ping evicts the one issued
+	// maxOutstandingPings before it and a peer that never answers costs a
+	// fixed array, not a growing map.
+	pings   [maxOutstandingPings]pingRecord
+	lastRTT time.Duration
+	// rttFloor is a ring of the latest unloaded RTT samples (pings that
+	// left on their own); their minimum is the leg's unloaded RTT, and a
+	// standing queue that inflates one sample does not move it.
+	rttFloor  [rttFloorSamples]time.Duration
+	rttFloorN int
+	// capacity is the latest capacity sample in bits/s (0 = no evidence).
+	capacity float64
+}
+
+// maxOutstandingPings caps the pings a session tracks at once.
+const maxOutstandingPings = 64
+
+// rttFloorSamples is the window of the unloaded-RTT minimum.
+const rttFloorSamples = 8
+
+// pingWireLen is a ping's on-the-wire size: header, 4-byte id, trailer.
+const pingWireLen = headerLen + 4 + trailerLen
+
+// pingRecord is one outstanding ping: its id, its send time on the
+// session clock, and — for a ping that rode behind frames in the same
+// write — the wire bytes of those frames.
+type pingRecord struct {
+	id     uint32
+	loaded uint32
+	sent   time.Duration
 }
 
 // sessionCounters is the live traffic accounting. All fields are
@@ -84,20 +115,19 @@ type SessionStats struct {
 	BytesReceived  int64
 	FramesSent     int64
 	FramesReceived int64
-	// RTT is the most recent ping round-trip time (0 before the first
-	// pong).
+	// RTT is the most recent unloaded ping round-trip time (0 before
+	// the first pong).
 	RTT time.Duration
 }
 
 func newSession(conn net.Conn) *Session {
 	return &Session{
-		conn:     conn,
-		ctx:      context.Background(),
-		fw:       NewFrameWriter(conn),
-		fr:       NewFrameReader(conn),
-		seq:      map[uint16]uint32{},
-		t0:       time.Now(),
-		pingSent: map[uint32]time.Time{},
+		conn: conn,
+		ctx:  context.Background(),
+		fw:   NewFrameWriter(conn),
+		fr:   NewFrameReader(conn),
+		seq:  map[uint16]uint32{},
+		t0:   time.Now(),
 	}
 }
 
@@ -370,6 +400,12 @@ type SharedSendOpts struct {
 	// this leg sends after changing tier, telling the receiver to reset
 	// decoder warm state before decoding. Only valid on tiered frames.
 	TierSwitch bool
+	// TrailingPing (SendSharedBatch only) puts a ping behind the frames,
+	// in the same write, sent as of the start of that write. The peer
+	// answers it once it has read every byte ahead of it, so its round
+	// trip minus the unloaded one is the time the link took to carry
+	// the frames: Capacity's sample.
+	TrailingPing bool
 }
 
 // orFlags is the per-leg flag bits the options add to the header of the
@@ -420,16 +456,19 @@ func (s *Session) sendSharedLocked(sf *SharedFrame, o SharedSendOpts) (int, erro
 // sequence numbers, one SendTS for the batch, cached payload CRCs
 // spliced in, never re-hashed). o.Egress is appended to every hop-traced
 // frame of the batch; o.TierSwitch marks the first frame only — the
-// boundary a receiver resets its decoder on.
+// boundary a receiver resets its decoder on; o.TrailingPing closes the
+// write with a ping.
 //
-// A batch of one frame is SendSharedLeg's own path, scatter-gather
-// writes included, on purpose: see WriteSharedFrameLeg. The batch is
+// A batch of one frame without a trailing ping is SendSharedLeg's own
+// path, scatter-gather writes included, on purpose: see
+// WriteSharedFrameLeg. With one, the frame and the ping must share a
+// write, or the ping would time the write boundaries too. The batch is
 // validated whole before anything is written. Returns the wire bytes
-// written.
+// written, the ping's included.
 func (s *Session) SendSharedBatch(frames []*SharedFrame, o SharedSendOpts) (int, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if len(frames) == 1 {
+	if len(frames) == 1 && !o.TrailingPing {
 		return s.sendSharedLocked(frames[0], o)
 	}
 	var flags uint16
@@ -441,18 +480,27 @@ func (s *Session) SendSharedBatch(frames []*SharedFrame, o SharedSendOpts) (int,
 		flags |= sf.Flags
 		total += sf.legWireLen(o.Egress)
 	}
-	s.fw.reserve(min(total, maxBatchBytes))
+	written, wireFrames := total, len(frames)
+	if o.TrailingPing {
+		written, wireFrames = total+pingWireLen, wireFrames+1
+	}
+	s.fw.reserve(min(written, maxBatchBytes))
 	ts, sendTS := s.now(flags)
 	for i, sf := range frames {
 		if err := s.fw.bufferSharedFrameLeg(sf, s.nextSeq(sf.Channel), ts, sendTS, o.Egress, o.orFlags(i)); err != nil {
 			return 0, s.wrapErr(err)
 		}
 	}
+	if o.TrailingPing {
+		if err := s.bufferPingLocked(ts, total); err != nil {
+			return 0, s.wrapErr(err)
+		}
+	}
 	if err := s.fw.flush(); err != nil {
 		return 0, s.wrapErr(err)
 	}
-	s.sent(total, len(frames))
-	return total, nil
+	s.sent(written, wireFrames)
+	return written, nil
 }
 
 // CaptureShared captures a frame just returned by Recv as a
@@ -498,44 +546,107 @@ func (s *Session) Recv() (Frame, error) {
 	}
 }
 
-// Ping sends a ping; the RTT becomes observable via RTT after the pong
-// arrives (during a Recv call).
+// Ping sends a ping on its own; the RTT becomes observable via RTT after
+// the pong arrives (during a Recv call), and it is an unloaded sample of
+// the leg's round trip for Capacity.
 func (s *Session) Ping() error {
-	s.pingMu.Lock()
-	// Monotonic ID: len(pingSent)+1 would reuse IDs once pongs are
-	// deleted from the map, cross-wiring RTT samples when multiple pings
-	// are in flight.
-	s.pingSeq++
-	id := s.pingSeq
-	s.pingSent[id] = time.Now()
-	s.pingMu.Unlock()
-	var payload [4]byte
-	payload[0] = byte(id >> 24)
-	payload[1] = byte(id >> 16)
-	payload[2] = byte(id >> 8)
-	payload[3] = byte(id)
-	return s.send(&Frame{Type: TypePing, Channel: ChannelControl, Payload: payload[:]})
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	ts, _ := s.now(0)
+	if err := s.bufferPingLocked(ts, 0); err != nil {
+		return s.wrapErr(err)
+	}
+	if err := s.fw.flush(); err != nil {
+		return s.wrapErr(err)
+	}
+	s.sent(pingWireLen, 1)
+	return nil
 }
 
+// bufferPingLocked registers a ping sent at session time ts behind
+// loaded wire bytes of the same write, and buffers its wire frame — the
+// bytes WriteFrame would produce for it; the caller holds wmu and
+// flushes.
+func (s *Session) bufferPingLocked(ts uint64, loaded int) error {
+	if err := s.fw.makeRoom(pingWireLen); err != nil {
+		return err
+	}
+	s.pingMu.Lock()
+	// Monotonic IDs: reusing one would cross-wire RTT samples when several
+	// pings are in flight. Zero marks an empty slot and is never issued.
+	s.pingSeq++
+	if s.pingSeq == 0 {
+		s.pingSeq++
+	}
+	id := s.pingSeq
+	s.pings[id%maxOutstandingPings] = pingRecord{
+		id: id, loaded: uint32(loaded), sent: time.Duration(ts) * time.Microsecond,
+	}
+	s.pingMu.Unlock()
+	start := len(s.fw.buf)
+	b := appendHeader(s.fw.buf, TypePing, ChannelControl, 0, s.nextSeq(ChannelControl), ts, 4)
+	b = binary.BigEndian.AppendUint32(b, id)
+	s.fw.buf = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+	return nil
+}
+
+// handlePong matches a pong to its outstanding ping. An unloaded ping
+// yields an RTT sample; a ping that rode behind frames yields a capacity
+// sample: those frames' bits over the extra time their ping took.
 func (s *Session) handlePong(f Frame) {
 	if len(f.Payload) != 4 {
 		return
 	}
-	id := uint32(f.Payload[0])<<24 | uint32(f.Payload[1])<<16 | uint32(f.Payload[2])<<8 | uint32(f.Payload[3])
+	id := binary.BigEndian.Uint32(f.Payload)
+	now := time.Since(s.t0)
 	s.pingMu.Lock()
-	if sent, ok := s.pingSent[id]; ok {
-		s.lastRTT = time.Since(sent)
-		delete(s.pingSent, id)
+	defer s.pingMu.Unlock()
+	p := s.pings[id%maxOutstandingPings]
+	if id == 0 || p.id != id {
+		return // never sent, already answered, or evicted
 	}
-	s.pingMu.Unlock()
+	s.pings[id%maxOutstandingPings] = pingRecord{}
+	rtt := now - p.sent
+	if p.loaded == 0 {
+		s.lastRTT = rtt
+		s.rttFloor[s.rttFloorN%rttFloorSamples] = rtt
+		s.rttFloorN++
+		return
+	}
+	s.capacity = 0
+	if s.rttFloorN == 0 {
+		return
+	}
+	floor := s.rttFloor[0]
+	for _, r := range s.rttFloor[1:min(s.rttFloorN, rttFloorSamples)] {
+		floor = min(floor, r)
+	}
+	// A difference at or below zero is no evidence: the ping read
+	// nothing about the link.
+	if busy := rtt - floor; busy > 0 {
+		s.capacity = float64(p.loaded) * 8 / busy.Seconds()
+	}
 }
 
-// RTT returns the most recent measured round-trip time (0 before the
+// RTT returns the most recent unloaded round-trip time (0 before the
 // first pong).
 func (s *Session) RTT() time.Duration {
 	s.pingMu.Lock()
 	defer s.pingMu.Unlock()
 	return s.lastRTT
+}
+
+// Capacity returns the latest capacity sample in bits/s: the wire bytes
+// of a write that carried a trailing ping (SharedSendOpts.TrailingPing),
+// over that ping's round trip minus the minimum of the recent unloaded
+// ones (Ping). On any byte stream the peer reads the ping only behind
+// those bytes, so the difference is the time the link took to carry
+// them. Zero means no evidence: no such ping answered yet, no unloaded
+// sample to subtract, or a difference that was not positive.
+func (s *Session) Capacity() float64 {
+	s.pingMu.Lock()
+	defer s.pingMu.Unlock()
+	return s.capacity
 }
 
 // Stats returns a snapshot of the session counters.

@@ -2,12 +2,14 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"testing"
 	"time"
 )
@@ -120,8 +122,22 @@ func TestCloseNeverBlocksOnStalledWriter(t *testing.T) {
 	}
 }
 
+// outstandingPings lists the IDs of the pings awaiting a pong.
+func (s *Session) outstandingPings() []uint32 {
+	s.pingMu.Lock()
+	defer s.pingMu.Unlock()
+	var ids []uint32
+	for _, p := range s.pings {
+		if p.id != 0 {
+			ids = append(ids, p.id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // TestPingIDsAreMonotonic is the regression for the len()-based ping ID
-// scheme: once a pong pruned the in-flight map, the next ping reused a
+// scheme: once a pong pruned the in-flight set, the next ping reused a
 // live ID and cross-wired RTT samples. IDs must be monotonic.
 func TestPingIDsAreMonotonic(t *testing.T) {
 	a, b := net.Pipe()
@@ -143,20 +159,50 @@ func TestPingIDsAreMonotonic(t *testing.T) {
 	}
 
 	s.pingMu.Lock()
-	defer s.pingMu.Unlock()
 	if s.pingSeq != 4 {
 		t.Errorf("pingSeq %d after four pings, want 4", s.pingSeq)
 	}
-	if len(s.pingSent) != 3 {
-		t.Errorf("%d in-flight pings, want 3 — an ID was reused", len(s.pingSent))
-	}
-	for _, id := range []uint32{1, 3, 4} {
-		if _, ok := s.pingSent[id]; !ok {
-			t.Errorf("ping ID %d missing from the in-flight set", id)
-		}
-	}
 	if s.lastRTT == 0 {
 		t.Error("answered ping recorded no RTT")
+	}
+	s.pingMu.Unlock()
+	if got := s.outstandingPings(); !slices.Equal(got, []uint32{1, 3, 4}) {
+		t.Errorf("in-flight pings %v, want [1 3 4] — an ID was reused or lost", got)
+	}
+}
+
+// TestPingOutstandingCapped: a peer that never answers must not grow the
+// session. 10 000 pings into a peer that discards them leave at most
+// maxOutstandingPings tracked — the newest, the oldest evicted — and a
+// late pong for an evicted ping is ignored while one for a tracked ping
+// still yields an RTT.
+func TestPingOutstandingCapped(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() { _, _ = io.Copy(io.Discard, b) }()
+	s := newSession(a)
+	defer s.Close()
+
+	const pings = 10000
+	for i := 0; i < pings; i++ {
+		if err := s.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.outstandingPings()
+	if len(got) != maxOutstandingPings || got[0] != pings-maxOutstandingPings+1 || got[len(got)-1] != pings {
+		t.Fatalf("%d pings outstanding (%v…%v), want the newest %d", len(got), got[0], got[len(got)-1], maxOutstandingPings)
+	}
+	pong := func(id uint32) {
+		s.handlePong(Frame{Type: TypePong, Payload: binary.BigEndian.AppendUint32(nil, id)})
+	}
+	pong(1) // evicted long ago
+	if s.RTT() != 0 || len(s.outstandingPings()) != maxOutstandingPings {
+		t.Fatal("pong for an evicted ping was matched")
+	}
+	pong(pings)
+	if s.RTT() == 0 || len(s.outstandingPings()) != maxOutstandingPings-1 {
+		t.Fatal("pong for a tracked ping was not matched")
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"semholo/internal/obs"
 )
 
 // SharedFrameSet is one media frame serialized at every tier: a
@@ -25,6 +27,9 @@ type SharedFrameSet struct {
 	tierCount int
 	frames    [MaxTiers][]*SharedFrame
 	complete  uint16 // bitmask: tier i's closing (EndOfFrame) frame seen
+	// demand is each rung's measured demand in bits/s, stamped by the
+	// ingress pump before the set is handed to egress queues.
+	demand [MaxTiers]float64
 }
 
 // NewSharedFrameSet sizes a set for a ladder of tierCount rungs.
@@ -88,6 +93,28 @@ func (s *SharedFrameSet) Nearest(want int) ([]*SharedFrame, int) {
 	return nil, 0
 }
 
+// EgressWireLen is the wire size of rung i as an egress leg emits it:
+// its frames' bytes, each hop-traced frame with the leg's egress hop.
+func (s *SharedFrameSet) EgressWireLen(i int) int {
+	var egress obs.Hop
+	n := 0
+	for _, sf := range s.Tier(i) {
+		n += sf.legWireLen(&egress)
+	}
+	return n
+}
+
+// SetDemand stamps each rung's measured demand in bits/s, cheapest rung
+// first. Call it before the set is handed to any egress queue; it is
+// immutable afterwards.
+func (s *SharedFrameSet) SetDemand(bps []float64) {
+	copy(s.demand[:s.tierCount], bps)
+}
+
+// Demand returns each rung's measured demand in bits/s, by rung index
+// (zero where nothing was measured). Read-only for callers.
+func (s *SharedFrameSet) Demand() []float64 { return s.demand[:s.tierCount] }
+
 // TraceID returns the media frame's trace ID (from any frame carrying
 // one; zero if untraced).
 func (s *SharedFrameSet) TraceID() uint64 {
@@ -117,29 +144,60 @@ type TierSignals struct {
 	// refreshes the window on every dequeue that superseded a frame, so
 	// the shedding is visible to the very decision it coincides with.
 	DropRate float64
-	// RTT is the leg's most recent ping round-trip (0 = unknown).
+	// RTT is the leg's most recent unloaded ping round-trip (0 =
+	// unknown).
 	RTT time.Duration
 	// EstimateBps is the leg's measured delivered throughput in bits/s
-	// (0 = unknown). Note that on an unsaturated link this reflects
-	// offered load, not capacity — it gates nothing on its own and only
-	// corroborates the backpressure signals.
+	// (0 = unknown). On an unsaturated link it is offered load, not
+	// capacity, so it never gates a probe: it only corroborates shedding
+	// — a leg that sheds while delivering less than its rung's measured
+	// demand is congested.
 	EstimateBps float64
+	// CapacityBps is the leg's latest capacity sample in bits/s
+	// (Session.Capacity: a frame's bytes over the extra round trip of a
+	// ping that rode behind it; 0 = no evidence).
+	CapacityBps float64
+	// Demand is each rung's measured demand in bits/s, by rung index
+	// (SharedFrameSet.Demand: the rung's egress wire bytes at the room's
+	// ingress frame rate). A missing or zero entry is not measured yet.
+	Demand []float64
+}
+
+// demand is rung i's measured demand (0 = not measured).
+func (sig TierSignals) demand(i int) float64 {
+	if i < len(sig.Demand) {
+		return sig.Demand[i]
+	}
+	return 0
+}
+
+// carries reports whether the leg's capacity evidence covers rung i's
+// demand with headroom, and whether there is evidence to judge by: a
+// capacity sample and a measured demand.
+func (sig TierSignals) carries(i int) (fits, known bool) {
+	d := sig.demand(i)
+	if sig.CapacityBps <= 0 || d <= 0 {
+		return false, false
+	}
+	return sig.CapacityBps >= d*tierHeadroom, true
 }
 
 // TierSelector picks a tier per egress leg from that leg's measured
 // signals — the one rate-adaptation policy (§3.2 applied per link). The
 // honest signals at a relay are local backpressure: queue depth, shed
 // frames, and RTT inflation mark congestion and force a one-rung
-// downgrade; upgrades are probes — after UpDwell of calm the selector
-// steps up one rung, unless that rung recently failed, in which case it
-// is barred for an exponentially growing backoff. A delivered-throughput
-// estimate comfortably above the next rung's demand overrides the bar
-// (strong evidence beats suspicion), via walkLadder's headroom rule.
+// downgrade. Upgrades are probes, and a probe needs evidence: after
+// UpDwell of calm the selector steps up one rung only if the leg has no
+// capacity sample yet or its capacity covers the next rung's measured
+// demand with headroom. A rung that recently failed is barred for an
+// exponentially growing backoff, unless that same capacity evidence
+// says it fits (strong evidence beats suspicion).
 //
 // Not safe for concurrent use beyond its own locking: one selector per
 // egress goroutine is the intended shape.
 type TierSelector struct {
-	// Levels must be ordered by ascending bitrate (one per tier).
+	// Levels names the rungs, cheapest first. Only their count is read:
+	// demand is measured, and arrives with each decision's signals.
 	Levels []RateLevel
 	// UpDwell is how long a leg must stay congestion-free before probing
 	// one rung up (default 400 ms).
@@ -159,7 +217,8 @@ type TierSelector struct {
 
 // The selector's fixed thresholds.
 const (
-	// tierHeadroom is the up-switch safety factor on estimate evidence.
+	// tierHeadroom is the safety factor between a leg's capacity (or
+	// delivered throughput) and a rung's measured demand.
 	tierHeadroom = 1.25
 	// tierDropTolerance is the shed-frame fraction treated as congestion.
 	tierDropTolerance = 0.03
@@ -213,10 +272,10 @@ func (t *TierSelector) congested(sig TierSignals) bool {
 	}
 	// The estimate alone proves nothing (offered load ≠ capacity), but a
 	// leg that is both shedding frames and measurably delivering less
-	// than the active tier demands is congested even if its queue
-	// momentarily drained.
+	// than the active tier's measured demand is congested even if its
+	// queue momentarily drained.
 	if sig.EstimateBps > 0 && sig.DropRate > 0 &&
-		t.Levels[t.current].Bitrate > sig.EstimateBps*tierHeadroom {
+		sig.demand(t.current) > sig.EstimateBps*tierHeadroom {
 		return true
 	}
 	return false
@@ -258,9 +317,11 @@ func (t *TierSelector) Decide(now time.Time, sig TierSignals) (tier int, switche
 			t.barWidth[t.current] = 0
 		}
 		if next := t.current + 1; next < len(t.Levels) && calm >= t.upDwell() {
-			strong := sig.EstimateBps > 0 &&
-				walkLadder(t.Levels, t.current, sig.EstimateBps, tierHeadroom) > t.current
-			if strong || !now.Before(t.barUntil[next]) {
+			// Probe only a rung the leg can carry: a capacity sample short of
+			// the next rung's demand forbids the probe, and one that covers it
+			// lifts the rung's failure bar. Without evidence the bar decides.
+			fits, known := sig.carries(next)
+			if fits || (!known && !now.Before(t.barUntil[next])) {
 				t.current = next
 				// Restart the dwell clock: the new rung must prove itself
 				// before the next step up.

@@ -229,24 +229,27 @@ func TestSharedFrameSet(t *testing.T) {
 	}
 }
 
+// measuredDemand is the semantic ladder's measured rung demand at 30 fps
+// (≈420 / 2 070 / 7 350 wire bytes per frame).
+var measuredDemand = []float64{0.10e6, 0.50e6, 1.76e6}
+
+var ladderLevels = []RateLevel{{Name: "keypoint"}, {Name: "keypoint+texture"}, {Name: "hybrid"}}
+
+// calmSignals is a congestion-free leg with measured demand and no
+// capacity sample yet.
 func calmSignals() TierSignals {
-	return TierSignals{QueueDepth: 0, QueueCap: 16, DropRate: 0, RTT: 10 * time.Millisecond}
+	return TierSignals{QueueDepth: 0, QueueCap: 16, DropRate: 0, RTT: 10 * time.Millisecond, Demand: measuredDemand}
 }
 
 func TestTierSelectorProbesAndBacksOff(t *testing.T) {
-	sel := NewTierSelector([]RateLevel{
-		{Name: "keypoint", Bitrate: 0.3e6},
-		{Name: "keypoint+texture", Bitrate: 2e6},
-		{Name: "hybrid", Bitrate: 8e6},
-	})
+	sel := NewTierSelector(ladderLevels)
 	t0 := time.Now()
 
 	if tier, _ := sel.Decide(t0, calmSignals()); tier != 0 {
 		t.Fatalf("start tier = %d, want 0", tier)
 	}
-	// Calm for the dwell period: probe one rung up (no estimate needed —
-	// on an unsaturated link the estimate only mirrors offered load, so
-	// estimate-gated upgrades would deadlock at the bottom tier).
+	// Calm for the dwell period: probe one rung up (no capacity sample
+	// yet is no evidence against the rung, so the leg probes).
 	tier, switched := sel.Decide(t0.Add(500*time.Millisecond), calmSignals())
 	if tier != 1 || !switched {
 		t.Fatalf("after dwell: tier = %d switched = %v, want 1 true", tier, switched)
@@ -275,20 +278,33 @@ func TestTierSelectorProbesAndBacksOff(t *testing.T) {
 		t.Fatalf("bar expired: tier = %d, want 2", tier)
 	}
 
-	// Fail again: the bar doubles, but strong estimate evidence (the leg
-	// measurably delivers more than the rung demands, with headroom)
+	// Fail again: the bar doubles, but strong capacity evidence (the leg
+	// measurably carries more than the rung demands, with headroom)
 	// overrides it.
 	congested.QueueDepth = 16
 	if tier, _ = sel.Decide(t0.Add(2300*time.Millisecond), congested); tier != 1 {
 		t.Fatalf("second failure: tier = %d, want 1", tier)
 	}
 	// Calm resumes (dwell clock restarts), bar now doubled to ~2 s — but
-	// strong estimate evidence overrides the bar once the dwell passes.
+	// strong capacity evidence overrides the bar once the dwell passes.
 	if tier, _ := sel.Decide(t0.Add(2400*time.Millisecond), calmSignals()); tier != 1 {
 		t.Fatalf("calm after second failure: tier = %d, want 1", tier)
 	}
+	// Offered load is no evidence: a delivered-throughput estimate far
+	// above the rung's demand leaves the bar standing.
+	offered := calmSignals()
+	offered.EstimateBps = measuredDemand[2] * 10
+	if tier, _ := sel.Decide(t0.Add(2850*time.Millisecond), offered); tier != 1 {
+		t.Fatalf("offered load overrode the bar: tier = %d, want 1", tier)
+	}
+	// Capacity short of the headroom neither overrides the bar nor probes.
+	short := calmSignals()
+	short.CapacityBps = measuredDemand[2] * 1.2
+	if tier, _ := sel.Decide(t0.Add(2880*time.Millisecond), short); tier != 1 {
+		t.Fatalf("capacity below headroom overrode the bar: tier = %d, want 1", tier)
+	}
 	strong := calmSignals()
-	strong.EstimateBps = 8e6 * 1.3
+	strong.CapacityBps = measuredDemand[2] * 1.3
 	if tier, _ := sel.Decide(t0.Add(2900*time.Millisecond), strong); tier != 2 {
 		t.Fatalf("strong evidence ignored: tier = %d, want 2", tier)
 	}
@@ -297,8 +313,43 @@ func TestTierSelectorProbesAndBacksOff(t *testing.T) {
 	}
 }
 
+// TestTierSelectorCapacityGatesProbes: a leg holding a capacity sample
+// probes only rungs that sample covers with headroom, however long it
+// stays calm; without a sample, or without a measured demand, it probes
+// as a selector with no evidence does.
+func TestTierSelectorCapacityGatesProbes(t *testing.T) {
+	climb := func(capacity float64, demand []float64) (int, int64) {
+		sel := NewTierSelector(ladderLevels)
+		sig := calmSignals()
+		sig.CapacityBps, sig.Demand = capacity, demand
+		t0 := time.Now()
+		for i := 0; i <= 40; i++ { // ten dwells at 100 ms a decision
+			sel.Decide(t0.Add(time.Duration(i)*100*time.Millisecond), sig)
+		}
+		return sel.Current(), sel.Switches()
+	}
+	for _, c := range []struct {
+		name     string
+		capacity float64
+		demand   []float64
+		want     int
+	}{
+		{"200 kbps leg holds rung 0", 0.16e6, measuredDemand, 0},
+		{"1 Mbps leg stops at rung 1", 0.86e6, measuredDemand, 1},
+		{"25 Mbps leg reaches rung 2", 6.5e6, measuredDemand, 2},
+		{"exactly the headroom is enough", measuredDemand[1] * tierHeadroom, measuredDemand, 1},
+		{"no capacity sample probes", 0, measuredDemand, 2},
+		{"no measured demand probes", 0.16e6, nil, 2},
+		{"an unmeasured rung probes", 0.16e6, []float64{0.1e6, 0}, 2},
+	} {
+		if tier, switches := climb(c.capacity, c.demand); tier != c.want || switches != int64(c.want) {
+			t.Errorf("%s: tier %d after %d switches, want %d after %d", c.name, tier, switches, c.want, c.want)
+		}
+	}
+}
+
 func TestTierSelectorDropAndRTTSignals(t *testing.T) {
-	sel := NewTierSelector([]RateLevel{{Bitrate: 1e6}, {Bitrate: 4e6}})
+	sel := NewTierSelector([]RateLevel{{}, {}})
 	t0 := time.Now()
 	sel.Decide(t0, calmSignals())
 	if tier, _ := sel.Decide(t0.Add(time.Second), calmSignals()); tier != 1 {
@@ -310,7 +361,7 @@ func TestTierSelectorDropAndRTTSignals(t *testing.T) {
 		t.Fatalf("drop rate ignored: tier = %d, want 0", tier)
 	}
 
-	sel2 := NewTierSelector([]RateLevel{{Bitrate: 1e6}, {Bitrate: 4e6}})
+	sel2 := NewTierSelector([]RateLevel{{}, {}})
 	sel2.Decide(t0, calmSignals())
 	sel2.Decide(t0.Add(time.Second), calmSignals())
 	bloated := calmSignals()

@@ -245,38 +245,6 @@ func TestBandwidthEstimatorConverges(t *testing.T) {
 	}
 }
 
-// TestWalkLadderHysteresis pins the asymmetric ladder walk behind the
-// TierSelector's strong-evidence override: downgrades need only demand
-// above the estimate, upgrades need the next rung to fit with headroom.
-func TestWalkLadderHysteresis(t *testing.T) {
-	levels := []RateLevel{
-		{Name: "text", Bitrate: 0.1e6},
-		{Name: "keypoint", Bitrate: 0.5e6},
-		{Name: "image", Bitrate: 10e6},
-		{Name: "traditional", Bitrate: 100e6},
-	}
-	for _, c := range []struct {
-		name     string
-		from     int
-		estimate float64
-		want     string
-	}{
-		{"30 Mbps climbs from the bottom to image", 0, 30e6, "image"},
-		// image fits without the 1.25× headroom an upgrade would need;
-		// already there, it stays.
-		{"11 Mbps holds image", 2, 11e6, "image"},
-		// Collapse: keypoint's 0.5 Mbps does not fit either, so the walk
-		// falls through it to text.
-		{"0.4 Mbps falls to text", 2, 0.4e6, "text"},
-		{"0.7 Mbps recovers keypoint (0.5×1.25 fits)", 0, 0.7e6, "keypoint"},
-		{"0.55 Mbps holds keypoint (no headroom needed to stay)", 1, 0.55e6, "keypoint"},
-	} {
-		if got := levels[walkLadder(levels, c.from, c.estimate, tierHeadroom)].Name; got != c.want {
-			t.Errorf("%s: picked %s", c.name, got)
-		}
-	}
-}
-
 func TestFrameTypeStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for _, ft := range []FrameType{TypeHandshake, TypeHandshakeAck, TypeSemantic, TypeControl, TypePing, TypePong, TypeClose} {
