@@ -149,12 +149,17 @@ trace-check:
 ## (TestTierSelectorCapacityGatesProbes: a leg probes only rungs its
 ## capacity sample covers), the capacity sample itself
 ## (TestTierCapacityReadWithinThirtyPercent: a ping sharing the frame's
-## write reads 200 kbps and 1 Mbps netsim legs within ±30 %;
+## write reads 200 kbps and 1 Mbps netsim legs within ±30 %, also for a
+## viewer that spends 10 ms on each frame before reading the ping;
 ## TestTierCapacityNeedsUnloadedSample), the relay's per-rung demand
-## measured at ingress (TestRelayTiersDemandMeasuredAtIngress), the
-## capacity-gated relay legs at real rung sizes
-## (TestRelayTiersCapacityHoldsStarvedLeg: a calm 200 kbps leg never
-## probes across ten UpDwells; TestRelayTiersCapacityStopsAtRungOne;
+## measured per stream at ingress and summed per leg over the streams
+## it serves (TestRelayTiersDemandMeasuredAtIngress,
+## TestRelayTiersLegDemandSumsServedStreams), the capacity-gated relay
+## legs at real rung sizes (TestRelayTiersCapacityHoldsStarvedLeg: a
+## calm 200 kbps leg never probes across ten UpDwells;
+## TestRelayTiersCapacityStopsAtRungOne, whose viewer spends 10 ms on
+## each frame; TestRelayTiersCapacityTwoParty: two participants
+## who both publish climb their 1 Mbps legs to rung 1;
 ## TestRelayTiersCapacityClimbsBroadband), the AdaptiveDecoder channel demux, the
 ## decode-service tenant's mid-stream switch regression (byte-identical
 ## to a cold decode at the switch boundary), the newest-wins dequeue suites that feed the

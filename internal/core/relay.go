@@ -75,9 +75,6 @@ type Relay struct {
 	// egress leg runs its own TierSelector over these levels.
 	tierLevels  []transport.RateLevel
 	newSelector func(levels []transport.RateLevel) *transport.TierSelector
-	// demand measures every rung's demand from the tiered sets all
-	// publishers' pumps complete.
-	demand demandMeter
 
 	mu      sync.Mutex
 	peers   map[string]*relayPeer
@@ -121,7 +118,7 @@ type RelayOptions struct {
 	// TierLevels, when non-nil, turns on per-subscriber semantic
 	// tiering (one entry per ladder rung, cheapest first): tiered
 	// ingress frames are assembled into one SharedFrameSet per media
-	// frame, stamped with every rung's demand as measured here, and
+	// frame, stamped with its stream's demand per rung as measured here, and
 	// every egress leg runs its own TierSelector over these levels —
 	// picking, per subscriber, which rung that leg gets, from the leg's
 	// own queue depth, drop rate, RTT, delivered throughput and capacity
@@ -499,6 +496,9 @@ func (r *Relay) pump(p *relayPeer) {
 	// the relay is tiering. The sender's single transmit goroutine ships
 	// rungs in order, so completion is a per-tier EndOfFrame bitmask.
 	var curSet *transport.SharedFrameSet
+	// demand measures each tiered stream this peer carries — one for a
+	// participant, one per publisher on a trunk — keyed by lead channel.
+	var demand map[uint16]*demandMeter
 	for {
 		f, err := p.sess.Recv()
 		recvUS := obs.NowMicros()
@@ -557,7 +557,16 @@ func (r *Relay) pump(p *relayPeer) {
 				if !curSet.Complete() {
 					continue
 				}
-				r.demand.stamp(curSet, time.Now())
+				lead := curSet.Tier(0)[0].Channel
+				m := demand[lead]
+				if m == nil {
+					if demand == nil {
+						demand = map[uint16]*demandMeter{}
+					}
+					m = &demandMeter{}
+					demand[lead] = m
+				}
+				m.stamp(curSet, time.Now())
 				r.ingress.Add(1)
 				r.broadcast(p, egressItem{set: curSet, selfContained: setSelfContained(curSet)})
 				curSet = nil
@@ -711,6 +720,51 @@ type tierEgressState struct {
 	baseDropped   uint64
 	baseDelivered uint64
 	dropRate      float64
+
+	// streams is the latest measured demand of each tiered stream this
+	// leg serves; demand is their per-rung sum (legDemand's result).
+	streams []legStream
+	demand  [transport.MaxTiers]float64
+}
+
+// legStream is one publisher's stream as an egress leg sees it: who
+// published it, its lead channel, and the demand stamped on its latest
+// set.
+type legStream struct {
+	from   *relayPeer
+	lead   uint16
+	at     time.Time
+	demand [transport.MaxTiers]float64
+}
+
+// legDemand is the leg's demand per rung: it serves every stream it
+// receives at its one selected rung, so each rung costs the sum of
+// those streams' demands at that rung. The leg receives no stream of
+// its own participant (broadcast skips the sender), and a stream
+// silent for longer than demandGapMax no longer counts.
+func (st *tierEgressState) legDemand(it egressItem, now time.Time) []float64 {
+	cur := legStream{from: it.from, lead: it.leadChannel(), at: now}
+	copy(cur.demand[:], it.set.Demand())
+	live, found := st.streams[:0], false
+	for _, ls := range st.streams {
+		if ls.from == cur.from && ls.lead == cur.lead {
+			ls, found = cur, true
+		} else if now.Sub(ls.at) > demandGapMax {
+			continue
+		}
+		live = append(live, ls)
+	}
+	if !found {
+		live = append(live, cur)
+	}
+	st.streams = live
+	st.demand = [transport.MaxTiers]float64{}
+	for _, ls := range st.streams {
+		for t, d := range ls.demand {
+			st.demand[t] += d
+		}
+	}
+	return st.demand[:it.set.TierCount()]
 }
 
 // egressTiered delivers one tiered media frame to one subscriber: it
@@ -761,7 +815,7 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 		RTT:         p.sess.RTT(),
 		EstimateBps: p.est.EstimateAt(now),
 		CapacityBps: p.sess.Capacity(),
-		Demand:      it.set.Demand(),
+		Demand:      st.legDemand(it, now),
 	})
 	frames, actual := it.set.Nearest(target)
 	if frames == nil {
@@ -829,12 +883,11 @@ func (r *Relay) egressTiered(p *relayPeer, it egressItem, superseded int, st *ti
 	return nil
 }
 
-// demandMeter measures each rung's demand from the ladder the relay
-// ingests: the rung's egress wire bytes times the room's ingress frame
-// rate, both smoothed. Every publisher's sets count towards the rate,
-// because a leg serves each publisher at its one selected rung.
+// demandMeter measures one stream's demand per rung from the ladder the
+// relay ingests: the rung's egress wire bytes times the stream's frame
+// rate, both smoothed. It belongs to the ingress pump that carries the
+// stream; an egress leg adds up the streams it serves (legDemand).
 type demandMeter struct {
-	mu   sync.Mutex
 	last time.Time
 	// interval is the smoothed time between complete sets (0 until two
 	// have arrived); bytes the smoothed egress wire bytes per rung.
@@ -852,8 +905,6 @@ const (
 // stamp folds a newly completed set into the measurement and stamps the
 // set with every rung's demand, before any egress leg can see it.
 func (m *demandMeter) stamp(set *transport.SharedFrameSet, now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	first := m.last.IsZero()
 	if !first {
 		gap := min(now.Sub(m.last), demandGapMax)

@@ -227,16 +227,21 @@ func (g *newestWinsRig) publishSet(id uint64) {
 }
 
 // checkNewestAfterStall asserts the newest-wins shape of what a tiered
-// leg delivered across one stall: ids strictly increase, the last is the
-// newest published, and at most the frames in flight came before it.
-// That is one frame — a one-frame rung leaves in three writes and the
-// wedged pipe takes only the first — or two when the stall caught the
-// frame that carries the leg's capacity ping: frame and ping leave in a
-// single write, the pipe takes it whole, and the egress goroutine blocks
-// writing the next frame (as a trunk leg does with every ladder).
-func checkNewestAfterStall(t *testing.T, ids []uint64, newest uint64) {
+// leg delivered across one stall, after served media frames before it:
+// ids strictly increase, the last is the newest published, and at most
+// the one frame in flight came before it — a one-frame rung leaves in
+// three writes and the wedged pipe takes only the first. The one
+// exception is a stall that caught the frame carrying the leg's
+// capacity ping (served frame 2 of every tierSignalEvery): frame and
+// ping leave in a single write, the pipe takes it whole, and the egress
+// goroutine goes on to block writing a second frame.
+func checkNewestAfterStall(t *testing.T, ids []uint64, newest, served uint64) {
 	t.Helper()
-	checkNewestAfterInFlight(t, ids, newest, 2)
+	inFlight := 1
+	if (served+1)%tierSignalEvery == 2 {
+		inFlight = 2
+	}
+	checkNewestAfterInFlight(t, ids, newest, inFlight)
 }
 
 // checkNewestAfterInFlight is checkNewestAfterStall for a leg that can
@@ -271,7 +276,7 @@ func TestRelayTiersNewestWinsAfterStall(t *testing.T) {
 	g.resume()
 
 	ids := g.mediaUntil(newest)
-	checkNewestAfterStall(t, ids, newest)
+	checkNewestAfterStall(t, ids, newest, 1)
 	delivered := uint64(1 + len(ids))
 	st := g.settledStats(newest)
 	if st.Delivered != delivered || st.Dropped != newest-delivered {
@@ -442,7 +447,7 @@ func TestRelayTiersStarvedLegHoldsTierZero(t *testing.T) {
 	// Each cycle is the starved leg's steady state in miniature: three
 	// frames offered per stall, at most two delivered. Enough cycles to
 	// cross the cadence refresh (tierSignalEvery served frames) twice.
-	id := uint64(0)
+	id, served := uint64(0), uint64(0)
 	for cycle := 0; cycle < tierSignalEvery; cycle++ {
 		g.stall()
 		for i := 0; i < 3; i++ {
@@ -451,7 +456,9 @@ func TestRelayTiersStarvedLegHoldsTierZero(t *testing.T) {
 		}
 		g.barrier()
 		g.resume()
-		checkNewestAfterStall(t, g.mediaUntil(id), id)
+		ids := g.mediaUntil(id)
+		checkNewestAfterStall(t, ids, id, served)
+		served += uint64(len(ids))
 	}
 
 	st := g.settledStats(id)

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -62,6 +62,9 @@ type Session struct {
 	// zero-copy buffer) instead of allocating per ping. Only touched by
 	// Recv, which is single-goroutine by contract.
 	pongScratch []byte
+	// recvReturned is the session time at which Recv last returned a
+	// frame to its caller (0 = never); Recv-owned, like pongScratch.
+	recvReturned time.Duration
 
 	pingMu  sync.Mutex
 	pingSeq uint32
@@ -403,8 +406,9 @@ type SharedSendOpts struct {
 	// TrailingPing (SendSharedBatch only) puts a ping behind the frames,
 	// in the same write, sent as of the start of that write. The peer
 	// answers it once it has read every byte ahead of it, so its round
-	// trip minus the unloaded one is the time the link took to carry
-	// the frames: Capacity's sample.
+	// trip, less the unloaded one and the time the peer's application
+	// held it, is the time the link took to carry the frames:
+	// Capacity's sample.
 	TrailingPing bool
 }
 
@@ -492,7 +496,10 @@ func (s *Session) SendSharedBatch(frames []*SharedFrame, o SharedSendOpts) (int,
 		}
 	}
 	if o.TrailingPing {
-		if err := s.bufferPingLocked(ts, total); err != nil {
+		var id [4]byte
+		s.registerPing(&id, time.Duration(ts)*time.Microsecond, total)
+		ping := Frame{Type: TypePing, Channel: ChannelControl, Seq: s.nextSeq(ChannelControl), Timestamp: ts, Payload: id[:]}
+		if err := s.fw.bufferFrame(&ping); err != nil {
 			return 0, s.wrapErr(err)
 		}
 	}
@@ -523,6 +530,7 @@ func (s *Session) CaptureShared(f Frame) (*SharedFrame, error) {
 // the next Recv (zero-copy); Clone to retain. Returns a TypeClose frame
 // when the peer closed gracefully.
 func (s *Session) Recv() (Frame, error) {
+	called := time.Since(s.t0)
 	for {
 		f, err := s.fr.ReadFrame()
 		if err != nil {
@@ -532,15 +540,24 @@ func (s *Session) Recv() (Frame, error) {
 		s.stats.framesReceived.Add(1)
 		switch f.Type {
 		case TypePing:
-			// Echo the ping seq back through the session-owned scratch
-			// buffer — no per-ping allocation.
+			// Echo the ping ID back through the session-owned scratch
+			// buffer — no per-ping allocation — followed by how long the
+			// caller held the session, in µs, between the previous frame
+			// Recv returned and this call: a ping that arrived behind that
+			// frame waited that long for its answer, wherever the link was.
+			var held time.Duration
+			if s.recvReturned > 0 {
+				held = called - s.recvReturned
+			}
 			s.pongScratch = append(s.pongScratch[:0], f.Payload...)
+			s.pongScratch = binary.BigEndian.AppendUint32(s.pongScratch, uint32(min(held.Microseconds(), math.MaxUint32)))
 			if err := s.send(&Frame{Type: TypePong, Channel: ChannelControl, Payload: s.pongScratch}); err != nil {
 				return Frame{}, err
 			}
 		case TypePong:
 			s.handlePong(f)
 		default:
+			s.recvReturned = time.Since(s.t0)
 			return f, nil
 		}
 	}
@@ -550,54 +567,43 @@ func (s *Session) Recv() (Frame, error) {
 // the pong arrives (during a Recv call), and it is an unloaded sample of
 // the leg's round trip for Capacity.
 func (s *Session) Ping() error {
+	var id [4]byte
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	ts, _ := s.now(0)
-	if err := s.bufferPingLocked(ts, 0); err != nil {
-		return s.wrapErr(err)
-	}
-	if err := s.fw.flush(); err != nil {
-		return s.wrapErr(err)
-	}
-	s.sent(pingWireLen, 1)
-	return nil
+	s.registerPing(&id, time.Since(s.t0), 0)
+	return s.sendLocked(&Frame{Type: TypePing, Channel: ChannelControl, Payload: id[:]})
 }
 
-// bufferPingLocked registers a ping sent at session time ts behind
-// loaded wire bytes of the same write, and buffers its wire frame — the
-// bytes WriteFrame would produce for it; the caller holds wmu and
-// flushes.
-func (s *Session) bufferPingLocked(ts uint64, loaded int) error {
-	if err := s.fw.makeRoom(pingWireLen); err != nil {
-		return err
-	}
+// registerPing issues the next ping ID into id and records the ping as
+// sent at session time sent, behind loaded wire bytes of its own write.
+func (s *Session) registerPing(id *[4]byte, sent time.Duration, loaded int) {
 	s.pingMu.Lock()
+	defer s.pingMu.Unlock()
 	// Monotonic IDs: reusing one would cross-wire RTT samples when several
 	// pings are in flight. Zero marks an empty slot and is never issued.
 	s.pingSeq++
 	if s.pingSeq == 0 {
 		s.pingSeq++
 	}
-	id := s.pingSeq
-	s.pings[id%maxOutstandingPings] = pingRecord{
-		id: id, loaded: uint32(loaded), sent: time.Duration(ts) * time.Microsecond,
-	}
-	s.pingMu.Unlock()
-	start := len(s.fw.buf)
-	b := appendHeader(s.fw.buf, TypePing, ChannelControl, 0, s.nextSeq(ChannelControl), ts, 4)
-	b = binary.BigEndian.AppendUint32(b, id)
-	s.fw.buf = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
-	return nil
+	s.pings[s.pingSeq%maxOutstandingPings] = pingRecord{id: s.pingSeq, loaded: uint32(loaded), sent: sent}
+	binary.BigEndian.PutUint32(id[:], s.pingSeq)
 }
 
 // handlePong matches a pong to its outstanding ping. An unloaded ping
 // yields an RTT sample; a ping that rode behind frames yields a capacity
-// sample: those frames' bits over the extra time their ping took.
+// sample: those frames' bits over the extra time their ping took. The
+// pong carries the ping's ID and, after it, how long the peer's caller
+// held its session before reading the ping (absent from a bare 4-byte
+// echo, which counts as zero).
 func (s *Session) handlePong(f Frame) {
-	if len(f.Payload) != 4 {
+	if len(f.Payload) != 4 && len(f.Payload) != 8 {
 		return
 	}
 	id := binary.BigEndian.Uint32(f.Payload)
+	var held time.Duration
+	if len(f.Payload) == 8 {
+		held = time.Duration(binary.BigEndian.Uint32(f.Payload[4:])) * time.Microsecond
+	}
 	now := time.Since(s.t0)
 	s.pingMu.Lock()
 	defer s.pingMu.Unlock()
@@ -608,6 +614,10 @@ func (s *Session) handlePong(f Frame) {
 	s.pings[id%maxOutstandingPings] = pingRecord{}
 	rtt := now - p.sent
 	if p.loaded == 0 {
+		// An unloaded ping usually reaches an idle peer, and the hold it
+		// reports is then the peer's work on the frame before, not time
+		// this ping waited: it is not subtracted, and the window minimum
+		// discards the samples a busy peer did hold.
 		s.lastRTT = rtt
 		s.rttFloor[s.rttFloorN%rttFloorSamples] = rtt
 		s.rttFloorN++
@@ -621,9 +631,11 @@ func (s *Session) handlePong(f Frame) {
 	for _, r := range s.rttFloor[1:min(s.rttFloorN, rttFloorSamples)] {
 		floor = min(floor, r)
 	}
-	// A difference at or below zero is no evidence: the ping read
-	// nothing about the link.
-	if busy := rtt - floor; busy > 0 {
+	// A trailing ping arrives right behind the write's last frame, so the
+	// peer held it for all of its reported hold: the application's time
+	// on that frame, which is not the link's. A difference at or below
+	// zero is no evidence: the ping read nothing about the link.
+	if busy := rtt - held - floor; busy > 0 {
 		s.capacity = float64(p.loaded) * 8 / busy.Seconds()
 	}
 }
@@ -638,10 +650,10 @@ func (s *Session) RTT() time.Duration {
 
 // Capacity returns the latest capacity sample in bits/s: the wire bytes
 // of a write that carried a trailing ping (SharedSendOpts.TrailingPing),
-// over that ping's round trip minus the minimum of the recent unloaded
-// ones (Ping). On any byte stream the peer reads the ping only behind
-// those bytes, so the difference is the time the link took to carry
-// them. Zero means no evidence: no such ping answered yet, no unloaded
+// over that ping's round trip minus the time the peer's application
+// held it and minus the minimum of the recent unloaded round trips
+// (Ping). On any byte stream the peer reads the ping only behind those
+// bytes, so what remains is the time the link took to carry them. Zero means no evidence: no such ping answered yet, no unloaded
 // sample to subtract, or a difference that was not positive.
 func (s *Session) Capacity() float64 {
 	s.pingMu.Lock()

@@ -155,11 +155,13 @@ type TierSignals struct {
 	EstimateBps float64
 	// CapacityBps is the leg's latest capacity sample in bits/s
 	// (Session.Capacity: a frame's bytes over the extra round trip of a
-	// ping that rode behind it; 0 = no evidence).
+	// ping that rode behind it, less the time the peer's application held
+	// that ping; 0 = no evidence).
 	CapacityBps float64
-	// Demand is each rung's measured demand in bits/s, by rung index
-	// (SharedFrameSet.Demand: the rung's egress wire bytes at the room's
-	// ingress frame rate). A missing or zero entry is not measured yet.
+	// Demand is the leg's measured demand in bits/s per rung, by rung
+	// index: the sum, over the streams the leg serves, of each stream's
+	// SharedFrameSet.Demand (the rung's egress wire bytes at the stream's
+	// frame rate). A missing or zero entry is not measured yet.
 	Demand []float64
 }
 
