@@ -195,8 +195,11 @@ cluster-check:
 ## frame allocates two objects (mesh header + vertex array; the faces are
 ## the rest surface's), the hybrid graft allocates three objects per frame
 ## (mesh header + two exact-size arrays), steady-state lzr.Compress of
-## a marshalled pose stays under 8 KiB per call (its 256 KiB hash-head
-## table is pooled), lzr.Decompress of a 14-byte stream declaring 4 GiB
+## a marshalled pose stays under 8 KiB per call and makes one
+## allocation, its output (the model is a stack copy; the base-stamped
+## 256 KiB hash-head table, the chain and the coder's output buffer are
+## pooled), lzr.Decompress of that pose's stream makes one allocation,
+## its output, lzr.Decompress of a 14-byte stream declaring 4 GiB
 ## fails with ErrCorrupt having allocated ≤ 64 KiB,
 ## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B, a
 ## 24-byte frame header declaring a 16 MiB payload, then EOF, fails
@@ -207,25 +210,27 @@ cluster-check:
 ## relay leg's tiered cadence send (a rung plus its trailing capacity
 ## ping, one write) allocates nothing in steady state.
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestCompressPoseOneAlloc|TestDecompressPoseOneAlloc|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
-## — the pose frame (both magics), lzr streams, the hop-trace wire
-## extension, the frame reader over every flag combination and batch
-## boundary, dracogo mesh and cloud streams, the text rung's keyframe and
-## delta documents through TextDecoder — plus the pruned SDF
-## evaluator and the rasteriser against its reference (triangle soups
-## with vertices behind the near plane, degenerate faces, slivers and
-## vertices within ulps of a pixel centre). Text documents run to a few
-## hundred bytes, and the engine's minimiser is quadratic in input
-## length, so FuzzTextDecode caps minimisation at 1 s per input — without
-## the cap a 10 s run spends itself minimising its first find. Each
-## target asserts an allocation ceiling or a bitwise identity, not only
-## the absence of a panic; a crasher lands in the package's testdata/fuzz and must be
-## committed as a regression case.
+## — the pose frame (both magics), lzr streams (alone, and against the
+## reference coder stream for stream), the hop-trace wire extension,
+## the frame reader over every flag combination and batch boundary,
+## dracogo mesh and cloud streams, the text rung's keyframe and delta
+## documents through TextDecoder — plus the pruned SDF evaluator and
+## the rasteriser against its reference (triangle soups with vertices
+## behind the near plane, degenerate faces, slivers and vertices within
+## ulps of a pixel centre). Text documents run to a few hundred bytes,
+## and the engine's minimiser is quadratic in input length, so
+## FuzzTextDecode caps minimisation at 1 s per input — without the cap
+## a 10 s run spends itself minimising its first find. Each target
+## asserts an allocation ceiling or a bitwise identity, not only the
+## absence of a panic; a crasher lands in the package's testdata/fuzz
+## and must be committed as a regression case.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalParams$$' -fuzztime 10s ./internal/body
 	$(GO) test -run '^$$' -fuzz '^FuzzLZRDecompress$$' -fuzztime 10s ./internal/compress/lzr
+	$(GO) test -run '^$$' -fuzz '^FuzzCompressMatchesReference$$' -fuzztime 10s ./internal/compress/lzr
 	$(GO) test -run '^$$' -fuzz '^FuzzHopTraceRoundTrip$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldPrunedEval$$' -fuzztime 10s ./internal/avatar

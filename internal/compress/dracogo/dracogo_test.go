@@ -176,3 +176,13 @@ func BenchmarkEncodeMesh(b *testing.B) {
 		EncodeMesh(m, Options{})
 	}
 }
+
+func BenchmarkDecodeMesh(b *testing.B) {
+	enc := EncodeMesh(mesh.UnitSphere(4), Options{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeMesh(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

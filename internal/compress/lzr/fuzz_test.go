@@ -2,6 +2,7 @@ package lzr
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -31,8 +32,11 @@ func allocatedBytes(fn func()) uint64 {
 // streams of the round-trip tests plus the malformed ones. It must never
 // panic; its allocations are bounded by the stream (the up-front
 // reservation) plus what the stream actually produced — never by the
-// declared length alone; and whatever it accepts must round-trip through
-// Compress.
+// declared length alone; whatever it accepts must round-trip through
+// Compress, and that canonical stream with its last byte dropped must be
+// rejected; and the accepted stream itself with its last byte dropped
+// must be rejected or, when that byte was trailing input the decoder
+// never read, decode to the same bytes.
 func FuzzLZRDecompress(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 1000)
@@ -66,8 +70,15 @@ func FuzzLZRDecompress(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if back, err := Decompress(Compress(out)); err != nil || !bytes.Equal(back, out) {
+		enc := Compress(out)
+		if back, err := Decompress(enc); err != nil || !bytes.Equal(back, out) {
 			t.Fatalf("accepted output of %d bytes does not round-trip (%v)", len(out), err)
+		}
+		if _, err := Decompress(enc[:len(enc)-1]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Compress stream of %d bytes with its last byte dropped: err %v, want ErrCorrupt", len(out), err)
+		}
+		if cut, err := Decompress(data[:len(data)-1]); err == nil && !bytes.Equal(cut, out) {
+			t.Fatalf("accepted stream with its last byte dropped decoded to different bytes (%d vs %d)", len(cut), len(out))
 		}
 	})
 }

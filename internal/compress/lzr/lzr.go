@@ -1,9 +1,12 @@
 package lzr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -21,26 +24,30 @@ var (
 	magic      = [4]byte{'L', 'Z', 'R', '1'}
 )
 
-// model holds the adaptive probability state shared (by construction,
-// never by reference) between encoder and decoder.
+// model is the adaptive probability state, one flat value: encoder and
+// decoder each start from a copy of initialModel and adapt it in
+// lock-step. The bit trees index their slice from node 1.
 type model struct {
-	isMatch  [2]prob    // context: previous token was a match
-	literals []*bitTree // 8 trees selected by high bits of previous byte
-	length   *bitTree   // match length − minMatch (8-bit)
-	slot     *bitTree   // distance slot (6-bit)
+	isMatch  [2]prob                // context: previous token was a match
+	literals [8][256]prob           // 8 trees selected by high bits of previous byte
+	length   [256]prob              // match length − minMatch (8-bit)
+	slot     [1 << numSlotBits]prob // distance slot (6-bit)
 }
 
-func newModel() *model {
-	m := &model{
-		isMatch:  [2]prob{probInit, probInit},
-		literals: make([]*bitTree, 8),
-		length:   newBitTree(8),
-		slot:     newBitTree(numSlotBits),
-	}
+var initialModel = func() (m model) {
+	m.isMatch = [2]prob{probInit, probInit}
 	for i := range m.literals {
-		m.literals[i] = newBitTree(8)
+		fill(m.literals[i][:])
 	}
+	fill(m.length[:])
+	fill(m.slot[:])
 	return m
+}()
+
+func fill(probs []prob) {
+	for i := range probs {
+		probs[i] = probInit
+	}
 }
 
 func litContext(prev byte) int { return int(prev >> 5) }
@@ -52,11 +59,7 @@ func distSlot(dist uint32) (slot uint32, footer uint32, footerBits int) {
 	if d < 4 {
 		return d, 0, 0
 	}
-	// number of bits in d
-	n := 31
-	for d>>uint(n) == 0 {
-		n--
-	}
+	n := bits.Len32(d) - 1 // index of d's top bit
 	slot = uint32(n<<1) | (d >> uint(n-1) & 1)
 	footerBits = n - 1
 	footer = d & (1<<uint(footerBits) - 1)
@@ -72,43 +75,70 @@ func distFromSlot(slot uint32, footer uint32) uint32 {
 	return base + footer + 1
 }
 
-// matchTables is the hash-chain match finder's scratch: head maps a
-// 3-byte-prefix hash to the most recent position with that hash, chain
-// links each position to the previous one sharing its hash. Pooled
-// because head alone is 256 KiB — far more than the ~1.6 kB pose payloads
-// Compress sees three times per frame.
-type matchTables struct {
+// encoderScratch is Compress's pooled scratch: the hash-chain match
+// finder and the range coder's output. head maps a 3-byte-prefix hash to
+// the stamp of the most recent position with that hash, chain links each
+// position's stamp to the previous one sharing its hash. A stamp is base
+// plus the position; base advances past every call's positions, so a
+// stamp below it is an earlier call's, which reads as empty, and head is
+// cleared only when the stamps would overflow int32. Pooled because head
+// alone is 256 KiB — far more than the ~1.6 kB pose payloads Compress
+// sees three times per frame.
+type encoderScratch struct {
 	head  [1 << hashBits]int32
+	base  int32
 	chain []int32
+	out   []byte
 }
 
-var matchTablesPool = sync.Pool{New: func() any { return new(matchTables) }}
+var scratchPool = sync.Pool{New: func() any { return &encoderScratch{base: 1} }}
+
+// matchLen returns how many leading bytes a and b share, up to limit
+// (both hold at least limit bytes).
+func matchLen(a, b []byte, limit int) int {
+	l := 0
+	for ; l+8 <= limit; l += 8 {
+		if x := binary.LittleEndian.Uint64(a[l:]) ^ binary.LittleEndian.Uint64(b[l:]); x != 0 {
+			return l + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for l < limit && a[l] == b[l] {
+		l++
+	}
+	return l
+}
 
 // Compress returns a self-describing compressed representation of src.
 // Compress never fails; incompressible input grows by a small header.
+// The result is its only allocation once the pooled scratch is warm.
 func Compress(src []byte) []byte {
-	hdr := make([]byte, 4, 4+binary.MaxVarintLen64)
-	copy(hdr, magic[:])
-	hdr = binary.AppendUvarint(hdr, uint64(len(src)))
-	if len(src) == 0 {
-		return hdr
+	s := scratchPool.Get().(*encoderScratch)
+	defer scratchPool.Put(s)
+	var e rangeEncoder
+	e.init(binary.AppendUvarint(append(s.out[:0], magic[:]...), uint64(len(src))))
+	if len(src) > 0 {
+		s.encode(&e, src)
 	}
+	s.out = e.out
+	return bytes.Clone(e.out)
+}
 
-	m := newModel()
-	e := newRangeEncoder()
-
-	// Hash-chain match finder over 3-byte prefixes. chain needs no reset:
-	// an entry is written (insert) before any search can reach it.
-	mt := matchTablesPool.Get().(*matchTables)
-	defer matchTablesPool.Put(mt)
-	head := mt.head[:]
-	for i := range head {
-		head[i] = -1
+// encode codes non-empty src with e.
+func (s *encoderScratch) encode(e *rangeEncoder, src []byte) {
+	m := initialModel
+	if int64(s.base)+int64(len(src)) > math.MaxInt32 {
+		clear(s.head[:])
+		s.base = 1
 	}
-	if cap(mt.chain) < len(src) {
-		mt.chain = make([]int32, len(src))
+	base := s.base
+	s.base += int32(len(src))
+	head := s.head[:]
+	if cap(s.chain) < len(src) {
+		s.chain = make([]int32, len(src))
 	}
-	chain := mt.chain[:len(src)]
+	// chain needs no reset: an entry is written (insert) before any
+	// search can reach it.
+	chain := s.chain[:len(src)]
 	hash3 := func(i int) uint32 {
 		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
 		return (v * 2654435761) >> (32 - hashBits)
@@ -119,7 +149,7 @@ func Compress(src []byte) []byte {
 		}
 		h := hash3(i)
 		chain[i] = head[h]
-		head[h] = int32(i)
+		head[h] = base + int32(i)
 	}
 
 	prevByte := byte(0)
@@ -128,13 +158,10 @@ func Compress(src []byte) []byte {
 	for pos < len(src) {
 		bestLen, bestDist := 0, 0
 		if pos+minMatch <= len(src) {
-			limit := len(src) - pos
-			if limit > maxMatch {
-				limit = maxMatch
-			}
+			limit := min(len(src)-pos, maxMatch)
 			cand := head[hash3(pos)]
-			for depth := 0; cand >= 0 && depth < maxChain; depth++ {
-				c := int(cand)
+			for depth := 0; cand >= base && depth < maxChain; depth++ {
+				c := int(cand - base)
 				cand = chain[c]
 				// Quick reject: a match that can beat bestLen must at
 				// least agree at offset bestLen (bestLen < limit holds
@@ -142,11 +169,7 @@ func Compress(src []byte) []byte {
 				if bestLen > 0 && src[c+bestLen] != src[pos+bestLen] {
 					continue
 				}
-				l := 0
-				for l < limit && src[c+l] == src[pos+l] {
-					l++
-				}
-				if l > bestLen {
+				if l := matchLen(src[c:], src[pos:], limit); l > bestLen {
 					bestLen, bestDist = l, pos-c
 					if l == limit {
 						break
@@ -156,9 +179,9 @@ func Compress(src []byte) []byte {
 		}
 		if bestLen >= minMatch {
 			e.encodeBit(&m.isMatch[lastWasMatch], 1)
-			m.length.encode(e, uint32(bestLen-minMatch))
+			e.encodeTree(m.length[:], 8, uint32(bestLen-minMatch))
 			slot, footer, fb := distSlot(uint32(bestDist))
-			m.slot.encode(e, slot)
+			e.encodeTree(m.slot[:], numSlotBits, slot)
 			if fb > 0 {
 				e.encodeDirect(footer, fb)
 			}
@@ -171,14 +194,14 @@ func Compress(src []byte) []byte {
 		} else {
 			e.encodeBit(&m.isMatch[lastWasMatch], 0)
 			b := src[pos]
-			m.literals[litContext(prevByte)].encode(e, uint32(b))
+			e.encodeTree(m.literals[litContext(prevByte)][:], 8, uint32(b))
 			insert(pos)
 			prevByte = b
 			pos++
 			lastWasMatch = 0
 		}
 	}
-	return append(hdr, e.flush()...)
+	e.flush()
 }
 
 // reserveRatio bounds Decompress's up-front output reservation at this
@@ -216,8 +239,9 @@ func decompress(data []byte) ([]byte, error) {
 		return []byte{}, nil
 	}
 
-	m := newModel()
-	d := newRangeDecoder(rest)
+	m := initialModel
+	var d rangeDecoder
+	d.init(rest)
 	out := make([]byte, 0, min(origLen, reserveRatio*uint64(len(rest))))
 	prevByte := byte(0)
 	lastWasMatch := 0
@@ -226,8 +250,8 @@ func decompress(data []byte) ([]byte, error) {
 			return out, fmt.Errorf("%w: truncated stream", ErrCorrupt)
 		}
 		if d.decodeBit(&m.isMatch[lastWasMatch]) == 1 {
-			length := int(m.length.decode(d)) + minMatch
-			slot := m.slot.decode(d)
+			length := int(d.decodeTree(m.length[:], 8)) + minMatch
+			slot := d.decodeTree(m.slot[:], numSlotBits)
 			var footer uint32
 			if slot >= 4 {
 				fb := int(slot>>1) - 1
@@ -247,11 +271,17 @@ func decompress(data []byte) ([]byte, error) {
 			prevByte = out[len(out)-1]
 			lastWasMatch = 1
 		} else {
-			b := byte(m.literals[litContext(prevByte)].decode(d))
+			b := byte(d.decodeTree(m.literals[litContext(prevByte)][:], 8))
 			out = append(out, b)
 			prevByte = b
 			lastWasMatch = 0
 		}
+	}
+	// A stream that ran out while its last symbol was decoded: the
+	// decoder reads exactly what the encoder wrote, so a valid stream
+	// never underruns.
+	if d.err {
+		return out, fmt.Errorf("%w: truncated stream", ErrCorrupt)
 	}
 	return out, nil
 }

@@ -98,6 +98,8 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecompressTruncated cuts a repetitive stream at three points, the
+// last byte among them: each cut is ErrCorrupt, not wrong bytes.
 func TestDecompressTruncated(t *testing.T) {
 	src := []byte(strings.Repeat("abcdefgh", 100))
 	enc := Compress(src)
@@ -105,8 +107,8 @@ func TestDecompressTruncated(t *testing.T) {
 		if cut >= len(enc) {
 			continue
 		}
-		if dec, err := Decompress(enc[:cut]); err == nil && bytes.Equal(dec, src) {
-			t.Errorf("truncated stream at %d decoded to full original", cut)
+		if dec, err := Decompress(enc[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("stream cut to %d of %d bytes gave %d bytes, err %v; want ErrCorrupt", cut, len(enc), len(dec), err)
 		}
 	}
 }
@@ -237,6 +239,73 @@ func TestCompressPoseAllocs(t *testing.T) {
 	})
 	if got := res.AllocedBytesPerOp(); got >= 8<<10 {
 		t.Fatalf("Compress of a %d-byte pose allocates %d B/op, want < 8 KiB", len(src), got)
+	}
+}
+
+// TestCompressPoseOneAlloc pins steady-state Compress of a marshalled
+// pose at one allocation, its output: the model is a stack copy and the
+// match finder and the coder's output buffer are pooled. Run on a
+// non-race line (make alloc-check).
+func TestCompressPoseOneAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	src := body.Talking(nil).At(0.3).Marshal()
+	Compress(src)
+	if got := testing.AllocsPerRun(200, func() { Compress(src) }); got != 1 {
+		t.Fatalf("Compress of a %d-byte pose makes %v allocations, want 1", len(src), got)
+	}
+}
+
+// TestDecompressPoseOneAlloc pins Decompress of a pose stream at one
+// allocation, its output. Run on a non-race line (make alloc-check).
+func TestDecompressPoseOneAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	enc := Compress(body.Talking(nil).At(0.3).Marshal())
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := Decompress(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Fatalf("Decompress of a %d-byte pose stream makes %v allocations, want 1", len(enc), got)
+	}
+}
+
+// TestProbInvariant pins what lets the coder normalise once per bit:
+// every probability adapt can reach from probInit lies in [31, 2017],
+// and from any rng ≥ topValue a bit coded at such a probability leaves
+// rng ≥ 2^16, which one 8-bit shift brings back to ≥ topValue.
+func TestProbInvariant(t *testing.T) {
+	seen := map[uint32]bool{probInit: true}
+	queue := []uint32{probInit}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		if p < 31 || p > 2017 {
+			t.Fatalf("adapt reaches probability %d, outside [31, 2017]", p)
+		}
+		for _, m := range []uint32{0, ^uint32(0)} {
+			if q := adapt(p, m); !seen[q] {
+				seen[q] = true
+				queue = append(queue, q)
+			}
+		}
+	}
+	if !seen[31] || !seen[2017] {
+		t.Fatalf("[31, 2017] is not tight: 31 reached %v, 2017 reached %v", seen[31], seen[2017])
+	}
+	// bound ≥ ⌊rng/2048⌋·31 ≥ 2^13·31 and rng − bound ≥ rng·31/2048 ≥
+	// 2^24·31/2048, both above 2^16; the loop checks the edge cases.
+	for _, rng := range []uint32{topValue, topValue + 2047, 1 << 31, 0xFFFFFFFF} {
+		for p := uint32(31); p <= 2017; p++ {
+			bound := (rng >> probBits) * p
+			if bound < 1<<16 || rng-bound < 1<<16 {
+				t.Fatalf("rng %#x, p %d: bound %#x, rng−bound %#x; one shift would not restore topValue", rng, p, bound, rng-bound)
+			}
+		}
 	}
 }
 

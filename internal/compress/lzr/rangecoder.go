@@ -13,10 +13,24 @@ const (
 	topValue = 1 << 24
 )
 
-// prob is an adaptive probability of the next bit being 0, in [0, 2048).
+// prob is an adaptive probability of the next bit being 0, in units of
+// 2^−11. Starting from probInit, adapt keeps it in [31, 2017]
+// (TestProbInvariant), so a coded bit leaves rng ≥ (2^24 >> 11)·31 ≥
+// 2^16 and a single 8-bit normalisation step restores rng ≥ topValue.
 type prob = uint16
 
+// adapt returns p after coding a bit, given m: all ones for a 0 bit,
+// zero for a 1 bit. Both updates are computed and m selects one, so the
+// coded bit costs no branch.
+func adapt(p, m uint32) uint32 {
+	p0 := p + (1<<probBits-p)>>moveBits
+	p1 := p - p>>moveBits
+	return p1 ^ (p0^p1)&m
+}
+
 // rangeEncoder is a carry-propagating binary range encoder (LZMA style).
+// Its coding methods load low and rng into locals for a whole symbol and
+// store them back once.
 type rangeEncoder struct {
 	low       uint64
 	rng       uint32
@@ -25,65 +39,87 @@ type rangeEncoder struct {
 	out       []byte
 }
 
-func newRangeEncoder() *rangeEncoder {
-	return &rangeEncoder{rng: 0xFFFFFFFF, cacheSize: 1}
+// init resets e to write after the bytes already in out.
+func (e *rangeEncoder) init(out []byte) {
+	*e = rangeEncoder{rng: 0xFFFFFFFF, cacheSize: 1, out: out}
 }
 
-func (e *rangeEncoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || (e.low>>32) != 0 {
-		temp := e.cache
-		for {
-			e.out = append(e.out, temp+byte(e.low>>32))
-			temp = 0xFF
-			e.cacheSize--
-			if e.cacheSize == 0 {
-				break
-			}
+// shiftLow moves the top byte of low into the pending run (the cached
+// byte and the 0xFF bytes a carry may still bump), writing the run out
+// once no carry can reach it, and returns low shifted.
+func (e *rangeEncoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
+		e.out = append(e.out, e.cache+carry)
+		for ; e.cacheSize > 1; e.cacheSize-- {
+			e.out = append(e.out, 0xFF+carry)
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
+		e.cacheSize = 0
 	}
 	e.cacheSize++
-	e.low = (e.low << 8) & 0xFFFFFFFF
+	return (low << 8) & 0xFFFFFFFF
 }
 
-func (e *rangeEncoder) encodeBit(p *prob, bit int) {
-	bound := (e.rng >> probBits) * uint32(*p)
-	if bit == 0 {
-		e.rng = bound
-		*p += (1<<probBits - *p) >> moveBits
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
-		*p -= *p >> moveBits
-	}
-	for e.rng < topValue {
-		e.shiftLow()
+// encodeBit codes one bit (0 or 1) at adaptive probability *p.
+func (e *rangeEncoder) encodeBit(p *prob, bit uint32) {
+	m := bit - 1 // all ones for a 0 bit
+	pv := uint32(*p)
+	bound := (e.rng >> probBits) * pv
+	e.low += uint64(bound &^ m)
+	e.rng = bound&m | (e.rng-bound)&^m
+	*p = prob(adapt(pv, m))
+	if e.rng < topValue {
+		e.low = e.shiftLow(e.low)
 		e.rng <<= 8
 	}
 }
 
+// encodeTree codes the nbit-wide symbol sym, MSB first, through the bit
+// tree probs (node 1 is the root; node n's children are 2n and 2n+1).
+func (e *rangeEncoder) encodeTree(probs []prob, nbit int, sym uint32) {
+	low, rng := e.low, e.rng
+	node := uint32(1)
+	for i := nbit - 1; i >= 0; i-- {
+		bit := sym >> uint(i) & 1
+		m := bit - 1
+		p := uint32(probs[node])
+		bound := (rng >> probBits) * p
+		low += uint64(bound &^ m)
+		rng = bound&m | (rng-bound)&^m
+		probs[node] = prob(adapt(p, m))
+		node = node<<1 | bit
+		if rng < topValue {
+			low = e.shiftLow(low)
+			rng <<= 8
+		}
+	}
+	e.low, e.rng = low, rng
+}
+
 // encodeDirect encodes n bits of v (MSB first) at fixed probability ½.
 func (e *rangeEncoder) encodeDirect(v uint32, n int) {
+	low, rng := e.low, e.rng
 	for i := n - 1; i >= 0; i-- {
-		e.rng >>= 1
-		if (v>>uint(i))&1 != 0 {
-			e.low += uint64(e.rng)
-		}
-		if e.rng < topValue {
-			e.shiftLow()
-			e.rng <<= 8
+		rng >>= 1
+		low += uint64(rng & -(v >> uint(i) & 1))
+		if rng < topValue {
+			low = e.shiftLow(low)
+			rng <<= 8
 		}
 	}
+	e.low, e.rng = low, rng
 }
 
-func (e *rangeEncoder) flush() []byte {
+// flush writes out what low still holds.
+func (e *rangeEncoder) flush() {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
-	return e.out
 }
 
-// rangeDecoder mirrors rangeEncoder.
+// rangeDecoder mirrors rangeEncoder. It normalises in lock-step with the
+// encoder, so it reads exactly the bytes the encoder wrote.
 type rangeDecoder struct {
 	code uint32
 	rng  uint32
@@ -92,89 +128,79 @@ type rangeDecoder struct {
 	err  bool // set on input underrun; surfaced by the caller
 }
 
-func newRangeDecoder(in []byte) *rangeDecoder {
-	d := &rangeDecoder{rng: 0xFFFFFFFF, in: in}
+func (d *rangeDecoder) init(in []byte) {
+	*d = rangeDecoder{rng: 0xFFFFFFFF, in: in}
 	d.next() // first byte emitted by the encoder is always 0
 	for i := 0; i < 4; i++ {
-		d.code = d.code<<8 | uint32(d.next())
+		d.code = d.code<<8 | d.next()
 	}
-	return d
 }
 
-func (d *rangeDecoder) next() byte {
+func (d *rangeDecoder) next() uint32 {
 	if d.pos >= len(d.in) {
 		d.err = true
 		return 0
 	}
 	b := d.in[d.pos]
 	d.pos++
-	return b
+	return uint32(b)
 }
 
-func (d *rangeDecoder) decodeBit(p *prob) int {
-	bound := (d.rng >> probBits) * uint32(*p)
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-		*p += (1<<probBits - *p) >> moveBits
-		bit = 0
-	} else {
-		d.code -= bound
-		d.rng -= bound
-		*p -= *p >> moveBits
-		bit = 1
-	}
-	for d.rng < topValue {
+// zeroMask returns all ones when code < bound (a 0 bit), else zero.
+func zeroMask(code, bound uint32) uint32 {
+	return uint32((uint64(code) - uint64(bound)) >> 32)
+}
+
+// decodeBit decodes one bit at adaptive probability *p.
+func (d *rangeDecoder) decodeBit(p *prob) uint32 {
+	pv := uint32(*p)
+	bound := (d.rng >> probBits) * pv
+	m := zeroMask(d.code, bound)
+	d.code -= bound &^ m
+	d.rng = bound&m | (d.rng-bound)&^m
+	*p = prob(adapt(pv, m))
+	if d.rng < topValue {
 		d.rng <<= 8
-		d.code = d.code<<8 | uint32(d.next())
+		d.code = d.code<<8 | d.next()
 	}
-	return bit
+	return m + 1
+}
+
+// decodeTree decodes an nbit-wide symbol through the bit tree probs.
+func (d *rangeDecoder) decodeTree(probs []prob, nbit int) uint32 {
+	code, rng := d.code, d.rng
+	node := uint32(1)
+	for i := 0; i < nbit; i++ {
+		p := uint32(probs[node])
+		bound := (rng >> probBits) * p
+		m := zeroMask(code, bound)
+		code -= bound &^ m
+		rng = bound&m | (rng-bound)&^m
+		probs[node] = prob(adapt(p, m))
+		node = node<<1 | (m + 1)
+		if rng < topValue {
+			rng <<= 8
+			code = code<<8 | d.next()
+		}
+	}
+	d.code, d.rng = code, rng
+	return node - 1<<nbit
 }
 
 func (d *rangeDecoder) decodeDirect(n int) uint32 {
+	code, rng := d.code, d.rng
 	var v uint32
 	for i := 0; i < n; i++ {
-		d.rng >>= 1
-		d.code -= d.rng
-		t := 0 - (d.code >> 31) // all-ones when code borrowed
-		d.code += d.rng & t
+		rng >>= 1
+		code -= rng
+		t := 0 - (code >> 31) // all-ones when code borrowed
+		code += rng & t
 		v = v<<1 | (t + 1)
-		if d.rng < topValue {
-			d.rng <<= 8
-			d.code = d.code<<8 | uint32(d.next())
+		if rng < topValue {
+			rng <<= 8
+			code = code<<8 | d.next()
 		}
 	}
+	d.code, d.rng = code, rng
 	return v
-}
-
-// bitTree encodes nbit-wide symbols through a tree of 2^nbit−1 adaptive
-// probabilities, MSB first.
-type bitTree struct {
-	probs []prob
-	nbit  int
-}
-
-func newBitTree(nbit int) *bitTree {
-	t := &bitTree{probs: make([]prob, 1<<nbit), nbit: nbit}
-	for i := range t.probs {
-		t.probs[i] = probInit
-	}
-	return t
-}
-
-func (t *bitTree) encode(e *rangeEncoder, sym uint32) {
-	node := uint32(1)
-	for i := t.nbit - 1; i >= 0; i-- {
-		bit := int((sym >> uint(i)) & 1)
-		e.encodeBit(&t.probs[node], bit)
-		node = node<<1 | uint32(bit)
-	}
-}
-
-func (t *bitTree) decode(d *rangeDecoder) uint32 {
-	node := uint32(1)
-	for i := 0; i < t.nbit; i++ {
-		node = node<<1 | uint32(d.decodeBit(&t.probs[node]))
-	}
-	return node - 1<<t.nbit
 }

@@ -111,8 +111,9 @@ func (c *fovealCut) apply(src *mesh.Mesh, sel gaze.FovealSelector, anchor geom.V
 	clear(remap)
 	faces := c.faces[:0]
 	nv := 0
+	fovea := sel.Around(anchor)
 	for i, f := range src.Faces {
-		if sel.InFovea(src.FaceCentroid(i), anchor) != inside {
+		if fovea.In(src.FaceCentroid(i)) != inside {
 			continue
 		}
 		faces = append(faces, int32(i))

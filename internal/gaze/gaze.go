@@ -224,6 +224,50 @@ func (f FovealSelector) InFovea(p geom.Vec3, gazeAnchor geom.Vec3) bool {
 	return ang <= f.Radius
 }
 
+// fovealGuard is the relative band around the squared boundary radius
+// inside which FovealTest defers to InFovea. The two tests' rounding
+// differs by a few ulps (≈1e-15); the band is six orders wider.
+const fovealGuard = 1e-9
+
+// FovealTest is InFovea for one anchor without a Sqrt and an Atan2 per
+// point: a squared distance below (D·tan R)² by more than fovealGuard is
+// inside, one above it by more is outside, and only points in between
+// (or selectors without such a radius) take the exact test, so every
+// decision is InFovea's.
+type FovealTest struct {
+	sel    FovealSelector
+	anchor geom.Vec3
+	in     float64 // squared distances below this are inside
+	out    float64 // squared distances above this are outside
+}
+
+// Around returns the FovealTest of f around anchor.
+func (f FovealSelector) Around(anchor geom.Vec3) FovealTest {
+	t := FovealTest{sel: f, anchor: anchor, in: -1, out: math.Inf(1)}
+	// Past 80° tan grows too steep for a relative band to cover the
+	// angle's rounding; a tiny or huge radius may underflow or overflow.
+	if f.ViewDistance > 0 && f.Radius > 0 && f.Radius < 80 {
+		r := f.ViewDistance * math.Tan(f.Radius*math.Pi/180)
+		if r2 := r * r; r2 > 1e-100 && r2 < 1e100 {
+			t.in, t.out = r2*(1-fovealGuard), r2*(1+fovealGuard)
+		}
+	}
+	return t
+}
+
+// In reports InFovea(p, anchor) for the selector and anchor t was built
+// from.
+func (t FovealTest) In(p geom.Vec3) bool {
+	d2 := p.Sub(t.anchor).LenSq()
+	switch {
+	case d2 < t.in:
+		return true
+	case d2 > t.out:
+		return false
+	}
+	return t.sel.InFovea(p, t.anchor)
+}
+
 // SplitMesh partitions face indices of a mesh into foveal and peripheral
 // sets around the gazed-at anchor.
 func (f FovealSelector) SplitMesh(centroids []geom.Vec3, anchor geom.Vec3) (foveal, peripheral []int) {

@@ -2,6 +2,7 @@ package gaze
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"semholo/internal/geom"
@@ -187,5 +188,63 @@ func TestFovealSelectorRadiusMonotone(t *testing.T) {
 	fl, _ := large.SplitMesh(centroids, anchor)
 	if len(fl) <= len(fs) {
 		t.Errorf("larger radius selected fewer faces: %d vs %d", len(fl), len(fs))
+	}
+}
+
+// TestFovealTestMatchesInFovea checks FovealTest.In against InFovea on
+// random points and on points within ±8 ulps of the boundary radius, for
+// random selectors and the degenerate ones (no view distance, no radius,
+// a radius of 80° or more), and that ordinary selectors take the
+// squared-distance path at all.
+func TestFovealTestMatchesInFovea(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	unit := func() geom.Vec3 {
+		for {
+			v := geom.V3(rng.Float64()*2-1, rng.Float64()*2-1, rng.Float64()*2-1)
+			if l := v.Len(); l > 0.1 && l <= 1 {
+				return v.Scale(1 / l)
+			}
+		}
+	}
+	sels := []FovealSelector{
+		{Radius: 8, ViewDistance: 2}, {Radius: 2, ViewDistance: 0.5}, {Radius: 1e-3, ViewDistance: 3},
+		{Radius: 79.999, ViewDistance: 1},
+		{Radius: 5, ViewDistance: 0}, {Radius: 5, ViewDistance: -1},
+		{Radius: 0, ViewDistance: 2}, {Radius: -3, ViewDistance: 2},
+		{Radius: 80, ViewDistance: 2}, {Radius: 90, ViewDistance: 2}, {Radius: 135, ViewDistance: 2},
+	}
+	for i := 0; i < 40; i++ {
+		sels = append(sels, FovealSelector{Radius: rng.Float64() * 80, ViewDistance: 0.05 + rng.Float64()*10})
+	}
+	for _, sel := range sels {
+		anchor := geom.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		test := sel.Around(anchor)
+		if fast := test.in > 0; fast != (sel.ViewDistance > 0 && sel.Radius > 0 && sel.Radius < 80) {
+			t.Errorf("%+v: squared-distance path enabled = %v", sel, fast)
+		}
+		check := func(p geom.Vec3) {
+			if got, want := test.In(p), sel.InFovea(p, anchor); got != want {
+				t.Fatalf("%+v anchor %v point %v: In = %v, InFovea = %v", sel, anchor, p, got, want)
+			}
+		}
+		check(anchor)
+		r := sel.ViewDistance * math.Tan(sel.Radius*math.Pi/180)
+		for j := 0; j < 2000; j++ {
+			check(anchor.Add(unit().Scale(rng.Float64() * 3 * math.Abs(r))))
+		}
+		if !(r > 0) || math.IsInf(r, 0) {
+			continue
+		}
+		for j := 0; j < 200; j++ {
+			u := unit()
+			d := r
+			for k := 0; k < 8; k++ {
+				d = math.Nextafter(d, 0)
+			}
+			for k := -8; k <= 8; k++ {
+				check(anchor.Add(u.Scale(d)))
+				d = math.Nextafter(d, math.Inf(1))
+			}
+		}
 	}
 }
