@@ -39,7 +39,9 @@ bench-m2p:
 	bash bench/run.sh --trace 0
 
 ## ci: the full gate — vet, build, a check that every test pattern below
-## still names a test, race-enabled tests, the reconstruction determinism
+## still names a test, race-enabled tests (the rasteriser's pooled
+## scratch hammered by concurrent renders of mixed sizes three times
+## over), the reconstruction determinism
 ## suite (reused and cached output must stay byte-identical to a fresh
 ## reconstruction, skinned output deterministic and no worse than
 ## extraction), the per-subsystem gates, the allocation pins, 10 s of
@@ -48,6 +50,7 @@ bench-m2p:
 ci: vet build
 	$(MAKE) run-patterns-check
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=3 -run 'TestRenderMeshPooledConcurrent' ./internal/render
 	$(MAKE) cache-determinism
 	$(MAKE) obs-check
 	$(MAKE) pipeline-check
@@ -188,36 +191,46 @@ cluster-check:
 	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
 	$(GO) test -run 'TestTrunkLegAllocs' ./internal/transport
 
-## alloc-check: the decode-path allocation pins, on a non-race line (race
+## alloc-check: the allocation pins, on a non-race line (race
 ## instrumentation perturbs alloc counts — same reason as cluster-check's
-## TestTrunkLegAllocs line): a mesh-cache hit through
-## Reconstructor.Reconstruct allocates nothing, a steady-state skinned
-## frame allocates two objects (mesh header + vertex array; the faces are
-## the rest surface's), the hybrid graft allocates three objects per frame
-## (mesh header + two exact-size arrays), steady-state lzr.Compress of
-## a marshalled pose stays under 8 KiB per call and makes one
-## allocation, its output (the model is a stack copy; the base-stamped
-## 256 KiB hash-head table, the chain and the coder's output buffer are
-## pooled), lzr.Decompress of that pose's stream makes one allocation,
-## its output, lzr.Decompress of a 14-byte stream declaring 4 GiB
-## fails with ErrCorrupt having allocated ≤ 64 KiB,
-## mesh.SamplePoints(n) makes one allocation of ≤ (n+1)×24 B, a
-## 24-byte frame header declaring a 16 MiB payload, then EOF, fails
-## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error),
+## TestTrunkLegAllocs line).
+## Decode path: a mesh-cache hit through Reconstructor.Reconstruct
+## allocates nothing; a steady-state skinned frame allocates two objects
+## (mesh header + vertex array; the faces are the rest surface's); the
+## hybrid graft allocates three objects per frame (mesh header + two
+## exact-size arrays); a hybrid frame's foveal patch is decoded into the
+## decoder's own scratch, so it costs no more than lzr's decompressed
+## stream and the graft's three objects over the same frame without one.
+## Rung-2 encode: the foveal cut into the encoder's reused submesh plus
+## dracogo.EncodeMesh (raw stream in pooled scratch) make one allocation,
+## the exact-size payload.
+## Render and capture: serial render.RenderMesh allocates nothing (its
+## projection scratch is pooled), and a serial capture rig allocates its
+## views slice, one frame per camera whose depth and colour buffers the
+## view takes over, and par.For's dispatch — nothing per render.
+## Codecs: steady-state lzr.Compress of a marshalled pose stays under
+## 8 KiB per call and makes one allocation, its output (the model is a
+## stack copy; the base-stamped 256 KiB hash-head table, the chain and
+## the coder's output buffer are pooled); lzr.Decompress of that pose's
+## stream makes one allocation, its output; mesh.SamplePoints(n) makes
+## one allocation of ≤ (n+1)×24 B.
+## Hostile lengths: lzr.Decompress of a 14-byte stream declaring 4 GiB
+## fails with ErrCorrupt having allocated ≤ 64 KiB; a 24-byte frame
+## header declaring a 16 MiB payload, then EOF, fails
+## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error);
 ## dracogo.DecodeMesh/DecodeCloud of a short stream declaring 2^24
-## vertices/points fail having allocated ≤ 64 KiB, render.RenderMesh
-## on the serial path makes one allocation of ≤ 40 B per vertex, and a
-## relay leg's tiered cadence send (a rung plus its trailing capacity
+## vertices/points fail having allocated ≤ 64 KiB.
+## Relay: a leg's tiered cadence send (a rung plus its trailing capacity
 ## ping, one write) allocates nothing in steady state.
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestCompressPoseAllocs|TestCompressPoseOneAlloc|TestDecompressPoseOneAlloc|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestHybridDecodePatchAllocs|TestFovealEncodeAllocs|TestCompressPoseAllocs|TestCompressPoseOneAlloc|TestDecompressPoseOneAlloc|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestCaptureAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render ./internal/capture
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
 ## — the pose frame (both magics), lzr streams (alone, and against the
 ## reference coder stream for stream), the hop-trace wire extension,
 ## the frame reader over every flag combination and batch boundary,
-## dracogo mesh and cloud streams, the text rung's keyframe and delta
-## documents through TextDecoder — plus the pruned SDF evaluator and
+## dracogo mesh and cloud streams, the texture rung's BTC payload, the
+## text rung's keyframe and delta documents through TextDecoder — plus the pruned SDF evaluator and
 ## the rasteriser against its reference (triangle soups with vertices
 ## behind the near plane, degenerate faces, slivers and vertices within
 ## ulps of a pixel centre). Text documents run to a few hundred bytes,
@@ -237,6 +250,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMesh$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCloud$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderMesh$$' -fuzztime 10s ./internal/render
+	$(GO) test -run '^$$' -fuzz '^FuzzDecompressBTC$$' -fuzztime 10s ./internal/texture
 	$(GO) test -run '^$$' -fuzz '^FuzzTextDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 ## bench-smoke: a 3 s pass of each benchmark workload through

@@ -68,14 +68,16 @@ func NewRing(n int, radius, height float64, target geom.Vec3, res int, hfov floa
 // Capture renders the mesh from every camera and applies sensor noise,
 // returning one RGB-D view per camera. Cameras render concurrently (see
 // Rig.Workers); the rng-driven noise pass stays serial and in camera
-// order to keep output deterministic.
+// order to keep output deterministic. Each view takes over its frame's
+// depth and colour buffers rather than copying them: the frame is not
+// kept.
 func (r *Rig) Capture(m *mesh.Mesh, opt render.MeshOptions) []pointcloud.DepthView {
 	views := make([]pointcloud.DepthView, len(r.Cameras))
 	inner := r.innerOptions(opt)
 	par.For(r.Workers, len(r.Cameras), func(i int) {
 		f := render.NewFrame(r.Cameras[i])
 		render.RenderMesh(f, m, inner)
-		views[i] = f.DepthView()
+		views[i] = pointcloud.DepthView{Camera: f.Camera, Depth: f.Depth, Colors: f.Color}
 	})
 	for i := range views {
 		r.applyNoise(&views[i])

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"semholo/internal/compress/lzr"
 	"semholo/internal/geom"
@@ -120,12 +121,20 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[n:], nil
 }
 
+// rawPool recycles EncodeMesh's uncompressed stream, which lives only
+// until lzr has coded it.
+var rawPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // EncodeMesh compresses m. Vertex positions are quantized; normals and
 // UVs, when present, travel quantized as well. Face connectivity is
-// delta-coded against the previous face.
+// delta-coded against the previous face. The uncompressed stream is
+// built in pooled scratch, so the returned exact-size payload is the
+// only allocation once the pool is warm.
 func EncodeMesh(m *mesh.Mesh, opt Options) []byte {
 	opt = opt.withDefaults()
-	buf := []byte(meshMagic)
+	scratch := rawPool.Get().(*[]byte)
+	defer rawPool.Put(scratch)
+	buf := append((*scratch)[:0], meshMagic...)
 	var flags byte
 	if m.Normals != nil {
 		flags |= flagNormals
@@ -187,48 +196,63 @@ func EncodeMesh(m *mesh.Mesh, opt Options) []byte {
 		buf = binary.AppendUvarint(buf, zigzag(int64(f.C)-int64(f.A)))
 		pa = int64(f.A)
 	}
+	*scratch = buf
 	return lzr.Compress(buf)
 }
 
 // DecodeMesh reverses EncodeMesh. The result is lossy: positions are
 // reconstructed to quantization precision.
 func DecodeMesh(data []byte) (*mesh.Mesh, error) {
+	m := new(mesh.Mesh)
+	if err := DecodeMeshInto(m, data); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeMeshInto is DecodeMesh decoding into m, whose arrays are reused
+// when long enough and replaced by exact-size ones otherwise, so a
+// decoder that only reads each mesh before the next can keep one across
+// frames. Attributes the stream lacks are set to nil. Counts are checked
+// against the payload before anything is sized, as in DecodeMesh; on
+// error m holds no usable mesh.
+func DecodeMeshInto(m *mesh.Mesh, data []byte) error {
 	raw, err := lzr.Decompress(data)
 	if err != nil {
-		return nil, fmt.Errorf("dracogo: %w", err)
+		return fmt.Errorf("dracogo: %w", err)
 	}
 	if len(raw) < 8 || string(raw[:4]) != meshMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	flags := raw[4]
 	posBits, normBits, uvBits := int(raw[5]), int(raw[6]), int(raw[7])
 	if posBits < 1 || posBits > 30 {
-		return nil, fmt.Errorf("%w: position bits %d", ErrCorrupt, posBits)
+		return fmt.Errorf("%w: position bits %d", ErrCorrupt, posBits)
 	}
 	buf := raw[8:]
 
 	nv, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nf, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nv > 1<<28 || nf > 1<<28 {
-		return nil, fmt.Errorf("%w: implausible sizes %d/%d", ErrCorrupt, nv, nf)
+		return fmt.Errorf("%w: implausible sizes %d/%d", ErrCorrupt, nv, nf)
 	}
 	// Every vertex and face takes at least three varint bytes, so a
 	// declared count the payload cannot hold is refused before it sizes
 	// an allocation.
 	if nv+nf > uint64(len(buf))/minElementBytes {
-		return nil, fmt.Errorf("%w: %d vertices and %d faces in %d bytes", ErrCorrupt, nv, nf, len(buf))
+		return fmt.Errorf("%w: %d vertices and %d faces in %d bytes", ErrCorrupt, nv, nf, len(buf))
 	}
 	var bounds [6]float64
 	for i := range bounds {
 		bounds[i], buf, err = readFloat(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	b := geom.AABB{
@@ -237,18 +261,18 @@ func DecodeMesh(data []byte) (*mesh.Mesh, error) {
 	}
 	q := newQuantizer(b, posBits)
 
-	m := &mesh.Mesh{Vertices: make([]geom.Vec3, nv), Faces: make([]mesh.Face, nf)}
+	m.Vertices, m.Faces = resize(m.Vertices, nv), resize(m.Faces, nf)
 	var px, py, pz int64
 	for i := uint64(0); i < nv; i++ {
 		var dx, dy, dz uint64
 		if dx, buf, err = readUvarint(buf); err != nil {
-			return nil, err
+			return err
 		}
 		if dy, buf, err = readUvarint(buf); err != nil {
-			return nil, err
+			return err
 		}
 		if dz, buf, err = readUvarint(buf); err != nil {
-			return nil, err
+			return err
 		}
 		px += unzigzag(dx)
 		py += unzigzag(dy)
@@ -256,23 +280,25 @@ func DecodeMesh(data []byte) (*mesh.Mesh, error) {
 		m.Vertices[i] = q.dequantize(px, py, pz)
 	}
 
-	if flags&flagNormals != 0 {
+	if flags&flagNormals == 0 {
+		m.Normals = nil
+	} else {
 		scale := float64(int64(1)<<uint(normBits-1) - 1)
 		if scale <= 0 {
-			return nil, fmt.Errorf("%w: normal bits %d", ErrCorrupt, normBits)
+			return fmt.Errorf("%w: normal bits %d", ErrCorrupt, normBits)
 		}
-		m.Normals = make([]geom.Vec3, nv)
+		m.Normals = resize(m.Normals, nv)
 		var nx, ny, nz int64
 		for i := uint64(0); i < nv; i++ {
 			var dx, dy, dz uint64
 			if dx, buf, err = readUvarint(buf); err != nil {
-				return nil, err
+				return err
 			}
 			if dy, buf, err = readUvarint(buf); err != nil {
-				return nil, err
+				return err
 			}
 			if dz, buf, err = readUvarint(buf); err != nil {
-				return nil, err
+				return err
 			}
 			nx += unzigzag(dx)
 			ny += unzigzag(dy)
@@ -280,20 +306,22 @@ func DecodeMesh(data []byte) (*mesh.Mesh, error) {
 			m.Normals[i] = geom.V3(float64(nx)/scale, float64(ny)/scale, float64(nz)/scale).Normalize()
 		}
 	}
-	if flags&flagUVs != 0 {
+	if flags&flagUVs == 0 {
+		m.UVs = nil
+	} else {
 		scale := float64(int64(1)<<uint(uvBits) - 1)
 		if scale <= 0 {
-			return nil, fmt.Errorf("%w: uv bits %d", ErrCorrupt, uvBits)
+			return fmt.Errorf("%w: uv bits %d", ErrCorrupt, uvBits)
 		}
-		m.UVs = make([]geom.Vec2, nv)
+		m.UVs = resize(m.UVs, nv)
 		var ux, uy int64
 		for i := uint64(0); i < nv; i++ {
 			var dx, dy uint64
 			if dx, buf, err = readUvarint(buf); err != nil {
-				return nil, err
+				return err
 			}
 			if dy, buf, err = readUvarint(buf); err != nil {
-				return nil, err
+				return err
 			}
 			ux += unzigzag(dx)
 			uy += unzigzag(dy)
@@ -305,25 +333,34 @@ func DecodeMesh(data []byte) (*mesh.Mesh, error) {
 	for i := uint64(0); i < nf; i++ {
 		var da, db, dc uint64
 		if da, buf, err = readUvarint(buf); err != nil {
-			return nil, err
+			return err
 		}
 		if db, buf, err = readUvarint(buf); err != nil {
-			return nil, err
+			return err
 		}
 		if dc, buf, err = readUvarint(buf); err != nil {
-			return nil, err
+			return err
 		}
 		a := pa + unzigzag(da)
 		bidx := a + unzigzag(db)
 		cidx := a + unzigzag(dc)
 		if a < 0 || bidx < 0 || cidx < 0 || uint64(a) >= nv || uint64(bidx) >= nv || uint64(cidx) >= nv {
-			return nil, fmt.Errorf("%w: face %d out of range", ErrCorrupt, i)
+			return fmt.Errorf("%w: face %d out of range", ErrCorrupt, i)
 		}
 		m.Faces[i] = mesh.Face{A: int(a), B: int(bidx), C: int(cidx)}
 		pa = a
 	}
-	_ = buf
-	return m, nil
+	return nil
+}
+
+// resize returns s resliced to n elements when its capacity allows, and
+// a fresh exact-size slice otherwise (also for a nil s, so a fresh mesh
+// never carries nil arrays). n is bounded by the payload.
+func resize[T any](s []T, n uint64) []T {
+	if s == nil || uint64(cap(s)) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EncodeCloud compresses a point cloud: quantized positions (delta-coded

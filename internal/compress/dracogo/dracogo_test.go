@@ -2,6 +2,7 @@ package dracogo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"semholo/internal/geom"
@@ -183,6 +184,36 @@ func BenchmarkDecodeMesh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeMesh(enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeMeshIntoReuse decodes streams with and without normals and
+// UVs, large then small then empty, into one mesh: each result equals a
+// fresh DecodeMesh, and a stream that fits reuses the arrays.
+func TestDecodeMeshIntoReuse(t *testing.T) {
+	uv := mesh.UnitSphere(2)
+	uv.Normals = nil
+	uv.UVs = make([]geom.Vec2, len(uv.Vertices))
+	for i, v := range uv.Vertices {
+		uv.UVs[i] = geom.V2(0.5+0.5*v.X, 0.5+0.5*v.Y)
+	}
+	var dst mesh.Mesh
+	for i, m := range []*mesh.Mesh{mesh.UnitSphere(3), uv, mesh.UnitSphere(1), {}, mesh.UnitSphere(2)} {
+		enc := EncodeMesh(m, Options{})
+		want, err := DecodeMesh(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := dst.Vertices
+		if err := DecodeMeshInto(&dst, enc); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("stream %d: DecodeMeshInto differs from DecodeMesh", i)
+		}
+		if i > 0 && len(dst.Vertices) > 0 && &dst.Vertices[0] != &prev[:1][0] {
+			t.Fatalf("stream %d: %d vertices fit in %d but the array was replaced", i, len(dst.Vertices), cap(prev))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -123,14 +124,25 @@ func seedStreams() [][]byte {
 }
 
 // FuzzDecodeMesh feeds DecodeMesh arbitrary streams, seeded with the
-// round-trip tests' encodings: it must never panic, and its allocations
-// are bounded by the decompressed payload, never by declared counts.
+// round-trip tests' encodings: it must never panic, its allocations are
+// bounded by the decompressed payload, never by declared counts, and
+// DecodeMeshInto over a dirty mesh with other attributes gives what
+// DecodeMesh gives.
 func FuzzDecodeMesh(f *testing.F) {
 	for _, s := range seedStreams() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeAllocs(t, data, func(b []byte) error { _, err := DecodeMesh(b); return err })
+		fresh, err := DecodeMesh(data)
+		dirty := mesh.UnitSphere(1)
+		dirty.UVs = make([]geom.Vec2, len(dirty.Vertices))
+		if errInto := DecodeMeshInto(dirty, data); (err == nil) != (errInto == nil) {
+			t.Fatalf("DecodeMesh err %v, DecodeMeshInto err %v", err, errInto)
+		}
+		if err == nil && !reflect.DeepEqual(fresh, dirty) {
+			t.Fatalf("DecodeMeshInto over a used mesh differs from DecodeMesh")
+		}
 	})
 }
 

@@ -1,7 +1,6 @@
 package lzr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,7 +109,8 @@ func matchLen(a, b []byte, limit int) int {
 
 // Compress returns a self-describing compressed representation of src.
 // Compress never fails; incompressible input grows by a small header.
-// The result is its only allocation once the pooled scratch is warm.
+// The result, exact-size (cap == len), is its only allocation once the
+// pooled scratch is warm.
 func Compress(src []byte) []byte {
 	s := scratchPool.Get().(*encoderScratch)
 	defer scratchPool.Put(s)
@@ -120,7 +120,9 @@ func Compress(src []byte) []byte {
 		s.encode(&e, src)
 	}
 	s.out = e.out
-	return bytes.Clone(e.out)
+	out := make([]byte, len(e.out))
+	copy(out, e.out)
+	return out
 }
 
 // encode codes non-empty src with e.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"semholo/internal/avatar"
@@ -35,6 +36,9 @@ type HybridEncoder struct {
 	// means no gaze report has arrived yet.
 	anchor atomic.Pointer[geom.Vec3]
 	cut    fovealCut
+	// sub is the foveal submesh, cut anew each frame into the same
+	// arrays: EncodeMesh only reads it, and nothing keeps it.
+	sub mesh.Mesh
 }
 
 // SetGazeAnchor updates the world-space point the remote viewer is
@@ -77,13 +81,14 @@ func (e *HybridEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 }
 
 // fovealSubmesh extracts the faces of m inside the foveal region (nil
-// when there are none). m is only read.
+// when there are none). m is only read. The result is the encoder's
+// scratch, valid until the next call.
 func (e *HybridEncoder) fovealSubmesh(m *mesh.Mesh) *mesh.Mesh {
 	anchor := e.anchor.Load()
 	if m == nil || anchor == nil {
 		return nil
 	}
-	sub := e.cut.apply(m, e.Selector, *anchor, true, nil)
+	sub := e.cut.apply(&e.sub, m, e.Selector, *anchor, true, nil)
 	if len(sub.Faces) == 0 {
 		return nil
 	}
@@ -98,12 +103,14 @@ type fovealCut struct {
 	faces []int32 // selected source face indices
 }
 
-// apply returns a fresh exact-size mesh holding the faces of src whose
-// centroid's InFovea equals inside, their vertices compacted in source
-// order, followed by patch's geometry when patch is non-nil — the result
-// of filtering src's faces, CompactVertices, then Merge(patch), in one
-// pass and three allocations. Only positions and faces are carried over.
-func (c *fovealCut) apply(src *mesh.Mesh, sel gaze.FovealSelector, anchor geom.Vec3, inside bool, patch *mesh.Mesh) *mesh.Mesh {
+// apply returns a mesh holding the faces of src whose centroid's
+// InFovea equals inside, their vertices compacted in source order,
+// followed by patch's geometry when patch is non-nil — the result of
+// filtering src's faces, CompactVertices, then Merge(patch), in one
+// pass. Only positions and faces are carried over. With dst nil the
+// result is a fresh exact-size mesh (three allocations); otherwise it is
+// dst, refilled in its own arrays, which grow only when too short.
+func (c *fovealCut) apply(dst, src *mesh.Mesh, sel gaze.FovealSelector, anchor geom.Vec3, inside bool, patch *mesh.Mesh) *mesh.Mesh {
 	if cap(c.remap) < len(src.Vertices) {
 		c.remap = make([]int32, len(src.Vertices))
 	}
@@ -130,9 +137,17 @@ func (c *fovealCut) apply(src *mesh.Mesh, sel gaze.FovealSelector, anchor geom.V
 	if patch != nil {
 		extraV, extraF = len(patch.Vertices), len(patch.Faces)
 	}
-	out := &mesh.Mesh{
-		Vertices: make([]geom.Vec3, nv, nv+extraV),
-		Faces:    make([]mesh.Face, len(faces), len(faces)+extraF),
+	out := dst
+	if out == nil {
+		out = &mesh.Mesh{
+			Vertices: make([]geom.Vec3, nv, nv+extraV),
+			Faces:    make([]mesh.Face, len(faces), len(faces)+extraF),
+		}
+	} else {
+		*out = mesh.Mesh{
+			Vertices: slices.Grow(out.Vertices[:0], nv+extraV)[:nv],
+			Faces:    slices.Grow(out.Faces[:0], len(faces)+extraF)[:len(faces)],
+		}
 	}
 	next := int32(0)
 	for i, used := range remap {
@@ -189,6 +204,9 @@ type HybridDecoder struct {
 	// it from the pipeline goroutine; see HybridEncoder.anchor.
 	anchor atomic.Pointer[geom.Vec3]
 	cut    fovealCut
+	// patch is the decoded foveal mesh, decoded anew each frame into the
+	// same arrays: the graft only reads it (Merge copies it).
+	patch mesh.Mesh
 }
 
 // SetGazeAnchor mirrors the encoder-side anchor (receivers know their
@@ -232,11 +250,10 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 			if len(f.Payload) == 0 {
 				continue // no foveal region this frame
 			}
-			m, err := dracogo.DecodeMesh(f.Payload)
-			if err != nil {
+			if err := dracogo.DecodeMeshInto(&d.patch, f.Payload); err != nil {
 				return FrameData{}, fmt.Errorf("core: foveal mesh: %w", err)
 			}
-			foveal = m
+			foveal = &d.patch
 		case ChanTextureData:
 			// Texture riding along with the keypoint payloads; ignored
 			// here (the session runtime exposes it via KeypointDecoder
@@ -269,7 +286,7 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	anchor := d.anchor.Load()
 	if foveal != nil && anchor != nil {
 		// Drop peripheral faces inside the fovea, then graft the patch.
-		merged = d.cut.apply(peripheral, d.Selector, *anchor, false, foveal)
+		merged = d.cut.apply(nil, peripheral, d.Selector, *anchor, false, foveal)
 	} else if foveal != nil {
 		merged = peripheral.Clone()
 		merged.Merge(foveal)

@@ -192,15 +192,76 @@ func TestHybridGraftAllocs(t *testing.T) {
 		t.Fatal("fixture has no foveal region")
 	}
 	var cut fovealCut
-	cut.apply(peripheral, sel, anchor, false, foveal) // size the scratch
+	cut.apply(nil, peripheral, sel, anchor, false, foveal) // size the scratch
 	var out *mesh.Mesh
 	if n := testing.AllocsPerRun(20, func() {
-		out = cut.apply(peripheral, sel, anchor, false, foveal)
+		out = cut.apply(nil, peripheral, sel, anchor, false, foveal)
 	}); n > 3 {
 		t.Fatalf("graft allocates %.0f objects per frame, want ≤ 3", n)
 	}
 	if cap(out.Vertices) != len(out.Vertices) || cap(out.Faces) != len(out.Faces) {
 		t.Fatalf("grafted mesh carries slack: verts %d/%d faces %d/%d",
 			len(out.Vertices), cap(out.Vertices), len(out.Faces), cap(out.Faces))
+	}
+}
+
+// TestFovealEncodeAllocs pins the rung-2 encode: once warm, the cut into
+// the encoder's reused submesh and EncodeMesh over it make one
+// allocation, the exact-size payload. Run on a non-race line (make
+// alloc-check).
+func TestFovealEncodeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	enc := &HybridEncoder{Selector: gaze.FovealSelector{Radius: 8, ViewDistance: 2}, MeshOptions: dracogo.Options{PositionBits: 14}}
+	enc.SetGazeAnchor(geom.V3(0, 1.5, 0.1))
+	truth := testModel.Mesh(body.Talking(nil).At(0.2))
+	var payload []byte
+	encode := func() { payload = dracogo.EncodeMesh(enc.fovealSubmesh(truth), enc.MeshOptions) }
+	encode()
+	if n := testing.AllocsPerRun(20, encode); n != 1 {
+		t.Fatalf("foveal cut + EncodeMesh make %.0f allocations per frame, want 1", n)
+	}
+	if cap(payload) != len(payload) {
+		t.Fatalf("payload carries slack: len %d cap %d", len(payload), cap(payload))
+	}
+}
+
+// TestHybridDecodePatchAllocs pins the decoder's foveal patch into its
+// own scratch: decoding a frame with a patch costs at most four
+// allocations more than the same frame without one — lzr's decompressed
+// stream and the graft's three (mesh header and two exact-size arrays)
+// — and the patch's arrays stay put from frame to frame. Run on a
+// non-race line (make alloc-check).
+func TestHybridDecodePatchAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; skipped in -short")
+	}
+	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
+	anchor := geom.V3(0, 1.5, 0.1)
+	p := body.Talking(nil).At(0.2)
+	sub := referenceFovealSubmesh(testModel.Mesh(p), sel, &anchor)
+	if sub == nil {
+		t.Fatal("fixture has no foveal region")
+	}
+	withPatch := hybridWire(p, dracogo.EncodeMesh(sub, dracogo.Options{PositionBits: 14}))
+	without := hybridWire(p, nil)
+	dec := &HybridDecoder{Model: testModel, PeripheralResolution: 16, Selector: sel, Workers: 1}
+	dec.SetGazeAnchor(anchor)
+	decode := func(frames []transport.Frame) func() {
+		return func() {
+			if _, err := dec.Decode(frames); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decode(withPatch)()
+	verts, faces := &dec.patch.Vertices[0], &dec.patch.Faces[0]
+	base := testing.AllocsPerRun(20, decode(without))
+	if n := testing.AllocsPerRun(20, decode(withPatch)); n-base > 4 {
+		t.Fatalf("a foveal patch costs %.0f allocations per frame (%.0f with, %.0f without), want ≤ 4", n-base, n, base)
+	}
+	if &dec.patch.Vertices[0] != verts || &dec.patch.Faces[0] != faces {
+		t.Fatal("the decoder reallocated its patch arrays in steady state")
 	}
 }

@@ -410,8 +410,8 @@ func TestRenderMeshGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestRenderMeshAllocs pins the rasteriser's allocation on the serial
-// path: one slice of at most 40 B per vertex.
+// TestRenderMeshAllocs pins the rasteriser's serial path at no
+// allocation once its pooled projection scratch is warm.
 func TestRenderMeshAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts; skipped in -short")
@@ -422,17 +422,58 @@ func TestRenderMeshAllocs(t *testing.T) {
 	opt.Workers = 1
 	draw := func() { f.Clear(); render.RenderMesh(f, m, opt) }
 	draw()
-	if n := testing.AllocsPerRun(50, draw); n != 1 {
-		t.Fatalf("RenderMesh makes %.0f allocations, want 1", n)
+	if n := testing.AllocsPerRun(50, draw); n != 0 {
+		t.Fatalf("RenderMesh makes %.0f allocations, want 0", n)
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			draw()
+}
+
+// TestRenderMeshPooledConcurrent renders meshes of different sizes from
+// many goroutines at once, at Workers 1 and 2, so that projection
+// scratch too short for one mesh and too long for another passes
+// between calls through the pool; every frame must equal the reference
+// rasteriser's bit for bit.
+func TestRenderMeshPooledConcurrent(t *testing.T) {
+	p := body.Talking(nil).At(0.4)
+	meshes := []*mesh.Mesh{
+		(&avatar.Reconstructor{Model: model(), Resolution: 32}).Skin(p),
+		(&avatar.Reconstructor{Model: model(), Resolution: 64}).Skin(p),
+		model().Mesh(p),
+		mesh.UnitSphere(2),
+	}
+	cam := probeCamera(64)
+	opt := capture.SkinShader()
+	want := make([]*render.Frame, len(meshes))
+	for i, m := range meshes {
+		want[i] = render.NewFrame(cam)
+		renderMeshReference(want[i], m, opt)
+	}
+	const rounds = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, 2*len(meshes)*rounds)
+	for _, workers := range []int{1, 2} {
+		for i, m := range meshes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o := opt
+				o.Workers = workers
+				f := render.NewFrame(cam)
+				for r := 0; r < rounds; r++ {
+					f.Clear()
+					render.RenderMesh(f, m, o)
+					if px := firstDiff(f, want[i]); px >= 0 {
+						errs <- fmt.Sprintf("mesh %d (%d vertices) workers %d round %d: pixel %d differs from the reference",
+							i, len(m.Vertices), workers, r, px)
+						return
+					}
+				}
+			}()
 		}
-	})
-	if per, limit := res.AllocedBytesPerOp(), int64(40*len(m.Vertices)); per > limit {
-		t.Fatalf("RenderMesh allocates %d B for %d vertices, want ≤ %d (40 B each)", per, len(m.Vertices), limit)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"image"
 	"image/color"
 	"math"
+	"sync"
 
 	"semholo/internal/geom"
 	"semholo/internal/mesh"
@@ -213,10 +214,15 @@ func RenderMesh(f *Frame, m *mesh.Mesh, opt MeshOptions) {
 	if opt.Albedo == (pointcloud.Color{}) {
 		opt.Albedo = pointcloud.Color{R: 0.8, G: 0.8, B: 0.8}
 	}
+	scratch := projPool.Get().(*[]projVert)
+	defer projPool.Put(scratch)
+	if cap(*scratch) < len(m.Vertices) {
+		*scratch = make([]projVert, len(m.Vertices))
+	}
 	r := rasterizer{
 		f: f, m: m, opt: opt, light: light.Normalize(),
 		useVertexNormals: len(m.Normals) == len(m.Vertices),
-		projs:            make([]projVert, len(m.Vertices)),
+		projs:            (*scratch)[:len(m.Vertices)],
 	}
 	h := f.Camera.Intr.Height
 	workers := par.Resolve(opt.Workers)
@@ -231,6 +237,12 @@ func RenderMesh(f *Frame, m *mesh.Mesh, opt MeshOptions) {
 	par.ForChunks(workers, len(m.Vertices), func(_, lo, hi int) { shared.project(lo, hi) })
 	par.ForChunks(workers, h, func(_, lo, hi int) { shared.band(lo, hi) })
 }
+
+// projPool recycles the projected-vertex scratch across RenderMesh calls.
+// The buffer lives only inside one call (ForChunks joins its workers
+// before returning), so it is never kept on a Frame: the decode path
+// renders every frame, and the capture rig makes a fresh Frame per camera.
+var projPool = sync.Pool{New: func() any { return new([]projVert) }}
 
 // rasterizer is one RenderMesh call's state.
 type rasterizer struct {
