@@ -58,3 +58,43 @@ func TestReconstructGoldenHash(t *testing.T) {
 		}
 	}
 }
+
+// TestSkinGoldenHash pins Skin's output bit for bit: the digest of 20
+// frames of the talking motion posed from one reused Reconstructor's
+// canonical surface. It covers the canonical pass (a narrow-band
+// extraction at the rest pose) and BindWeights as well as the skinning.
+func TestSkinGoldenHash(t *testing.T) {
+	golden := map[int]uint64{
+		32: 0x6aa951f6271e463f,
+		64: 0x4f621d019ebd922d,
+	}
+	frames := motionFrames(body.Talking(nil), 20, 1.0/30)
+	for _, res := range []int{32, 64} {
+		rec := &Reconstructor{Model: fitModel, Resolution: res}
+		ms := make([]*mesh.Mesh, len(frames))
+		for i, p := range frames {
+			ms[i] = rec.Skin(p)
+		}
+		if got := hashMeshes(ms); got != golden[res] {
+			t.Errorf("res %d: Skin digest %#x, want %#x", res, got, golden[res])
+		}
+	}
+}
+
+// TestDenseReconstructGoldenHash pins the full-grid extractor behind
+// Reconstructor.Dense: 5 talking frames at res 32 must hash to the
+// recorded digest at every worker count.
+func TestDenseReconstructGoldenHash(t *testing.T) {
+	const golden uint64 = 0x5117856608d5c121
+	frames := motionFrames(body.Talking(nil), 5, 1.0/30)
+	for _, workers := range []int{1, 3} {
+		rec := &Reconstructor{Model: fitModel, Resolution: 32, Dense: true, Workers: workers}
+		ms := make([]*mesh.Mesh, len(frames))
+		for i, p := range frames {
+			ms[i] = rec.Reconstruct(p)
+		}
+		if got := hashMeshes(ms); got != golden {
+			t.Errorf("workers %d: dense Reconstruct digest %#x, want %#x", workers, got, golden)
+		}
+	}
+}
