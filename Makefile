@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci run-patterns-check cache-determinism obs-check pipeline-check relay-check service-check field-check trace-check tier-check cluster-check alloc-check fuzz-smoke bench-smoke
+.PHONY: verify fmt-check vet build test race bench bench-parallel bench-m2p ci run-patterns-check cache-determinism obs-check pipeline-check relay-check service-check trace-check tier-check cluster-check alloc-check fuzz-smoke bench-smoke
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -56,7 +56,6 @@ ci: vet build
 	$(MAKE) pipeline-check
 	$(MAKE) relay-check
 	$(MAKE) service-check
-	$(MAKE) field-check
 	$(MAKE) trace-check
 	$(MAKE) tier-check
 	$(MAKE) cluster-check
@@ -111,24 +110,19 @@ run-patterns-check:
 	GO=$(GO) bash scripts/check-run-patterns.sh Makefile
 
 ## cache-determinism: the reconstruction byte-identity regression tests
-## — the golden digest of 20 frames at res 32/64, a reused Reconstructor
-## against a fresh one per frame (50 motion frames, workers 1/4, and
-## across a large pose jump), the narrow-band extractor against the dense
-## sweep and across worker counts, grid anchoring, the mesh LRU — plus
-## the skinned decode's gates: skinned chamfer against the ground-truth
-## body no worse than extraction's (3 motions × res 32/64 × 50 frames),
-## and skinned output identical across worker counts, cache and
-## resolution changes.
+## — golden digests of 20 talking frames through Reconstruct and through
+## Skin at res 32/64 (the skin digest covers the canonical pass and
+## BindWeights) and of 5 dense frames at res 32 and workers 1/3, a reused
+## Reconstructor against a fresh one per frame (50 motion frames,
+## workers 1/4, and across a large pose jump), the narrow-band extractor
+## against the dense sweep and across worker counts, grid anchoring, the
+## capsule field's empty edge and its segment-distance kernel, the mesh
+## LRU — plus the skinned decode's gates: skinned chamfer against the
+## ground-truth body no worse than extraction's (3 motions × res 32/64 ×
+## 50 frames), and skinned output identical across worker counts, cache
+## and resolution changes.
 cache-determinism:
-	$(GO) test -run 'TestReconstructGoldenHash|TestWarmStart|TestSparseBatchMatchesScalar|TestExtractIsosurfaceSparseParallelDeterministic|Anchored|MeshCache|CacheAndWarm|TestSkinnedChamferNoWorseThanExtracted|TestSkinDeterministic' ./internal/mesh ./internal/avatar
-
-## field-check: the SDF-acceleration gate — race-enabled pruned-vs-brute
-## bitwise identity (property + fuzz seed corpus), the 50-frame motion
-## byte-identity regression at several worker counts with the culling
-## grid on and off, the batched dense/sparse extractor identity suites,
-## and the shared segment-distance bitwise regression.
-field-check:
-	$(GO) test -race -run 'TestFieldPruned|TestFieldPruning|TestFieldDense|TestFieldEmpty|TestSparseBatch|TestDenseBatch|TestSegDist|TestDistSqBox' ./internal/avatar ./internal/mesh ./internal/geom
+	$(GO) test -run 'TestReconstructGoldenHash|TestSkinGoldenHash|TestDenseReconstructGoldenHash|TestWarmStart|TestSparseBatchMatchesScalar|TestExtractIsosurfaceSparseParallelDeterministic|Anchored|MeshCache|CacheAndWarm|TestSkinnedChamferNoWorseThanExtracted|TestSkinDeterministic|TestFieldEmptyBones|TestSegDist' ./internal/mesh ./internal/avatar ./internal/geom
 
 ## trace-check: the hop-tracing gate — race-enabled flight-recorder /
 ## trace-store / waterfall / exemplar suites (full package), plus the
@@ -205,8 +199,8 @@ cluster-check:
 ## dracogo.EncodeMesh (raw stream in pooled scratch) make one allocation,
 ## the exact-size payload.
 ## Render and capture: serial render.RenderMesh allocates nothing (its
-## projection scratch is pooled), and a serial capture rig allocates its
-## views slice, one frame per camera whose depth and colour buffers the
+## projection scratch is pooled), and a capture rig at Workers 1 (the
+## rasteriser's Workers left at its default) allocates its views slice, one frame per camera whose depth and colour buffers the
 ## view takes over, and par.For's dispatch — nothing per render.
 ## Codecs: steady-state lzr.Compress of a marshalled pose stays under
 ## 8 KiB per call and makes one allocation, its output (the model is a
@@ -230,7 +224,7 @@ alloc-check:
 ## reference coder stream for stream), the hop-trace wire extension,
 ## the frame reader over every flag combination and batch boundary,
 ## dracogo mesh and cloud streams, the texture rung's BTC payload, the
-## text rung's keyframe and delta documents through TextDecoder — plus the pruned SDF evaluator and
+## text rung's keyframe and delta documents through TextDecoder — plus
 ## the rasteriser against its reference (triangle soups with vertices
 ## behind the near plane, degenerate faces, slivers and vertices within
 ## ulps of a pixel centre). Text documents run to a few hundred bytes,
@@ -246,7 +240,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressMatchesReference$$' -fuzztime 10s ./internal/compress/lzr
 	$(GO) test -run '^$$' -fuzz '^FuzzHopTraceRoundTrip$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzFieldPrunedEval$$' -fuzztime 10s ./internal/avatar
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMesh$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCloud$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderMesh$$' -fuzztime 10s ./internal/render

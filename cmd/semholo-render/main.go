@@ -63,8 +63,7 @@ func main() {
 	// Uniform counter hookup: reconstruction telemetry from the panel
 	// renders below is scrape-able whenever the debug server is up.
 	var recon metrics.ReconCounters
-	var field metrics.FieldCounters
-	metrics.RegisterAll(obs.Default, &recon, &field)
+	metrics.RegisterAll(obs.Default, &recon)
 
 	// Shared, read-only scene inputs; each panel task below only reads.
 	model := body.NewModel(nil, body.ModelOptions{Detail: 2})
@@ -107,7 +106,7 @@ func main() {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			rec := &avatar.Reconstructor{Model: model, Resolution: r, Counters: &recon, FieldStats: &field}
+			rec := &avatar.Reconstructor{Model: model, Resolution: r, Counters: &recon}
 			m := rec.Reconstruct(fitted)
 			m.ComputeNormals()
 			f := render.NewFrame(cam)

@@ -8,6 +8,7 @@ package avatar
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"semholo/internal/body"
@@ -29,9 +30,8 @@ func motionFrames(m body.Motion, n int, dt float64) []*body.Params {
 // TestWarmStartMatchesColdAcrossMotion: one reused Reconstructor
 // replaying a 50-frame motion sequence must produce meshes byte-identical
 // to a fresh Reconstructor per frame, at several worker counts. This pins
-// the scratch a Reconstructor keeps across frames — capsule buffers,
-// seeds and the culling grid — and that WarmStart, now inert, changes
-// nothing.
+// the scratch a Reconstructor keeps across frames — capsule buffers and
+// seeds — and that WarmStart, now inert, changes nothing.
 func TestWarmStartMatchesColdAcrossMotion(t *testing.T) {
 	frames := motionFrames(body.Talking(nil), 50, 1.0/30)
 	for _, workers := range []int{1, 4} {
@@ -48,8 +48,8 @@ func TestWarmStartMatchesColdAcrossMotion(t *testing.T) {
 }
 
 // TestWarmStartLargePoseJump: a jump that moves the body far across the
-// lattice (new grid bounds, new culling bins) must leave no trace of the
-// previous frame in a reused Reconstructor's output.
+// lattice (new grid bounds) must leave no trace of the previous frame in
+// a reused Reconstructor's output.
 func TestWarmStartLargePoseJump(t *testing.T) {
 	reused := &Reconstructor{Model: fitModel, Resolution: 32, WarmStart: true}
 	reused.Reconstruct(body.Talking(nil).At(0))
@@ -63,21 +63,46 @@ func TestWarmStartLargePoseJump(t *testing.T) {
 	}
 }
 
+// countedField counts the points an extractor asks of f, apart from f's
+// own sample counter.
+type countedField struct {
+	f *frameField
+	n atomic.Uint64
+}
+
+func (c *countedField) Eval(q geom.Vec3) float64 {
+	c.n.Add(1)
+	return c.f.fold(q)
+}
+
+func (c *countedField) EvalBatch(pts []geom.Vec3, out []float64) {
+	c.n.Add(uint64(len(pts)))
+	for i, q := range pts {
+		out[i] = c.f.fold(q)
+	}
+}
+
 // TestReconstructCountsEvaluatedSamples: every extracted frame reports
-// the lattice samples it evaluated; none are ever reused.
+// exactly the lattice samples its extraction asked of the field; none
+// are ever reused.
 func TestReconstructCountsEvaluatedSamples(t *testing.T) {
 	var c metrics.ReconCounters
-	var fc metrics.FieldCounters
-	rec := &Reconstructor{Model: fitModel, Resolution: 32, Counters: &c, FieldStats: &fc}
+	rec := &Reconstructor{Model: fitModel, Resolution: 32, Workers: 3, Counters: &c}
+	var want uint64
 	for _, p := range motionFrames(body.Talking(nil), 3, 1.0/30) {
 		rec.Reconstruct(p)
+		// Replay the extraction on the bones and seeds it left in scratch.
+		bg := rec.bgScratch
+		cf := &countedField{f: &frameField{cur: bg, k: rec.smoothK()}}
+		mesh.ExtractIsosurfaceSparse(cf, rec.gridFor(bg), rec.seedBuf, 1)
+		want += cf.n.Load()
 	}
 	s := c.Snapshot()
 	if s.Frames != 3 || s.SamplesReused != 0 {
 		t.Fatalf("frames %d reused %d, want 3 and 0", s.Frames, s.SamplesReused)
 	}
-	if s.SamplesEvaluated == 0 || s.SamplesEvaluated != fc.Snapshot().Samples {
-		t.Fatalf("evaluated %d samples, field saw %d", s.SamplesEvaluated, fc.Snapshot().Samples)
+	if s.SamplesEvaluated == 0 || s.SamplesEvaluated != want {
+		t.Fatalf("evaluated %d samples, extraction asked for %d", s.SamplesEvaluated, want)
 	}
 }
 

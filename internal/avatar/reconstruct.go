@@ -27,11 +27,11 @@ import (
 // frame by linear blend skinning. Reconstruct is the extraction kernel
 // Figures 2 and 4 measure, and Skin's canonical pass runs it.
 //
-// A Reconstructor reuses per-frame scratch (capsule buffers, seeds, the
-// culling grid) and caches the canonical surface, so it must not be
-// called from multiple goroutines concurrently (extraction and skinning
-// still parallelize internally per Workers). Changing Model, Resolution
-// or SmoothK rebuilds the canonical surface on the next Skin.
+// A Reconstructor reuses per-frame scratch (capsule buffers, seeds) and
+// caches the canonical surface, so it must not be called from multiple
+// goroutines concurrently (extraction and skinning still parallelize
+// internally per Workers). Changing Model, Resolution or SmoothK
+// rebuilds the canonical surface on the next Skin.
 type Reconstructor struct {
 	Model *body.Model
 	// Resolution of the voxel grid along the longest axis.
@@ -40,8 +40,8 @@ type Reconstructor struct {
 	// default that hides capsule seams without fattening limbs.
 	SmoothK float64
 	// Dense forces full-grid evaluation (O(R³) field samples) instead of
-	// the narrow-band sparse extraction (O(R²)); used by the ablation
-	// bench to show why narrow-band evaluation is mandatory at high R.
+	// the narrow-band sparse extraction (O(R²)); Fig 4's dense column
+	// times it to show why narrow-band evaluation is mandatory at high R.
 	// Reconstruct only: Skin's canonical pass is always narrow-band.
 	Dense bool
 	// Workers bounds extraction and skinning parallelism: 0 uses
@@ -62,22 +62,12 @@ type Reconstructor struct {
 	// the cache's own Counters field); a skinned frame evaluates none.
 	Counters *metrics.ReconCounters
 
-	// Unpruned disables the capsule culling grid, forcing every field
-	// sample through the full fold over all capsules. The output is
-	// byte-identical either way — this knob exists for the ablation
-	// bench and for isolating the pruning layer in tests.
-	Unpruned bool
-	// FieldStats, when non-nil, receives field-evaluation telemetry:
-	// samples, exact capsule tests, and culling-bin construction stats.
-	FieldStats *metrics.FieldCounters
-
 	// Per-frame scratch, reused across frames.
 	cell      float64 // cached rest-pose lattice spacing
 	bgScratch boneGeometry
 	seedBuf   []geom.Vec3
 	lastRes   int
 	lastK     float64
-	fieldGrid capsuleGrid // per-frame culling bins
 
 	// Skin state: the canonical surface and the per-frame joint
 	// transforms (see skin.go).
@@ -136,41 +126,39 @@ const maxBones = 64
 // capsule distance is within SmoothK of the exact minimum — in bone
 // order. Bones outside that set cannot perturb the polynomial smooth
 // minimum (smoothMin(a, b, k) == a exactly when b ≥ a+k), so the fold's
-// value is a function of the relevant distances alone. That locality is
-// what lets the culling grid prune the fold exactly (see fieldaccel.go).
-//
-// The folds return the field value and the exact minimum capsule
-// distance m1, which the pruning tests pin bit for bit; the extractors
-// read the value only.
+// value is a function of the relevant distances alone.
 type frameField struct {
 	cur boneGeometry
 	k   float64
-
-	// grid, when non-nil, prunes each sample's fold to the bin's
-	// candidate capsules (bitwise-identical to the full fold; see
-	// fieldaccel.go). stats, when non-nil, receives sample/test counts.
-	grid  *capsuleGrid
-	stats *metrics.FieldCounters
 
 	// evaluated counts this frame's samples for Counters.
 	evaluated atomic.Uint64
 }
 
+// Eval is the field at q, counted as one evaluated sample.
 func (f *frameField) Eval(q geom.Vec3) float64 {
-	v, _, tests := f.eval1(q)
-	f.stats.AddSamples(1, tests)
 	f.evaluated.Add(1)
-	return v
+	return f.fold(q)
 }
 
-// evalFull is the unpruned fold over every capsule.
-func (f *frameField) evalFull(q geom.Vec3) (float64, float64) {
+// EvalBatch fills out[i] with the field at pts[i] and counts the chunk
+// once, so the narrow-band extractor's workers do not contend on the
+// counter per sample.
+func (f *frameField) EvalBatch(pts []geom.Vec3, out []float64) {
+	for i, q := range pts {
+		out[i] = f.fold(q)
+	}
+	f.evaluated.Add(uint64(len(pts)))
+}
+
+// fold is the smooth union over every capsule.
+func (f *frameField) fold(q geom.Vec3) float64 {
 	n := len(f.cur.a)
 	if n == 0 {
 		// No capsules: the field is empty space everywhere. +Inf (rather
 		// than a sentinel magnitude) so callers comparing against real
 		// distances cannot mistake it for geometry.
-		return math.Inf(1), math.Inf(1)
+		return math.Inf(1)
 	}
 	var buf [maxBones]float64
 	ds := buf[:]
@@ -193,7 +181,7 @@ func (f *frameField) evalFull(q geom.Vec3) (float64, float64) {
 			v = smoothMin(v, ds[i], f.k)
 		}
 	}
-	return v, m1
+	return v
 }
 
 func (r *Reconstructor) smoothK() float64 {
@@ -265,21 +253,12 @@ func (r *Reconstructor) reconstruct(p *body.Params) *mesh.Mesh {
 		// march would try to walk rays toward one.
 		return &mesh.Mesh{}
 	}
-	f := &frameField{cur: bg, k: r.smoothK(), stats: r.FieldStats}
+	f := &frameField{cur: bg, k: r.smoothK()}
 	grid := r.gridFor(bg)
-
-	// Arm the capsule culling grid (bitwise-identical pruning; see
-	// fieldaccel.go). The exact-min identity the candidate cut rests on
-	// needs k > 0; at k ≤ 0 the fold degenerates anyway, so prune only
-	// the normal case.
-	if !r.Unpruned && f.k > 0 {
-		r.fieldGrid.reset(bg, f.k, grid.Cell, r.FieldStats)
-		f.grid = &r.fieldGrid
-	}
 
 	var m *mesh.Mesh
 	if r.Dense {
-		m = mesh.ExtractIsosurfaceBatch(f, grid, r.Workers)
+		m = mesh.ExtractIsosurfaceParallel(f.Eval, grid, r.Workers)
 	} else {
 		// Seeds are the bone midpoints; the extractor marches them to
 		// the surface along lattice axes.

@@ -77,10 +77,7 @@ func (r *Reconstructor) canonical() *canonicalSurface {
 	if c.model == r.Model && c.res == r.Resolution && c.k == r.smoothK() {
 		return c
 	}
-	cold := &Reconstructor{
-		Model: r.Model, Resolution: r.Resolution, SmoothK: r.SmoothK,
-		Workers: r.Workers, Unpruned: r.Unpruned, FieldStats: r.FieldStats,
-	}
+	cold := &Reconstructor{Model: r.Model, Resolution: r.Resolution, SmoothK: r.SmoothK, Workers: r.Workers}
 	m := cold.reconstruct(&body.Params{})
 	*c = canonicalSurface{
 		model:   r.Model,

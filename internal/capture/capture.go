@@ -100,18 +100,13 @@ func (r *Rig) CaptureFrames(m *mesh.Mesh, opt render.MeshOptions) []*render.Fram
 }
 
 // innerOptions splits the rig's worker budget between the camera level
-// and the per-frame rasterizer bands, so parallel captures don't fan out
-// to cameras × GOMAXPROCS goroutines. Worker counts never change pixel
-// output, so this is purely a scheduling decision.
+// and the per-frame rasterizer bands: each camera gets max(1, budget ÷
+// cameras), so a capture never fans out to cameras × GOMAXPROCS
+// goroutines and a rig at Workers 1 is serial whatever opt.Workers says.
+// Worker counts never change pixel output, so this is purely a
+// scheduling decision.
 func (r *Rig) innerOptions(opt render.MeshOptions) render.MeshOptions {
-	workers := par.Resolve(r.Workers)
-	if workers > 1 && len(r.Cameras) > 0 {
-		per := workers / len(r.Cameras)
-		if per < 1 {
-			per = 1
-		}
-		opt.Workers = per
-	}
+	opt.Workers = max(1, par.Resolve(r.Workers)/max(1, len(r.Cameras)))
 	return opt
 }
 

@@ -195,8 +195,7 @@ type HybridDecoder struct {
 	// Counters, when non-nil, accumulates cache telemetry and counts each
 	// skinned frame as a cold frame.
 	Counters *metrics.ReconCounters
-	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry
-	// of the rest-surface extraction.
+	// FieldStats has no effect; kept because bench/ sets it.
 	FieldStats *metrics.FieldCounters
 
 	rec *avatar.Reconstructor
@@ -276,7 +275,6 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	d.rec.Workers = d.Workers
 	d.rec.Cache = d.Cache
 	d.rec.Counters = d.Counters
-	d.rec.FieldStats = d.FieldStats
 	peripheral := d.rec.Skin(params)
 
 	// peripheral shares its faces with the rest surface and may be a

@@ -174,9 +174,7 @@ type KeypointDecoder struct {
 	// Counters, when non-nil, accumulates cache telemetry and counts each
 	// skinned frame as a cold frame.
 	Counters *metrics.ReconCounters
-	// FieldStats, when non-nil, accumulates SDF field-evaluation telemetry
-	// (samples, capsule tests, culling-bin stats) of the rest-surface
-	// extraction.
+	// FieldStats has no effect; kept because bench/ sets it.
 	FieldStats *metrics.FieldCounters
 	// Obs, when non-nil, records the reconstruct stage span separately
 	// from the enclosing decode span.
@@ -199,7 +197,6 @@ func (d *KeypointDecoder) reconstructor() *avatar.Reconstructor {
 	d.rec.Workers = d.Workers
 	d.rec.Cache = d.Cache
 	d.rec.Counters = d.Counters
-	d.rec.FieldStats = d.FieldStats
 	return d.rec
 }
 

@@ -97,10 +97,10 @@ func TestFig4CostGrowsWithResolution(t *testing.T) {
 	// evaluated for the frame Fig4 times.
 	fitted := testEnv.Seq.Motion.At(0.5)
 	samples := func(dense bool) uint64 {
-		var fc metrics.FieldCounters
-		rec := &avatar.Reconstructor{Model: testEnv.Model, Resolution: 32, Workers: 1, Dense: dense, FieldStats: &fc}
+		var c metrics.ReconCounters
+		rec := &avatar.Reconstructor{Model: testEnv.Model, Resolution: 32, Workers: 1, Dense: dense, Counters: &c}
 		rec.Reconstruct(fitted)
-		return fc.Snapshot().Samples
+		return c.Snapshot().SamplesEvaluated
 	}
 	if dense, sparse := samples(true), samples(false); sparse == 0 || dense <= sparse {
 		t.Errorf("dense evaluated %d field samples, sparse %d at res 32: the narrow band saves nothing", dense, sparse)

@@ -59,9 +59,6 @@ func (b AABB) Size() Vec3 {
 	return b.Max.Sub(b.Min)
 }
 
-// Diagonal returns the length of the box diagonal.
-func (b AABB) Diagonal() float64 { return b.Size().Len() }
-
 // Expand grows the box by margin on every side.
 func (b AABB) Expand(margin float64) AABB {
 	m := Vec3{margin, margin, margin}
@@ -90,27 +87,4 @@ func (b AABB) ClosestPoint(p Vec3) Vec3 {
 // DistSq returns the squared distance from p to the box (0 when inside).
 func (b AABB) DistSq(p Vec3) float64 {
 	return b.ClosestPoint(p).DistSq(p)
-}
-
-// DistSqBox returns the squared distance between the two boxes (0 when
-// they overlap, +Inf when either is empty). For any p ∈ b and q ∈ o,
-// p.DistSq(q) >= b.DistSqBox(o) — the conservative lower bound the
-// capsule culling grid builds its candidate sets from.
-func (b AABB) DistSqBox(o AABB) float64 {
-	if b.IsEmpty() || o.IsEmpty() {
-		return math.Inf(1)
-	}
-	gap := func(aMin, aMax, bMin, bMax float64) float64 {
-		if g := bMin - aMax; g > 0 {
-			return g
-		}
-		if g := aMin - bMax; g > 0 {
-			return g
-		}
-		return 0
-	}
-	gx := gap(b.Min.X, b.Max.X, o.Min.X, o.Max.X)
-	gy := gap(b.Min.Y, b.Max.Y, o.Min.Y, o.Max.Y)
-	gz := gap(b.Min.Z, b.Max.Z, o.Min.Z, o.Max.Z)
-	return gx*gx + gy*gy + gz*gz
 }

@@ -6,11 +6,10 @@ import "math"
 // A degenerate segment (|b-a|² below 1e-18) is treated as the point a.
 //
 // This is the single point-segment kernel behind every capsule distance
-// in the repository — the avatar SDF fold, the culling-grid bounds, and
-// the skinning-weight assignment all call it — so its exact operation
-// sequence is load-bearing: the temporal-coherence and capsule-pruning
-// layers both promise bitwise-identical field values, which holds only
-// while every caller computes distances through the same instructions.
+// in the repository — the avatar SDF fold and the skinning-weight
+// assignment both call it — so its exact operation sequence is
+// load-bearing: the avatar golden mesh digests hold only while every
+// caller computes distances through the same instructions.
 func SegDistSq(p, a, b Vec3) float64 {
 	ab := b.Sub(a)
 	l2 := ab.LenSq()

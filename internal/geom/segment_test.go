@@ -2,10 +2,8 @@ package geom
 
 // Tests pinning the point-segment kernel: SegDist must reproduce —
 // bitwise — the operation sequence of the per-package copies it replaced
-// (the temporal-coherence and capsule-pruning layers promise bitwise
-// field identity, which holds only while every caller computes distances
-// identically), and DistSqBox must be a true lower bound on point-pair
-// distances between boxes.
+// (the avatar field's golden mesh digests hold only while every caller
+// computes distances identically).
 
 import (
 	"math"
@@ -52,38 +50,6 @@ func TestSegDistMatchesLegacyBitwise(t *testing.T) {
 			t.Fatalf("trial %d: SegDist(%v, %v, %v) = %x, legacy = %x",
 				trial, p, a, b, math.Float64bits(got), math.Float64bits(want))
 		}
-	}
-}
-
-func TestDistSqBoxLowerBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 5000; trial++ {
-		b1 := NewAABB(randVec(rng, 2), randVec(rng, 2))
-		b2 := NewAABB(randVec(rng, 2), randVec(rng, 2))
-		lb := b1.DistSqBox(b2)
-		if lb != b2.DistSqBox(b1) {
-			t.Fatalf("trial %d: DistSqBox not symmetric", trial)
-		}
-		// Random point pairs inside the boxes can never be closer than
-		// the box-box bound.
-		for s := 0; s < 20; s++ {
-			p := b1.Min.Add(Vec3{
-				X: rng.Float64() * (b1.Max.X - b1.Min.X),
-				Y: rng.Float64() * (b1.Max.Y - b1.Min.Y),
-				Z: rng.Float64() * (b1.Max.Z - b1.Min.Z),
-			})
-			q := b2.Min.Add(Vec3{
-				X: rng.Float64() * (b2.Max.X - b2.Min.X),
-				Y: rng.Float64() * (b2.Max.Y - b2.Min.Y),
-				Z: rng.Float64() * (b2.Max.Z - b2.Min.Z),
-			})
-			if p.DistSq(q) < lb {
-				t.Fatalf("trial %d: point distance %g below box bound %g", trial, p.DistSq(q), lb)
-			}
-		}
-	}
-	if got := EmptyAABB().DistSqBox(NewAABB(Vec3{}, Vec3{1, 1, 1})); !math.IsInf(got, 1) {
-		t.Fatalf("empty box distance = %g, want +Inf", got)
 	}
 }
 

@@ -32,8 +32,7 @@ type GridSpec struct {
 	// two anchored grids is therefore bitwise-identical in both, even
 	// when their bounds differ: a surface patch that did not move is
 	// extracted at the same vertices however far another part of the
-	// shape grew the bounds, and the culling grid built on the same
-	// lattice (avatar's capsuleGrid) lines up with every frame's samples.
+	// shape grew the bounds.
 	Cell float64
 }
 

@@ -8,6 +8,17 @@ import (
 	"semholo/internal/par"
 )
 
+// BatchField is a scalar field that evaluates a chunk of lattice points
+// in one call. EvalBatch fills out[i] with exactly what Eval(pts[i])
+// would return, bitwise; a chunk call lets the field do its per-call
+// bookkeeping (for the avatar SDF, its sample count) once per chunk
+// instead of once per point. Both methods must be safe for concurrent
+// calls, and out has the same length as pts.
+type BatchField interface {
+	Eval(p geom.Vec3) float64
+	EvalBatch(pts []geom.Vec3, out []float64)
+}
+
 // ExtractIsosurfaceSparse polygonizes the zero level set of f like
 // ExtractIsosurface but visits only lattice cubes near the surface, so
 // its cost scales with surface area (O(R²)) instead of volume (O(R³)).
@@ -206,11 +217,9 @@ func ExtractIsosurfaceSparse(f BatchField, grid GridSpec, seeds []geom.Vec3, wor
 				cornerIdx[fi*8+ci] = idx
 			}
 		}
-		// Each worker evaluates a contiguous chunk in one EvalBatch call,
-		// so a whole chunk shares the field's per-call setup (for the
-		// avatar SDF, its spatial candidate pruning). Every sample is a
-		// pure function of its point, so neither the chunk partition nor
-		// the worker count can affect the output.
+		// Each worker evaluates a contiguous chunk in one EvalBatch call.
+		// Every sample is a pure function of its point, so neither the
+		// chunk partition nor the worker count can affect the output.
 		tail := samples[first:]
 		par.ForChunks(workers, len(needPts), func(_, lo, hi int) {
 			f.EvalBatch(needPts[lo:hi], tail[lo:hi])

@@ -1,105 +1,15 @@
 package metrics
 
-// Counters for the SDF field acceleration layer (capsule culling grid +
-// batched evaluation): how many lattice samples were evaluated, how many
-// exact capsule distance tests they cost, and how selective the per-bin
-// candidate lists were. One FieldCounters instance may be shared by many
-// reconstructors, so all fields are atomic.
+// FieldCounters has no effect: nothing records into it and Snapshot is
+// always zero. Kept because bench/ sets it.
+type FieldCounters struct{}
 
-import (
-	"sync/atomic"
+// Snapshot returns the zero FieldStats. Safe on a nil receiver.
+func (c *FieldCounters) Snapshot() FieldStats { return FieldStats{} }
 
-	"semholo/internal/obs"
-)
-
-// FieldCounters aggregates field-evaluation telemetry. The zero value is
-// ready to use; methods on a nil receiver are no-ops, so the hot path
-// never guards the optional hookup — and a nil FieldCounters costs the
-// field evaluator nothing, because the evaluator aggregates locally and
-// flushes per batch, not per sample.
-type FieldCounters struct {
-	samples       atomic.Uint64 // field evaluations (grid-pruned or full fold)
-	capsuleTests  atomic.Uint64 // exact point-segment distance tests those cost
-	binsBuilt     atomic.Uint64 // culling-grid bins lazily constructed
-	binCandidates atomic.Uint64 // candidate capsules across all built bins
-}
-
-// AddSamples records a flushed batch of field evaluations and the exact
-// capsule distance tests they performed.
-func (c *FieldCounters) AddSamples(samples, tests uint64) {
-	if c != nil {
-		c.samples.Add(samples)
-		c.capsuleTests.Add(tests)
-	}
-}
-
-// AddBin records one lazily built culling-grid bin and the size of its
-// candidate list.
-func (c *FieldCounters) AddBin(candidates int) {
-	if c != nil {
-		c.binsBuilt.Add(1)
-		c.binCandidates.Add(uint64(candidates))
-	}
-}
-
-// Snapshot returns a point-in-time copy for reporting.
-func (c *FieldCounters) Snapshot() FieldStats {
-	if c == nil {
-		return FieldStats{}
-	}
-	return FieldStats{
-		Samples:       c.samples.Load(),
-		CapsuleTests:  c.capsuleTests.Load(),
-		BinsBuilt:     c.binsBuilt.Load(),
-		BinCandidates: c.binCandidates.Load(),
-	}
-}
-
-// Register wires the counters into the shared observability registry as
-// pull-backed series. Safe on nil (no-op) to match the rest of the API.
-func (c *FieldCounters) Register(reg *obs.Registry) {
-	if c == nil || reg == nil {
-		return
-	}
-	reg.Counter("semholo_field_capsule_tests_total",
-		"Exact point-segment capsule distance tests across all field samples.").
-		Func(func() float64 { return float64(c.capsuleTests.Load()) })
-	reg.Counter("semholo_field_samples_total",
-		"SDF field evaluations (fresh samples, pruned or full).").
-		Func(func() float64 { return float64(c.samples.Load()) })
-	reg.Counter("semholo_field_bins_built_total",
-		"Capsule culling-grid bins lazily constructed.").
-		Func(func() float64 { return float64(c.binsBuilt.Load()) })
-	reg.GaugeFunc("semholo_field_bin_candidates",
-		"Mean candidate capsules per culling-grid bin.",
-		func() float64 { return c.Snapshot().CandidatesPerBin() })
-	reg.GaugeFunc("semholo_field_capsule_tests_per_sample",
-		"Mean exact capsule tests per field evaluation.",
-		func() float64 { return c.Snapshot().TestsPerSample() })
-}
-
-// FieldStats is a point-in-time copy of FieldCounters.
+// FieldStats has no effect: FieldCounters.Snapshot always returns the
+// zero value. Kept because bench/ reads it.
 type FieldStats struct {
-	Samples       uint64
-	CapsuleTests  uint64
-	BinsBuilt     uint64
-	BinCandidates uint64
-}
-
-// TestsPerSample is the mean number of exact capsule distance tests each
-// field evaluation performed — the quantity the culling grid exists to
-// shrink (the unpruned fold tests every capsule, every sample).
-func (s FieldStats) TestsPerSample() float64 {
-	if s.Samples == 0 {
-		return 0
-	}
-	return float64(s.CapsuleTests) / float64(s.Samples)
-}
-
-// CandidatesPerBin is the mean candidate-list length across built bins.
-func (s FieldStats) CandidatesPerBin() float64 {
-	if s.BinsBuilt == 0 {
-		return 0
-	}
-	return float64(s.BinCandidates) / float64(s.BinsBuilt)
+	Samples      uint64
+	CapsuleTests uint64
 }

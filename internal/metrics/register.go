@@ -4,8 +4,8 @@ import "semholo/internal/obs"
 
 // Registerer is the uniform hookup every counter bundle in this package
 // implements: wire yourself into the shared observability registry as
-// pull-backed series. ReconCounters and FieldCounters both satisfy it,
-// as does anything else with the same Register(reg) shape — the
+// pull-backed series. ReconCounters satisfies it, as does anything else
+// with the same Register(reg) shape — the
 // convention every cmd follows so one /metrics scrape exposes the whole
 // process.
 type Registerer interface {

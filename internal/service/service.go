@@ -62,9 +62,7 @@ type Options struct {
 	// Counters receives reconstruction/cache telemetry for all tenants;
 	// nil creates a shared instance (exposed via Counters()).
 	Counters *metrics.ReconCounters
-	// FieldStats receives SDF field-evaluation telemetry (samples, exact
-	// capsule tests, culling-bin stats) for all tenants; nil creates a
-	// shared instance (exposed via FieldStats()).
+	// FieldStats has no effect; kept because bench/ sets it.
 	FieldStats *metrics.FieldCounters
 	// Registry, when set, receives per-tenant queue depth, decode
 	// latency, and frame counters plus the shared cache counters.
@@ -74,10 +72,9 @@ type Options struct {
 	Site byte
 	// NewDecoder overrides per-tenant decoder construction (it must
 	// return a fresh decoder per call; decoders are stateful). It is
-	// handed the resolved options, so Codec, Cache, Pool, Counters and
-	// FieldStats are the shared instances. The default builds a
-	// core.KeypointDecoder wired to the shared model, codec, cache, and
-	// counters.
+	// handed the resolved options, so Codec, Cache, Pool and Counters
+	// are the shared instances. The default builds a core.KeypointDecoder
+	// wired to the shared model, codec, cache, and counters.
 	NewDecoder func(Options) core.Decoder
 }
 
@@ -92,7 +89,8 @@ type workerSetter interface{ SetWorkers(int) }
 // All methods are safe for concurrent use; the service owns no
 // goroutines, so tearing it down leaks nothing.
 type DecodeService struct {
-	// opt holds the resolved options: every shared instance is non-nil.
+	// opt holds the resolved options: every shared instance is non-nil
+	// (FieldStats, which has no effect, may be nil).
 	opt Options
 
 	queueDepth *obs.GaugeVec
@@ -116,9 +114,6 @@ func New(opt Options) *DecodeService {
 	if opt.Counters == nil {
 		opt.Counters = &metrics.ReconCounters{}
 	}
-	if opt.FieldStats == nil {
-		opt.FieldStats = &metrics.FieldCounters{}
-	}
 	if opt.Cache == nil {
 		opt.Cache = &avatar.MeshCache{}
 	}
@@ -128,7 +123,6 @@ func New(opt Options) *DecodeService {
 	s := &DecodeService{opt: opt, tenants: make(map[string]*StreamCtx)}
 	if reg := opt.Registry; reg != nil {
 		opt.Counters.Register(reg)
-		opt.FieldStats.Register(reg)
 		s.queueDepth = reg.Gauge("semholo_service_queue_depth",
 			"Raw frames in flight (queued or decoding), per tenant.", "tenant")
 		s.latency = reg.Histogram("semholo_service_decode_seconds",
@@ -157,7 +151,6 @@ func (s *DecodeService) newDecoder() core.Decoder {
 		Resolution: s.opt.Resolution,
 		Cache:      s.opt.Cache,
 		Counters:   s.opt.Counters,
-		FieldStats: s.opt.FieldStats,
 	}
 }
 
@@ -223,7 +216,8 @@ func (s *DecodeService) Cache() *avatar.MeshCache { return s.opt.Cache }
 // Counters exposes the shared reconstruction telemetry.
 func (s *DecodeService) Counters() *metrics.ReconCounters { return s.opt.Counters }
 
-// FieldStats exposes the shared SDF field-evaluation telemetry.
+// FieldStats has no effect: it returns Options.FieldStats, whose
+// Snapshot is always zero (nil-safe). Kept because bench/ calls it.
 func (s *DecodeService) FieldStats() *metrics.FieldCounters { return s.opt.FieldStats }
 
 // fairShare is the pool grant one decode asks for: an equal split of the
