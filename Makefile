@@ -39,7 +39,8 @@ bench-m2p:
 	bash bench/run.sh --trace 0
 
 ## ci: the full gate — vet, build, a check that every test pattern below
-## still names a test, race-enabled tests (the rasteriser's pooled
+## still names a test, a small Figure 4 run (semholo-bench's fig4 table
+## has no other caller), race-enabled tests (the rasteriser's pooled
 ## scratch hammered by concurrent renders of mixed sizes three times
 ## over), the reconstruction determinism
 ## suite (reused and cached output must stay byte-identical to a fresh
@@ -49,6 +50,7 @@ bench-m2p:
 ## short pass of every benchmark workload.
 ci: vet build
 	$(MAKE) run-patterns-check
+	$(GO) run ./cmd/semholo-bench -exp fig4 -res 32,48 -frames 5 -par 1
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=3 -run 'TestRenderMeshPooledConcurrent' ./internal/render
 	$(MAKE) cache-determinism
@@ -112,7 +114,7 @@ run-patterns-check:
 ## cache-determinism: the reconstruction byte-identity regression tests
 ## — golden digests of 20 talking frames through Reconstruct and through
 ## Skin at res 32/64 (the skin digest covers the canonical pass and
-## BindWeights) and of 5 dense frames at res 32 and workers 1/3, a reused
+## BindWeights) and of 5 full-grid frames at res 32 and workers 1/3, a reused
 ## Reconstructor against a fresh one per frame (50 motion frames,
 ## workers 1/4, and across a large pose jump), the narrow-band extractor
 ## against the dense sweep and across worker counts, grid anchoring, the

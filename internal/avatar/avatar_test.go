@@ -110,8 +110,9 @@ func TestReconstructProducesBodyMesh(t *testing.T) {
 
 func TestReconstructSparseMatchesDense(t *testing.T) {
 	truth := body.Walking(nil).At(0.2)
-	sparse := (&Reconstructor{Model: fitModel, Resolution: 32}).Reconstruct(truth)
-	dense := (&Reconstructor{Model: fitModel, Resolution: 32, Dense: true}).Reconstruct(truth)
+	rec := &Reconstructor{Model: fitModel, Resolution: 32}
+	sparse := rec.Reconstruct(truth)
+	dense, _ := extractDense(rec, truth)
 	// The narrow-band extraction must produce the same surface as the
 	// full-grid one (same lattice, same field).
 	if math.Abs(float64(len(sparse.Faces)-len(dense.Faces))) > float64(len(dense.Faces))/100 {

@@ -21,7 +21,7 @@ const DefaultMeshCacheCapacity = 32
 
 // MeshCache is a bounded LRU of reconstructed meshes keyed by quantized
 // body parameters plus the reconstruction configuration (model,
-// resolution, smoothing, dense flag) and the kind of mesh (extracted by
+// resolution, smoothing) and the kind of mesh (extracted by
 // Reconstruct or skinned by Skin) — one cache can safely back several
 // reconstructors, including differently configured ones, and never hands
 // a Reconstruct caller a skinned mesh or a Skin caller an extracted one.
@@ -55,7 +55,6 @@ type cacheKey struct {
 	params body.Params
 	model  *body.Model
 	res    int
-	dense  bool
 	smooth float64
 	skin   bool
 }
@@ -110,7 +109,6 @@ func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor, skin bool) cacheKey
 		params: *p,
 		model:  r.Model,
 		res:    r.Resolution,
-		dense:  r.Dense,
 		smooth: r.smoothK(),
 		skin:   skin,
 	}

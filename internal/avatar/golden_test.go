@@ -81,20 +81,20 @@ func TestSkinGoldenHash(t *testing.T) {
 	}
 }
 
-// TestDenseReconstructGoldenHash pins the full-grid extractor behind
-// Reconstructor.Dense: 5 talking frames at res 32 must hash to the
-// recorded digest at every worker count.
+// TestDenseReconstructGoldenHash pins the full-grid extractor on the
+// capsule field (extractDense): 5 talking frames at res 32 must hash to
+// the recorded digest at every worker count.
 func TestDenseReconstructGoldenHash(t *testing.T) {
 	const golden uint64 = 0x5117856608d5c121
 	frames := motionFrames(body.Talking(nil), 5, 1.0/30)
 	for _, workers := range []int{1, 3} {
-		rec := &Reconstructor{Model: fitModel, Resolution: 32, Dense: true, Workers: workers}
+		rec := &Reconstructor{Model: fitModel, Resolution: 32, Workers: workers}
 		ms := make([]*mesh.Mesh, len(frames))
 		for i, p := range frames {
-			ms[i] = rec.Reconstruct(p)
+			ms[i], _ = extractDense(rec, p)
 		}
 		if got := hashMeshes(ms); got != golden {
-			t.Errorf("workers %d: dense Reconstruct digest %#x, want %#x", workers, got, golden)
+			t.Errorf("workers %d: dense extraction digest %#x, want %#x", workers, got, golden)
 		}
 	}
 }

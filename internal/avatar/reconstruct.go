@@ -39,11 +39,6 @@ type Reconstructor struct {
 	// SmoothK is the smooth-union blending radius (meters); 0 uses a
 	// default that hides capsule seams without fattening limbs.
 	SmoothK float64
-	// Dense forces full-grid evaluation (O(R³) field samples) instead of
-	// the narrow-band sparse extraction (O(R²)); Fig 4's dense column
-	// times it to show why narrow-band evaluation is mandatory at high R.
-	// Reconstruct only: Skin's canonical pass is always narrow-band.
-	Dense bool
 	// Workers bounds extraction and skinning parallelism: 0 uses
 	// GOMAXPROCS, 1 forces the serial path. Output is byte-identical for
 	// every worker count (the field is pure, the extractors merge
@@ -256,19 +251,14 @@ func (r *Reconstructor) reconstruct(p *body.Params) *mesh.Mesh {
 	f := &frameField{cur: bg, k: r.smoothK()}
 	grid := r.gridFor(bg)
 
-	var m *mesh.Mesh
-	if r.Dense {
-		m = mesh.ExtractIsosurfaceParallel(f.Eval, grid, r.Workers)
-	} else {
-		// Seeds are the bone midpoints; the extractor marches them to
-		// the surface along lattice axes.
-		seeds := r.seedBuf[:0]
-		for i := range bg.a {
-			seeds = append(seeds, bg.a[i].Lerp(bg.b[i], 0.5))
-		}
-		r.seedBuf = seeds
-		m = mesh.ExtractIsosurfaceSparse(f, grid, seeds, r.Workers)
+	// Seeds are the bone midpoints; the extractor marches them to the
+	// surface along lattice axes.
+	seeds := r.seedBuf[:0]
+	for i := range bg.a {
+		seeds = append(seeds, bg.a[i].Lerp(bg.b[i], 0.5))
 	}
+	r.seedBuf = seeds
+	m := mesh.ExtractIsosurfaceSparse(f, grid, seeds, r.Workers)
 	r.Counters.AddFrame(int(f.evaluated.Load()))
 	return m
 }

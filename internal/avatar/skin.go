@@ -33,8 +33,7 @@ type canonicalSurface struct {
 // body.Model.Mesh applies to the template. The first call, and the first
 // after Model, Resolution or SmoothK changes, runs that extraction; every
 // other call costs one pass over the vertices. Output is identical at any
-// Workers setting. Dense does not apply (the canonical pass is a
-// narrow-band extraction).
+// Workers setting.
 //
 // The returned mesh shares its Faces with the canonical surface, and with
 // Cache set the whole mesh is shared with every other caller of that pose

@@ -57,8 +57,6 @@ func Foveated(env *Env, radii []float64) []FoveatedPoint {
 			Codec:                compress.LZR(),
 			PeripheralResolution: 40,
 			Selector:             sel,
-			Cache:                env.reconCache(),
-			Counters:             env.reconCounters(),
 		}
 		dec.SetGazeAnchor(anchor)
 

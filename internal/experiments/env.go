@@ -10,14 +10,12 @@ import (
 	"encoding/binary"
 	"math"
 
-	"semholo/internal/avatar"
 	"semholo/internal/body"
 	"semholo/internal/capture"
 	"semholo/internal/compress"
 	"semholo/internal/core"
 	"semholo/internal/geom"
 	"semholo/internal/keypoint"
-	"semholo/internal/metrics"
 	"semholo/internal/netsim"
 	"semholo/internal/par"
 	"semholo/internal/pointcloud"
@@ -44,36 +42,6 @@ type Env struct {
 	// compute kernel (capture rig, isosurface extraction, rasterizer,
 	// NeRF training). Always ≥ 1 after NewEnv.
 	Parallelism int
-	// Cache gives the pipeline decoders this env builds a shared
-	// pose-keyed mesh LRU. Meshes are byte-identical either way; only
-	// the rate changes.
-	Cache bool
-	// Recon accumulates cache and frame telemetry for decoders built
-	// from this env.
-	Recon metrics.ReconCounters
-
-	meshCache *avatar.MeshCache
-}
-
-// reconCache returns the env's shared mesh LRU (nil when caching is
-// off), creating it on first use.
-func (e *Env) reconCache() *avatar.MeshCache {
-	if !e.Cache {
-		return nil
-	}
-	if e.meshCache == nil {
-		e.meshCache = &avatar.MeshCache{Counters: &e.Recon}
-	}
-	return e.meshCache
-}
-
-// reconCounters returns the telemetry sink decoders should use (nil
-// when caching is off, keeping the hot path free of atomic traffic).
-func (e *Env) reconCounters() *metrics.ReconCounters {
-	if !e.Cache {
-		return nil
-	}
-	return &e.Recon
 }
 
 // EnvOptions configures NewEnv.
@@ -88,9 +56,6 @@ type EnvOptions struct {
 	// 1 → serial. Results are worker-count invariant (see internal/par),
 	// so figures regenerate identically at any setting.
 	Parallelism int
-	// Cache enables the pose-keyed mesh LRU in decoders the env builds
-	// (output identical; only the rate changes).
-	Cache bool
 }
 
 // NewEnv builds the standard environment.
@@ -129,7 +94,6 @@ func NewEnv(opt EnvOptions) *Env {
 		FPS:         opt.FPS,
 		Seed:        opt.Seed,
 		Parallelism: workers,
-		Cache:       opt.Cache,
 	}
 }
 

@@ -177,6 +177,5 @@ func newTextDecoderFor() *core.TextDecoder {
 func newKeypointDecoderFor(env *Env, res int) *core.KeypointDecoder {
 	return &core.KeypointDecoder{
 		Model: env.Model, Codec: lzrCodec(), Resolution: res,
-		Cache: env.reconCache(), Counters: env.reconCounters(),
 	}
 }
