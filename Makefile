@@ -79,9 +79,11 @@ obs-check:
 	$(GO) test -race ./internal/obs ./internal/transport
 
 ## relay-check: the fan-out scale-out gate — race-enabled serialize-once
-## wire-compat suites (byte identity, CRC combine, interleaved seq), the
+## wire-compat suites (WriteSharedFrameLeg byte identity, CRC combine,
+## SendBatch and SendSharedBatch interleaving on one session's seq), the
 ## batch-send suites (TestBatch*/TestSendBatch*: one write per media
-## frame, bytes identical to frame-by-frame, a pong never inside a batch),
+## frame, bytes identical to frame-by-frame, a batch of one a single
+## frame's writes, a pong never inside a batch),
 ## slow-subscriber isolation, egress churn leak checks, the newest-wins
 ## dequeue suites (all under the TestRelay prefix:
 ## TestRelayTiersNewestWinsAfterStall, TestRelayNewestWinsKeepsControlInOrder,
@@ -129,7 +131,9 @@ cache-determinism:
 ## trace-check: the hop-tracing gate — race-enabled flight-recorder /
 ## trace-store / waterfall / exemplar suites (full package), plus the
 ## hop-extension wire-compat suites (golden bytes, per-hop CRC
-## corruption, truncation, shared-frame egress-slot reservation) and the
+## corruption, truncation, an over-long path refused on write, read and
+## capture alike, shared-frame egress-slot reservation, a traced
+## SendBatch stamping its hops at write time) and the
 ## relay hop-stamping e2e test (sender → relay → staged receiver's
 ## service hop; hop-sum vs e2e, exemplar → stored trace → rendered
 ## waterfall).
@@ -217,16 +221,19 @@ cluster-check:
 ## dracogo.DecodeMesh/DecodeCloud of a short stream declaring 2^24
 ## vertices/points fail having allocated ≤ 64 KiB.
 ## Relay: a leg's tiered cadence send (a rung plus its trailing capacity
-## ping, one write) allocates nothing in steady state.
+## ping, one write) and a plain leg's send (one hop-traced frame with its
+## egress hop, no ping) allocate nothing in steady state.
 alloc-check:
 	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestHybridDecodePatchAllocs|TestFovealEncodeAllocs|TestCompressPoseAllocs|TestCompressPoseOneAlloc|TestDecompressPoseOneAlloc|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestCaptureAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render ./internal/capture
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
 ## — the pose frame (both magics), lzr streams (alone, and against the
 ## reference coder stream for stream), the hop-trace wire extension,
-## the frame reader over every flag combination and batch boundary,
-## dracogo mesh and cloud streams, the texture rung's BTC payload, the
-## text rung's keyframe and delta documents through TextDecoder — plus
+## the frame reader over every flag combination and batch boundary, the
+## trunk ingress's capture and re-emission (read, adopt or copy, re-emit:
+## byte for byte what was read), dracogo mesh and cloud streams, the
+## texture rung's BTC payload, the text rung's keyframe and delta
+## documents through TextDecoder — plus
 ## the rasteriser against its reference (triangle soups with vertices
 ## behind the near plane, degenerate faces, slivers and vertices within
 ## ulps of a pixel centre). Text documents run to a few hundred bytes,
@@ -242,6 +249,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressMatchesReference$$' -fuzztime 10s ./internal/compress/lzr
 	$(GO) test -run '^$$' -fuzz '^FuzzHopTraceRoundTrip$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzSharedFromWire$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMesh$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCloud$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderMesh$$' -fuzztime 10s ./internal/render

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"semholo/internal/avatar"
+	"semholo/internal/core"
 	"semholo/internal/experiments"
 	"semholo/internal/geom"
 	"semholo/internal/nerf"
@@ -21,6 +22,18 @@ import (
 
 // benchEnv is shared across benchmarks (construction renders the rig).
 var benchEnv = experiments.NewEnv(experiments.EnvOptions{Seed: 3})
+
+// appendWireFrames appends one semantic WireFrame per encoded channel to
+// dst — the bridge from Encoder output to Decoder input without a
+// Session. Pass dst[:0] to reuse a previous frame's backing array.
+func appendWireFrames(dst []WireFrame, ef core.EncodedFrame) []WireFrame {
+	for _, ch := range ef.Channels {
+		dst = append(dst, WireFrame{
+			Type: FrameTypeSemantic, Channel: ch.Channel, Flags: ch.Flags, Payload: ch.Payload,
+		})
+	}
+	return dst
+}
 
 // BenchmarkTable1Keypoint measures the paper's proof-of-concept pipeline
 // end to end (extract + wire + reconstruct) — Table 1's keypoint row.
@@ -36,7 +49,7 @@ func BenchmarkTable1Keypoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		frames = AppendWireFrames(frames[:0], ef)
+		frames = appendWireFrames(frames[:0], ef)
 		if _, err := dec.Decode(frames); err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +70,7 @@ func BenchmarkTable1Text(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		frames = AppendWireFrames(frames[:0], ef)
+		frames = appendWireFrames(frames[:0], ef)
 		if _, err := dec.Decode(frames); err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +91,7 @@ func BenchmarkTable1Traditional(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		frames = AppendWireFrames(frames[:0], ef)
+		frames = appendWireFrames(frames[:0], ef)
 		if _, err := dec.Decode(frames); err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +137,7 @@ func BenchmarkFig4Reconstruct(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			data, err := dec.Decode(AppendWireFrames(nil, ef))
+			data, err := dec.Decode(appendWireFrames(nil, ef))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -200,7 +213,7 @@ func BenchmarkHybridDecodeSteady(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wire[i] = AppendWireFrames(nil, ef)
+		wire[i] = appendWireFrames(nil, ef)
 		if _, err := dec.Decode(wire[i]); err != nil { // fill the cache, size the scratch
 			b.Fatal(err)
 		}

@@ -19,6 +19,7 @@ import (
 
 	"semholo"
 	"semholo/internal/body"
+	"semholo/internal/transport"
 )
 
 const frames = 60
@@ -130,15 +131,23 @@ func relayBroadcast() {
 	world := semholo.NewWorld(semholo.WorldOptions{Motion: body.Talking(nil), Seed: 21})
 	enc, _ := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 40})
 	start := time.Now()
+	var batch []semholo.WireFrame
 	for i := 0; i < broadcastFrames; i++ {
 		ef, err := enc.Encode(world.FrameAt(i))
 		if err != nil {
 			log.Fatalf("encode: %v", err)
 		}
+		// Every channel of the media frame leaves in one traced batch.
+		captured := semholo.NowMicros()
+		batch = batch[:0]
 		for _, ch := range ef.Channels {
-			if err := presenter.SendTraced(ch.Channel, ch.Flags, ch.Payload, semholo.NowMicros(), uint64(i)); err != nil {
-				log.Fatalf("send: %v", err)
-			}
+			batch = append(batch, semholo.WireFrame{
+				Type: semholo.FrameTypeSemantic, Channel: ch.Channel, Flags: ch.Flags | transport.FlagTrace,
+				CaptureTS: captured, TraceID: uint64(i), Payload: ch.Payload,
+			})
+		}
+		if _, err := presenter.SendBatch(batch); err != nil {
+			log.Fatalf("send: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -131,7 +131,11 @@ func TestCascadeDepth2ByteIdentity(t *testing.T) {
 	const frames = 12
 	for i := 0; i < frames; i++ {
 		sender := []obs.Hop{{Kind: obs.HopSender, Site: 9, RecvMicros: uint64(1000 + i)}}
-		if err := pub.SendTracedHops(7, transport.FlagKeyframe, payload, uint64(5000+i), uint64(100+i), sender); err != nil {
+		f := transport.Frame{
+			Type: transport.TypeSemantic, Channel: 7, Flags: transport.FlagKeyframe | transport.FlagTrace | transport.FlagHops,
+			CaptureTS: uint64(5000 + i), TraceID: uint64(100 + i), Hops: sender, Payload: payload,
+		}
+		if _, err := pub.SendBatch([]transport.Frame{f}); err != nil {
 			t.Fatal(err)
 		}
 		df := recvSemantic(t, direct, "direct")
@@ -190,7 +194,11 @@ func TestCascadeDepth3HopCap(t *testing.T) {
 
 	obs.Flight.Reset()
 	sender := []obs.Hop{{Kind: obs.HopSender, Site: 9, RecvMicros: 1234}}
-	if err := pub.SendTracedHops(3, 0, []byte("deep-frame"), 777, 4242, sender); err != nil {
+	sent := transport.Frame{
+		Type: transport.TypeSemantic, Channel: 3, Flags: transport.FlagTrace | transport.FlagHops,
+		CaptureTS: 777, TraceID: 4242, Hops: sender, Payload: []byte("deep-frame"),
+	}
+	if _, err := pub.SendBatch([]transport.Frame{sent}); err != nil {
 		t.Fatal(err)
 	}
 	f := recvSemantic(t, deep, "deep")

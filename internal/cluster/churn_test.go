@@ -61,7 +61,7 @@ func TestTrunkChurnAndReconnect(t *testing.T) {
 				return
 			default:
 			}
-			if err := pub.Send(5, 0, payload); err != nil {
+			if _, err := pub.SendBatch([]transport.Frame{{Type: transport.TypeSemantic, Channel: 5, Payload: payload}}); err != nil {
 				return
 			}
 			published.Add(1)

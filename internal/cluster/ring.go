@@ -81,32 +81,6 @@ func (r *Ring) AddShard(id string) {
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 }
 
-// RemoveShard drops a shard's virtual nodes and releases the rooms it
-// held. It returns the displaced rooms so the caller can re-assign
-// them; by the ring's structure every room on a surviving shard stays
-// exactly where it was.
-func (r *Ring) RemoveShard(id string) (displaced []string) {
-	if _, ok := r.loads[id]; !ok {
-		return nil
-	}
-	delete(r.loads, id)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	for room, shard := range r.assigned {
-		if shard == id {
-			displaced = append(displaced, room)
-			delete(r.assigned, room)
-		}
-	}
-	sort.Strings(displaced)
-	return displaced
-}
-
 // Shards returns the member shard IDs, sorted.
 func (r *Ring) Shards() []string {
 	ids := make([]string, 0, len(r.loads))
@@ -172,15 +146,6 @@ func (r *Ring) Lookup(room string) string {
 	h := hash64(room)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	return r.points[i%len(r.points)].shard
-}
-
-// Loads snapshots the current per-shard assignment counts.
-func (r *Ring) Loads() map[string]int {
-	out := make(map[string]int, len(r.loads))
-	for s, n := range r.loads {
-		out[s] = n
-	}
-	return out
 }
 
 // hash64 is FNV-1a — deterministic across runs and platforms, which

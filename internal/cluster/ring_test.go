@@ -20,14 +20,20 @@ func TestRingBoundedLoad(t *testing.T) {
 	for _, id := range ringShards(shards) {
 		r.AddShard(id)
 	}
+	loads := map[string]int{}
+	for _, id := range ringShards(shards) {
+		loads[id] = 0
+	}
 	for i := 0; i < rooms; i++ {
-		if _, err := r.Assign(fmt.Sprintf("room-%d", i), nil); err != nil {
+		s, err := r.Assign(fmt.Sprintf("room-%d", i), nil)
+		if err != nil {
 			t.Fatalf("assign room-%d: %v", i, err)
 		}
+		loads[s]++
 	}
 	bound := int(math.Ceil(DefaultLoadFactor * rooms / shards))
 	total := 0
-	for id, load := range r.Loads() {
+	for id, load := range loads {
 		total += load
 		if load > bound {
 			t.Errorf("shard %s load %d exceeds bound %d", id, load, bound)
@@ -90,52 +96,27 @@ func TestRingAvailabilityPredicate(t *testing.T) {
 	}
 }
 
-func TestRingRemoveShardDisplacesOnlyItsRooms(t *testing.T) {
-	r := NewRing(0, 0)
-	for _, id := range ringShards(6) {
-		r.AddShard(id)
-	}
-	placed := map[string]string{}
-	for i := 0; i < 300; i++ {
-		room := fmt.Sprintf("room-%d", i)
-		s, err := r.Assign(room, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		placed[room] = s
-	}
-	const victim = "shard-03"
-	displaced := r.RemoveShard(victim)
-	for _, room := range displaced {
-		if placed[room] != victim {
-			t.Errorf("room %s displaced but lived on %s", room, placed[room])
-		}
-	}
-	moved := map[string]bool{}
-	for _, room := range displaced {
-		moved[room] = true
-	}
-	for room, s := range placed {
-		if s == victim && !moved[room] {
-			t.Errorf("room %s lived on removed shard but was not displaced", room)
-		}
-		if s != victim && moved[room] {
-			t.Errorf("room %s on surviving shard %s was displaced", room, s)
-		}
-	}
-
-	// The pure Lookup has the same minimal-disruption property across
-	// independently built rings: survivors' vnode points are identical,
-	// so only rooms that hashed to the missing shard resolve elsewhere.
-	full, smaller := NewRing(0, 0), NewRing(0, 0)
+// TestRingLookupMinimalDisruption: the pure Lookup every relay daemon
+// computes is stable across independently built rings that differ by
+// one shard — survivors' vnode points are identical, so only rooms that
+// hashed to the missing shard (room-0's, so some room does) resolve
+// elsewhere.
+func TestRingLookupMinimalDisruption(t *testing.T) {
+	full := NewRing(0, 0)
 	for _, id := range ringShards(6) {
 		full.AddShard(id)
+	}
+	victim := full.Lookup("room-0")
+	smaller := NewRing(0, 0)
+	for _, id := range ringShards(6) {
 		if id != victim {
 			smaller.AddShard(id)
 		}
 	}
-	for room := range placed {
-		if a, b := full.Lookup(room), smaller.Lookup(room); a != victim && a != b {
+	for i := 0; i < 300; i++ {
+		room := fmt.Sprintf("room-%d", i)
+		a, b := full.Lookup(room), smaller.Lookup(room)
+		if a != victim && a != b {
 			t.Errorf("lookup moved room %s %s→%s though its shard survived", room, a, b)
 		}
 	}

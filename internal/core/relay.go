@@ -240,18 +240,9 @@ type relayPeer struct {
 	egressDone chan struct{}
 }
 
-// NewRelay builds an empty relay with a background lifecycle (shut it
-// down with Close).
-func NewRelay() *Relay { return NewRelayContext(context.Background()) }
-
-// NewRelayContext builds an empty relay whose lifetime is bounded by
-// ctx: cancellation detaches every participant and stops every pump, as
-// Close does.
-func NewRelayContext(ctx context.Context) *Relay {
-	return NewRelayOpts(ctx, RelayOptions{})
-}
-
-// NewRelayOpts builds an empty relay with explicit options.
+// NewRelayOpts builds an empty relay whose lifetime is bounded by ctx:
+// cancellation detaches every participant and stops every pump, as Close
+// does. The zero RelayOptions give a plain, untiered relay.
 func NewRelayOpts(ctx context.Context, opt RelayOptions) *Relay {
 	ctx, cancel := context.WithCancel(ctx)
 	r := &Relay{
@@ -710,22 +701,22 @@ func (r *Relay) egress(p *relayPeer) {
 			}
 			continue
 		}
+		// Per-leg final hop: dequeue time is this leg's recv, the write
+		// instant (stamped inside SendSharedBatch) its send — so each
+		// subscriber's copy records its own egress queue dwell. A frame
+		// without the hop extension ignores it. The flight event (whose
+		// queue-dwell payload is known at dequeue) is recorded before the
+		// write, so anyone who has received the frame is guaranteed to
+		// find it in the recorder.
+		deq := obs.NowMicros()
 		if it.sf.Flags&transport.FlagHops != 0 {
-			// Per-leg final hop: dequeue time is this leg's recv, the write
-			// instant (stamped inside SendSharedEgress) its send — so each
-			// subscriber's copy records its own egress queue dwell. The
-			// flight event (whose queue-dwell payload is known at dequeue)
-			// is recorded before the write, so anyone who has received the
-			// frame is guaranteed to find it in the recorder.
-			deq := obs.NowMicros()
 			obs.Flight.Record(obs.EvRelayEgress, p.site, it.sf.TraceID,
 				int64(deq)-it.at.UnixMicro(), 0)
-			err = p.sess.SendSharedEgress(it.sf, obs.Hop{
-				Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq,
-			})
-		} else {
-			err = p.sess.SendShared(it.sf)
 		}
+		one := [1]*transport.SharedFrame{it.sf}
+		_, err = p.sess.SendSharedBatch(one[:], transport.SharedSendOpts{
+			Egress: &obs.Hop{Kind: obs.HopRelayEgress, Site: r.site, RecvMicros: deq},
+		})
 		if err != nil {
 			// Broken peer: its own pump observes the session error and
 			// detaches it.
@@ -1099,10 +1090,4 @@ func (r *Relay) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
-}
-
-// SplitParticipant decomposes a relayed channel into (participant block
-// index, original channel).
-func SplitParticipant(channel uint16) (idx int, orig uint16) {
-	return int(channel / ParticipantChannelStride), channel % ParticipantChannelStride
 }

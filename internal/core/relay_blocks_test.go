@@ -29,7 +29,7 @@ func expectFrom(t *testing.T, viewer, from *relayParticipant) {
 	if err != nil {
 		t.Fatalf("%s: %v", viewer.name, err)
 	}
-	idx, orig := SplitParticipant(f.Channel)
+	idx, orig := splitParticipant(f.Channel)
 	if idx != from.idx || orig != ChanKeypointData || string(f.Payload) != from.name {
 		t.Fatalf("%s got %q on block %d channel %d, want %s's frame on block %d channel %d",
 			viewer.name, f.Payload, idx, orig, from.name, from.idx, ChanKeypointData)
@@ -41,7 +41,7 @@ func expectFrom(t *testing.T, viewer, from *relayParticipant) {
 // next participant's block; the relay drops it as unroutable instead, and
 // every delivered frame sits in its sender's block.
 func TestRelayChannelOutsideBlockUnroutable(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	defer r.Close()
 	alice := attachParticipant(t, r, "alice") // block 0
 	bob := attachParticipant(t, r, "bob")     // block 1
@@ -51,12 +51,12 @@ func TestRelayChannelOutsideBlockUnroutable(t *testing.T) {
 	defer carol.link.Close()
 
 	// 1020 would arrive as block 1's ChanKeypointData: bob's stream.
-	if err := alice.sess.Send(ParticipantChannelStride+ChanKeypointData, 0, []byte("forged")); err != nil {
+	if err := sendData(alice.sess, ParticipantChannelStride+ChanKeypointData, 0, []byte("forged")); err != nil {
 		t.Fatal(err)
 	}
 	// The same pump then forwards a channel inside alice's block, which
 	// orders the subscribers' reads after the dropped frame.
-	if err := alice.sess.Send(ChanKeypointData, 0, []byte(alice.name)); err != nil {
+	if err := sendData(alice.sess, ChanKeypointData, 0, []byte(alice.name)); err != nil {
 		t.Fatal(err)
 	}
 	expectFrom(t, bob, alice)
@@ -73,7 +73,7 @@ func TestRelayChannelOutsideBlockUnroutable(t *testing.T) {
 // in that block; a peer past the last block still receives, but its
 // frames reach no one.
 func TestRelayBlocksReusedNeverShared(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	defer r.Close()
 	live := map[string]*relayParticipant{}
 	defer func() {
@@ -140,11 +140,11 @@ func TestRelayBlocksReusedNeverShared(t *testing.T) {
 	}
 
 	// The peer past the last block sends first: its frame is dropped.
-	if err := beyond.sess.Send(ChanKeypointData, 0, []byte(beyond.name)); err != nil {
+	if err := sendData(beyond.sess, ChanKeypointData, 0, []byte(beyond.name)); err != nil {
 		t.Fatal(err)
 	}
 	waitUnroutable(t, r, 1)
-	if err := reused.sess.Send(ChanKeypointData, 0, []byte(reused.name)); err != nil {
+	if err := sendData(reused.sess, ChanKeypointData, 0, []byte(reused.name)); err != nil {
 		t.Fatal(err)
 	}
 	expectFrom(t, viewer, reused)
@@ -157,7 +157,7 @@ func TestRelayBlocksReusedNeverShared(t *testing.T) {
 // from the block check, so such a frame is unroutable on the parent
 // instead of landing in a parent participant's block.
 func TestRelayTrunkEgressDoesNotRehome(t *testing.T) {
-	parent, child := NewRelay(), NewRelay()
+	parent, child := NewRelayOpts(t.Context(), RelayOptions{}), NewRelayOpts(t.Context(), RelayOptions{})
 	defer parent.Close()
 	defer child.Close()
 	trunk := attachPeer(t, parent, "trunk:child", netsim.LinkConfig{}, AttachOptions{TrunkEgress: true}) // parent block 0
@@ -174,11 +174,11 @@ func TestRelayTrunkEgressDoesNotRehome(t *testing.T) {
 
 	// The child re-homes carol's channel 20 to 1020, which the parent's
 	// trunk leg would otherwise deliver as alice's keypoint stream.
-	if err := carol.sess.Send(ChanKeypointData, 0, []byte(carol.name)); err != nil {
+	if err := sendData(carol.sess, ChanKeypointData, 0, []byte(carol.name)); err != nil {
 		t.Fatal(err)
 	}
 	waitUnroutable(t, parent, 1)
-	if err := alice.sess.Send(ChanKeypointData, 0, []byte(alice.name)); err != nil {
+	if err := sendData(alice.sess, ChanKeypointData, 0, []byte(alice.name)); err != nil {
 		t.Fatal(err)
 	}
 	expectFrom(t, bob, alice)

@@ -80,7 +80,11 @@ func TestRelaySlowSubscriberIsolation(t *testing.T) {
 
 	payload := make([]byte, 2048)
 	for i := 0; i < frames; i++ {
-		if err := pub.sess.SendTraced(1, 0, payload, obs.NowMicros(), uint64(i)); err != nil {
+		traced := transport.Frame{
+			Type: transport.TypeSemantic, Channel: 1, Flags: transport.FlagTrace,
+			CaptureTS: obs.NowMicros(), TraceID: uint64(i), Payload: payload,
+		}
+		if _, err := pub.sess.SendBatch([]transport.Frame{traced}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -135,7 +139,7 @@ func TestRelaySlowSubscriberIsolation(t *testing.T) {
 // joined every round.
 func TestRelayEgressChurnNoLeak(t *testing.T) {
 	leakCheck := relayGoroutineCheck(t)
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	for round := 0; round < 4; round++ {
 		pub := attachParticipant(t, r, "pub")
 		var subs []*relayParticipant
@@ -143,7 +147,7 @@ func TestRelayEgressChurnNoLeak(t *testing.T) {
 			subs = append(subs, attachParticipant(t, r, fmt.Sprintf("sub%d", i)))
 		}
 		for i := 0; i < 5; i++ {
-			if err := pub.sess.Send(1, 0, []byte("churn")); err != nil {
+			if err := sendData(pub.sess, 1, 0, []byte("churn")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -173,7 +177,7 @@ func TestRelayEgressChurnNoLeak(t *testing.T) {
 // TestRelayUnroutableFramesCounted: frame types the relay does not
 // forward increment the drift counter instead of disappearing silently.
 func TestRelayUnroutableFramesCounted(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	defer r.Close()
 	sub := attachParticipant(t, r, "sub")
 	defer sub.link.Close()

@@ -58,8 +58,20 @@ func attachPeer(t *testing.T, r *Relay, name string, down netsim.LinkConfig, opt
 	return &relayParticipant{name: name, sess: sess, link: link, idx: idx}
 }
 
+// sendData sends one semantic frame as a batch of one.
+func sendData(s *transport.Session, channel, flags uint16, payload []byte) error {
+	_, err := s.SendBatch([]transport.Frame{{Type: transport.TypeSemantic, Channel: channel, Flags: flags, Payload: payload}})
+	return err
+}
+
+// splitParticipant decomposes a relayed channel into (participant block
+// index, original channel).
+func splitParticipant(channel uint16) (idx int, orig uint16) {
+	return int(channel / ParticipantChannelStride), channel % ParticipantChannelStride
+}
+
 func TestRelayFansOutToAllOthers(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	alice := attachParticipant(t, r, "alice")
 	bob := attachParticipant(t, r, "bob")
 	carol := attachParticipant(t, r, "carol")
@@ -78,7 +90,7 @@ func TestRelayFansOutToAllOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ch := range ef.Channels {
-		if err := alice.sess.Send(ch.Channel, ch.Flags, ch.Payload); err != nil {
+		if err := sendData(alice.sess, ch.Channel, ch.Flags, ch.Payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +102,7 @@ func TestRelayFansOutToAllOthers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		idx, orig := SplitParticipant(f.Channel)
+		idx, orig := splitParticipant(f.Channel)
 		if orig != ChanKeypointData {
 			t.Errorf("%s got channel %d (orig %d)", p.name, f.Channel, orig)
 		}
@@ -108,7 +120,7 @@ func TestRelayFansOutToAllOthers(t *testing.T) {
 }
 
 func TestRelayControlFramesForwarded(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	viewer := attachParticipant(t, r, "viewer")
 	presenter := attachParticipant(t, r, "presenter")
 	defer viewer.link.Close()
@@ -146,7 +158,7 @@ func TestRelayControlFramesForwarded(t *testing.T) {
 }
 
 func TestRelayDetachOnClose(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	p1 := attachParticipant(t, r, "p1")
 	p2 := attachParticipant(t, r, "p2")
 	defer p2.link.Close()
@@ -162,7 +174,7 @@ func TestRelayDetachOnClose(t *testing.T) {
 }
 
 func TestRelayRejectsDuplicateName(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	p := attachParticipant(t, r, "dup")
 	defer p.link.Close()
 	a, b, link := netsim.Pipe(netsim.LinkConfig{})
@@ -198,7 +210,7 @@ func relayGoroutineCheck(t *testing.T) func() {
 // before returning.
 func TestRelayCloseJoinsAllPumps(t *testing.T) {
 	leakCheck := relayGoroutineCheck(t)
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	var links []*netsim.Link
 	for _, name := range []string{"a", "b", "c"} {
 		p := attachParticipant(t, r, name)
@@ -220,7 +232,7 @@ func TestRelayCloseJoinsAllPumps(t *testing.T) {
 }
 
 func TestRelayDetachJoinsPumpAndFreesName(t *testing.T) {
-	r := NewRelay()
+	r := NewRelayOpts(t.Context(), RelayOptions{})
 	defer r.Close()
 	p1 := attachParticipant(t, r, "p")
 	defer p1.link.Close()
@@ -240,7 +252,7 @@ func TestRelayDetachJoinsPumpAndFreesName(t *testing.T) {
 func TestRelayContextCancelShutsDown(t *testing.T) {
 	leakCheck := relayGoroutineCheck(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	r := NewRelayContext(ctx)
+	r := NewRelayOpts(ctx, RelayOptions{})
 	p1 := attachParticipant(t, r, "p1")
 	p2 := attachParticipant(t, r, "p2")
 	cancel()

@@ -271,7 +271,7 @@ func TestRelayScrape(t *testing.T) {
 	subs := map[string]*semholo.Session{"sub1": dial("sub1"), "sub2": dial("sub2")}
 
 	for i := 0; i < frames; i++ {
-		if err := pub.Send(1, 0, []byte("relay-metrics")); err != nil {
+		if _, err := pub.SendBatch([]semholo.WireFrame{{Type: semholo.FrameTypeSemantic, Channel: 1, Payload: []byte("relay-metrics")}}); err != nil {
 			t.Fatal(err)
 		}
 	}

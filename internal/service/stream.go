@@ -26,6 +26,8 @@ type StreamCtx struct {
 	// caller waiting behind a burst can give up.
 	token chan struct{}
 
+	// pending counts in-flight frames (queued or decoding) for the
+	// queue-depth gauge.
 	pending  atomic.Int64
 	frames   atomic.Uint64
 	detached atomic.Bool
@@ -36,10 +38,6 @@ func (st *StreamCtx) ID() string { return st.id }
 
 // Frames returns how many media frames this stream has decoded.
 func (st *StreamCtx) Frames() uint64 { return st.frames.Load() }
-
-// Pending returns this stream's in-flight frame count (queued or
-// decoding).
-func (st *StreamCtx) Pending() int { return int(st.pending.Load()) }
 
 // Decode reconstructs one collected media frame. It blocks while the
 // tenant is already decoding and while waiting for the stream's fair

@@ -16,9 +16,9 @@ import (
 )
 
 // The batch suite pins the one rule a batch send has: it is fewer
-// writes, never different bytes. Everything is checked against the
-// frame-by-frame paths that existed before batching, which stay in the
-// tree as the batch-of-one path.
+// writes, never different bytes. Everything is checked against
+// FrameWriter's single-frame writes (WriteFrame, WriteSharedFrameLeg),
+// which a batch of one still takes.
 
 // recConn is a net.Conn that records every Write it is handed — how many
 // and what bytes — and never delivers anything to Read. A Session built
@@ -331,17 +331,18 @@ func TestSendBatchWriteCounts(t *testing.T) {
 		})
 	}
 
-	// The batch-of-one pattern is today's, not merely three writes:
-	// SendSharedLeg on a fresh session writes the same segments.
+	// The batch-of-one pattern is the by-reference write, not merely
+	// three writes: WriteSharedFrameLeg on a fresh writer writes the same
+	// segments.
 	a, b := newRecConn(), newRecConn()
 	if _, err := newSession(a).SendSharedBatch(set[:1], SharedSendOpts{Egress: egress()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := newSession(b).SendSharedLeg(set[0], SharedSendOpts{Egress: egress()}); err != nil {
+	if err := NewFrameWriter(b).WriteSharedFrameLeg(set[0], 0, 0, 0, egress(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := writeSizes(a.take()), writeSizes(b.take()); !slices.Equal(got, want) {
-		t.Errorf("batch of one wrote segments %v, SendSharedLeg %v", got, want)
+		t.Errorf("batch of one wrote segments %v, WriteSharedFrameLeg %v", got, want)
 	}
 }
 
@@ -409,7 +410,7 @@ func TestSendBatchCountersPerWireFrame(t *testing.T) {
 	}
 	withoutEgress := 0
 	for _, sf := range set {
-		if err := single.SendSharedLeg(sf, opts()); err != nil {
+		if _, err := single.SendSharedBatch([]*SharedFrame{sf}, opts()); err != nil {
 			t.Fatal(err)
 		}
 		withoutEgress += sf.WireLen()

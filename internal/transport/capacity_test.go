@@ -69,10 +69,10 @@ func capacityRead(t *testing.T, down netsim.LinkConfig, decode time.Duration, sa
 
 	set, _ := sharedLadder(t, 104) // 312 payload bytes
 	rung := set[:1]
-	if n := rung[0].WireLenEgress(); n < 400 || n > 440 {
+	egress := obs.Hop{Kind: obs.HopRelayEgress, Site: 1}
+	if n := rung[0].legWireLen(&egress); n < 400 || n > 440 {
 		t.Fatalf("rung-0 frame is %d wire bytes, want ≈420", n)
 	}
-	egress := obs.Hop{Kind: obs.HopRelayEgress, Site: 1}
 	var reads []float64
 	pongs := relay.Stats().FramesReceived
 	for i := 0; i < samples; i++ {
@@ -140,7 +140,9 @@ func TestTierCapacityNeedsUnloadedSample(t *testing.T) {
 // TestSendSharedBatchTrailingPingAllocs pins a tiered cadence send — a
 // rung and its trailing ping in one write — at zero allocations in
 // steady state, for a one-frame rung (which the ping moves onto the
-// batch path) and for the three-frame top rung.
+// batch path) and for the three-frame top rung; and a plain relay leg's
+// send — one hop-traced frame with its egress hop and no ping, written
+// by reference — at zero as well.
 func TestSendSharedBatchTrailingPingAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts; skipped in -short")
@@ -148,15 +150,23 @@ func TestSendSharedBatchTrailingPingAllocs(t *testing.T) {
 	s := newSession(newDiscardConn())
 	set, topRung := sharedLadder(t, 1500)
 	egress := obs.Hop{Kind: obs.HopRelayEgress, Site: 1, RecvMicros: 1300}
-	for name, rung := range map[string][]*SharedFrame{"rung-0": set[:1], "top-rung": topRung} {
+	for _, tc := range []struct {
+		name string
+		rung []*SharedFrame
+		ping bool
+	}{
+		{"rung-0", set[:1], true},
+		{"top-rung", topRung, true},
+		{"plain-egress", set[:1], false},
+	} {
 		send := func() {
-			if _, err := s.SendSharedBatch(rung, SharedSendOpts{Egress: &egress, TrailingPing: true}); err != nil {
+			if _, err := s.SendSharedBatch(tc.rung, SharedSendOpts{Egress: &egress, TrailingPing: tc.ping}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		send() // warm the buffer and the seq map
 		if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per cadence send, want 0", name, allocs)
+			t.Errorf("%s: %.1f allocs per send, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -206,7 +206,7 @@ const maxBatchBytes = 64 << 10
 // FrameWriter serializes frames to an io.Writer through one reusable
 // buffer. Not safe for concurrent use; Session serializes access.
 //
-// A frame is either written on its own (WriteFrame, WriteSharedFrame*)
+// A frame is either written on its own (WriteFrame, WriteSharedFrameLeg)
 // or buffered behind the frames before it (bufferFrame,
 // bufferSharedFrameLeg) and handed to the writer with them in a single
 // Write by flush — the wire bytes are the same either way, a batch is
@@ -215,7 +215,7 @@ const maxBatchBytes = 64 << 10
 type FrameWriter struct {
 	w   io.Writer
 	buf []byte
-	// vec/bufs are the scatter-gather scratch for WriteSharedFrame:
+	// vec/bufs are the scatter-gather scratch for WriteSharedFrameLeg:
 	// header, shared payload, trailer — written without copying the
 	// payload. bufs is a writer-owned field so the net.Buffers slice
 	// header never escapes to the heap per write.
@@ -229,7 +229,7 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 }
 
 // appendHeader serializes the fixed 24-byte frame header. Shared by
-// WriteFrame and WriteSharedFrame so the two egress paths stay
+// WriteFrame and WriteSharedFrameLeg so the two egress paths stay
 // byte-identical by construction.
 func appendHeader(b []byte, typ FrameType, channel, flags uint16, seq uint32, timestamp uint64, payloadLen int) []byte {
 	b = binary.BigEndian.AppendUint16(b, Magic)

@@ -111,8 +111,8 @@ func TestCorruptTraceExtensionFailsCRC(t *testing.T) {
 }
 
 // TestSessionSendTraced runs the trace extension through a full Session
-// pair: SendTraced must stamp the send time at write time and deliver
-// capture timestamp and trace ID intact.
+// pair: a traced SendBatch must stamp the send time at write time and
+// deliver capture timestamp and trace ID intact.
 func TestSessionSendTraced(t *testing.T) {
 	ca, cb := net.Pipe()
 	defer ca.Close()
@@ -139,7 +139,10 @@ func TestSessionSendTraced(t *testing.T) {
 
 	before := uint64(time.Now().Add(-time.Second).UnixMicro())
 	go func() {
-		_ = sa.SendTraced(ChannelData, FlagEndOfFrame, []byte("payload"), before, 77)
+		_, _ = sa.SendBatch([]Frame{{
+			Type: TypeSemantic, Channel: ChannelData, Flags: FlagEndOfFrame | FlagTrace,
+			CaptureTS: before, TraceID: 77, Payload: []byte("payload"),
+		}})
 	}()
 	f, err := sb.Recv()
 	if err != nil {

@@ -183,6 +183,14 @@ func TestHopFlagValidation(t *testing.T) {
 	if err := fw.WriteFrame(&over); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("%d hops: write err = %v, want ErrBadHeader", obs.MaxTraceHops+1, err)
 	}
+	// Capture refuses it too, by copy as by adoption: a captured frame
+	// would otherwise be forwarded and rejected by every subscriber.
+	if _, err := SharedFromFrame(over); !errors.Is(err, ErrBadHeader) {
+		t.Errorf("%d hops: SharedFromFrame err = %v, want ErrBadHeader", obs.MaxTraceHops+1, err)
+	}
+	if _, err := SharedFromWire(over, over.Payload, 0); !errors.Is(err, ErrBadHeader) {
+		t.Errorf("%d hops: SharedFromWire err = %v, want ErrBadHeader", obs.MaxTraceHops+1, err)
+	}
 
 	// Reader side: craft a header claiming FlagHops without FlagTrace.
 	buf.Reset()
@@ -264,7 +272,7 @@ func TestSharedFrameEgressMatchesWriteFrame(t *testing.T) {
 		}
 	}
 	var shared bytes.Buffer
-	if err := NewFrameWriter(&shared).WriteSharedFrameEgress(sf, 9, 5000, 2000, egress); err != nil {
+	if err := NewFrameWriter(&shared).WriteSharedFrameLeg(sf, 9, 5000, 2000, &egress, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -283,15 +291,15 @@ func TestSharedFrameEgressMatchesWriteFrame(t *testing.T) {
 		t.Errorf("shared egress bytes differ from scalar writer:\n got %x\nwant %x",
 			shared.Bytes(), scalar.Bytes())
 	}
-	if got, want := shared.Len(), sf.WireLenEgress(); got != want {
-		t.Errorf("WireLenEgress %d, wrote %d bytes", want, got)
+	if got, want := shared.Len(), sf.legWireLen(&egress); got != want {
+		t.Errorf("legWireLen %d, wrote %d bytes", want, got)
 	}
 
 	// Zero egress SendMicros is stamped with the leg's sendTS.
 	var stamped bytes.Buffer
 	unstamped := egress
 	unstamped.SendMicros = 0
-	if err := NewFrameWriter(&stamped).WriteSharedFrameEgress(sf, 9, 5000, 2000, unstamped); err != nil {
+	if err := NewFrameWriter(&stamped).WriteSharedFrameLeg(sf, 9, 5000, 2000, &unstamped, 0); err != nil {
 		t.Fatal(err)
 	}
 	out, err := NewFrameReader(&stamped).ReadFrame()
@@ -322,7 +330,7 @@ func TestSharedFrameAppendHopReservesEgressSlot(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	egress := obs.Hop{Kind: obs.HopRelayEgress, Site: 99, RecvMicros: 1}
-	if err := NewFrameWriter(&buf).WriteSharedFrameEgress(sf, 1, 2, 3, egress); err != nil {
+	if err := NewFrameWriter(&buf).WriteSharedFrameLeg(sf, 1, 2, 3, &egress, 0); err != nil {
 		t.Fatalf("full carried path + egress hop must still serialize: %v", err)
 	}
 	out, err := NewFrameReader(&buf).ReadFrame()
@@ -357,11 +365,11 @@ func TestSharedFromFrameFullPathEgressDrop(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	egress := obs.Hop{Kind: obs.HopRelayEgress, Site: 7, RecvMicros: 1}
-	if err := NewFrameWriter(&buf).WriteSharedFrameEgress(sf, 1, 2, 3, egress); err != nil {
+	if err := NewFrameWriter(&buf).WriteSharedFrameLeg(sf, 1, 2, 3, &egress, 0); err != nil {
 		t.Fatalf("full carried path + egress leg: %v", err)
 	}
-	if got, want := buf.Len(), sf.WireLenEgress(); got != want {
-		t.Errorf("WireLenEgress %d, wrote %d bytes", want, got)
+	if got, want := buf.Len(), sf.legWireLen(&egress); got != want {
+		t.Errorf("legWireLen %d, wrote %d bytes", want, got)
 	}
 	out, err := NewFrameReader(&buf).ReadFrame()
 	if err != nil {
@@ -419,7 +427,10 @@ func TestSessionSendTracedHops(t *testing.T) {
 	capture := uint64(time.Now().Add(-time.Second).UnixMicro())
 	hops := []obs.Hop{{Kind: obs.HopSender, Site: 3, RecvMicros: capture}} // SendMicros 0: stamp at write
 	go func() {
-		_ = sa.SendTracedHops(ChannelData, FlagEndOfFrame, []byte("payload"), capture, 88, hops)
+		_, _ = sa.SendBatch([]Frame{{
+			Type: TypeSemantic, Channel: ChannelData, Flags: FlagEndOfFrame | FlagTrace | FlagHops,
+			CaptureTS: capture, TraceID: 88, Hops: hops, Payload: []byte("payload"),
+		}})
 	}()
 	f, err := sb.Recv()
 	if err != nil {

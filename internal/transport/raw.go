@@ -2,7 +2,7 @@
 // to N subscribers must not pay N header serializations, N CRC passes
 // over the payload, and N payload memcpys — the payload dominates all
 // three. SharedFrame captures the ingress frame once (one payload copy,
-// one payload CRC pass) and WriteSharedFrame emits it per subscriber by
+// one payload CRC pass) and WriteSharedFrameLeg emits it per subscriber by
 // rebuilding only the 24-byte header (plus the optional 24-byte trace
 // extension), re-checksumming those few bytes, and splicing the cached
 // payload CRC in with precomputed CRC32 shift tables. The payload bytes
@@ -117,8 +117,9 @@ func crcCombine(crc1, crc2 uint32, len2 int) uint32 {
 // SharedFrame is an immutable broadcast frame: the payload is copied and
 // checksummed exactly once at construction, then any number of sessions
 // can emit it with per-session sequence numbers and timestamps via
-// SendShared / WriteSharedFrame. Exported fields are fixed at build time
-// and must not be mutated once the frame has been handed to a writer.
+// SendSharedBatch / WriteSharedFrameLeg. Exported fields are fixed at
+// build time and must not be mutated once the frame has been handed to
+// a writer.
 type SharedFrame struct {
 	Type    FrameType
 	Channel uint16
@@ -142,7 +143,7 @@ type SharedFrame struct {
 	// hops is the hop path carried so far (ingress hops included), valid
 	// when Flags carries FlagHops. Like the trace extension it lives in
 	// the per-subscriber header block, so forwarding it — and appending
-	// one per-egress-leg final hop via WriteSharedFrameEgress — keeps the
+	// one per-egress-leg final hop via WriteSharedFrameLeg — keeps the
 	// payload untouched and the cached payload CRC valid. Appends must
 	// happen before the frame is handed to any writer.
 	hops []obs.Hop
@@ -169,18 +170,14 @@ func NewSharedFrame(typ FrameType, channel, flags uint16, payload []byte) (*Shar
 
 // SharedFromFrame captures a received frame (e.g. a relay ingress frame
 // whose payload aliases the reader's buffer) as a SharedFrame, carrying
-// the trace extension across.
+// the trace extension across: SharedFromWire over a copy of the payload
+// and that copy's CRC, so both capture paths validate alike.
 func SharedFromFrame(f Frame) (*SharedFrame, error) {
-	sf, err := NewSharedFrame(f.Type, f.Channel, f.Flags, f.Payload)
-	if err != nil {
-		return nil, err
+	if len(f.Payload) > MaxPayload {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(f.Payload))
 	}
-	sf.CaptureTS, sf.TraceID = f.CaptureTS, f.TraceID
-	sf.Tier, sf.TierCount = f.Tier, f.TierCount
-	if len(f.Hops) > 0 {
-		sf.hops = append([]obs.Hop(nil), f.Hops...)
-	}
-	return sf, nil
+	payload := append([]byte(nil), f.Payload...)
+	return SharedFromWire(f, payload, crc32.ChecksumIEEE(payload))
 }
 
 // SharedFromWire captures a received frame as a SharedFrame by adopting
@@ -235,7 +232,7 @@ func (sf *SharedFrame) AppendHop(h obs.Hop) bool {
 }
 
 // WireLen is the frame's on-the-wire size (per-egress-leg hops excluded;
-// see WireLenEgress).
+// see legWireLen).
 func (sf *SharedFrame) WireLen() int {
 	n := headerLen + len(sf.payload) + trailerLen
 	if sf.Flags&FlagTrace != 0 {
@@ -250,58 +247,35 @@ func (sf *SharedFrame) WireLen() int {
 	return n
 }
 
-// WireLenEgress is the on-the-wire size of a WriteSharedFrameEgress
-// emission: one extra hop record over WireLen, unless the carried path
-// is already full — then the egress hop is dropped at write time and
-// the sizes coincide.
-func (sf *SharedFrame) WireLenEgress() int {
-	if len(sf.hops) >= obs.MaxTraceHops {
-		return sf.WireLen()
-	}
-	return sf.WireLen() + hopRecordLen
-}
-
-// legWireLen is the on-the-wire size of one per-leg emission: with the
-// egress hop when one is given and the frame is hop-traced, without
-// otherwise.
+// legWireLen is the on-the-wire size of one per-leg emission: one hop
+// record over WireLen when an egress hop is given and the frame is
+// hop-traced, unless the carried path is already full — then the egress
+// hop is dropped at write time and the sizes coincide.
 func (sf *SharedFrame) legWireLen(egress *obs.Hop) int {
-	if egress != nil && sf.Flags&FlagHops != 0 {
-		return sf.WireLenEgress()
+	if egress != nil && sf.Flags&FlagHops != 0 && len(sf.hops) < obs.MaxTraceHops {
+		return sf.WireLen() + hopRecordLen
 	}
 	return sf.WireLen()
 }
 
-// WriteSharedFrame emits sf with the given sequence number and sender
-// timestamp (and, for traced frames, send wall clock), byte-identical to
-// FrameWriter.WriteFrame of the equivalent Frame. Only the header (and
-// optional trace extension) is serialized and checksummed here; the
-// payload is neither copied nor re-hashed — its bytes are handed to the
-// writer by reference and its cached CRC is spliced in via the shift
-// tables. Not safe for concurrent use, like WriteFrame.
-func (fw *FrameWriter) WriteSharedFrame(sf *SharedFrame, seq uint32, timestamp, sendTS uint64) error {
-	return fw.WriteSharedFrameLeg(sf, seq, timestamp, sendTS, nil, 0)
-}
-
-// WriteSharedFrameEgress is WriteSharedFrame for hop-traced broadcast:
-// it appends egress as the frame's final hop record — each egress leg of
-// a fan-out gets its own, so a subscriber sees exactly the path its copy
-// of the frame took. An egress SendMicros of zero is stamped with sendTS
-// (the per-leg write wall clock). The hop lives in the per-subscriber
-// header block, so the cached payload CRC still splices in unchanged.
-// If the carried path already holds obs.MaxTraceHops records (possible
-// when SharedFromFrame captured a full-path ingress frame), the egress
-// hop is dropped — never a malformed frame — and an obs.EvHopDropped
-// flight event records the truncation.
-func (fw *FrameWriter) WriteSharedFrameEgress(sf *SharedFrame, seq uint32, timestamp, sendTS uint64, egress obs.Hop) error {
-	return fw.WriteSharedFrameLeg(sf, seq, timestamp, sendTS, &egress, 0)
-}
-
-// WriteSharedFrameLeg is the general per-leg emission: egress, when
-// non-nil, is appended as this leg's final hop record (like
-// WriteSharedFrameEgress), and orFlags is OR'd into the emitted header's
-// flags field. orFlags may only carry flag bits that gate no extension
-// bytes — today that is FlagTierSwitch, the per-leg tier-change marker a
-// relay stamps on the first frame after switching a subscriber's tier.
+// WriteSharedFrameLeg emits sf with the given sequence number and
+// sender timestamp (and, for traced frames, send wall clock),
+// byte-identical to FrameWriter.WriteFrame of the equivalent Frame. Only
+// the header and its extensions are serialized and checksummed here; the
+// payload is neither copied nor re-hashed — its cached CRC is spliced in
+// via the shift tables. Not safe for concurrent use, like WriteFrame.
+//
+// egress, when non-nil and the frame is hop-traced, is appended as this
+// leg's final hop record — each egress leg of a fan-out gets its own, so
+// a subscriber sees exactly the path its copy took. An egress SendMicros
+// of zero is stamped with sendTS (the per-leg write wall clock). If the
+// carried path already holds obs.MaxTraceHops records, the egress hop is
+// dropped — never a malformed frame — and an obs.EvHopDropped flight
+// event records the truncation. orFlags is OR'd into the emitted
+// header's flags field; it may only carry flag bits that gate no
+// extension bytes — today that is FlagTierSwitch, the per-leg
+// tier-change marker a relay stamps on the first frame after switching a
+// subscriber's tier.
 // The shared payload and its cached CRC are untouched either way.
 //
 // The payload goes out by reference: header, payload and trailer are

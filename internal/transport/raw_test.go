@@ -33,7 +33,7 @@ func TestCRCShiftOperator(t *testing.T) {
 
 // TestWriteSharedFrameByteIdentical is the wire-compat regression for
 // the serialize-once path: for every payload size, frame type, and
-// trace setting, WriteSharedFrame must produce exactly the bytes
+// trace setting, WriteSharedFrameLeg must produce exactly the bytes
 // WriteFrame produces for the equivalent frame.
 func TestWriteSharedFrameByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -66,7 +66,7 @@ func TestWriteSharedFrameByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			var shared bytes.Buffer
-			if err := NewFrameWriter(&shared).WriteSharedFrame(sf, tc.f.Seq, tc.f.Timestamp, tc.f.SendTS); err != nil {
+			if err := NewFrameWriter(&shared).WriteSharedFrameLeg(sf, tc.f.Seq, tc.f.Timestamp, tc.f.SendTS, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(legacy.Bytes(), shared.Bytes()) {
@@ -95,7 +95,7 @@ func TestWriteSharedFrameReusableAcrossWriters(t *testing.T) {
 	}
 	for seq := uint32(0); seq < 8; seq++ {
 		var buf bytes.Buffer
-		if err := NewFrameWriter(&buf).WriteSharedFrame(sf, seq, uint64(seq)*100, 0); err != nil {
+		if err := NewFrameWriter(&buf).WriteSharedFrameLeg(sf, seq, uint64(seq)*100, 0, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		f, err := NewFrameReader(&buf).ReadFrame()
@@ -108,11 +108,10 @@ func TestWriteSharedFrameReusableAcrossWriters(t *testing.T) {
 	}
 }
 
-// TestSendSharedWireCompat sends the same logical stream through Send
-// and SendShared on two fresh sessions and asserts the receivers see
-// identical frames (modulo the sender-clock timestamp), with the
-// per-(peer,channel) sequence numbering preserved — including when raw
-// and regular sends interleave on one session.
+// TestSendSharedWireCompat sends the same logical stream through
+// SendBatch and SendSharedBatch, interleaved on one session, and asserts
+// the receiver sees identical frames (modulo the sender-clock timestamp)
+// with the per-(peer,channel) sequence numbering preserved.
 func TestSendSharedWireCompat(t *testing.T) {
 	sa, sb, link := sessionPair(t, netsim.LinkConfig{})
 	defer link.Close()
@@ -124,9 +123,9 @@ func TestSendSharedWireCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		sa.Send(7, FlagKeyframe, payload) // seq 0, legacy path
-		sa.SendShared(sf)                 // seq 1, raw path
-		sa.Send(7, FlagKeyframe, payload) // seq 2, legacy again
+		sendData(sa, 7, FlagKeyframe, payload)                   // seq 0, serialized path
+		sa.SendSharedBatch([]*SharedFrame{sf}, SharedSendOpts{}) // seq 1, raw path
+		sendData(sa, 7, FlagKeyframe, payload)                   // seq 2, serialized again
 	}()
 	for want := uint32(0); want < 3; want++ {
 		f, err := sb.Recv()
@@ -154,7 +153,7 @@ func TestSendSharedTracedRestampsSendTS(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.CaptureTS, sf.TraceID = 123456, 99
-	go sa.SendShared(sf)
+	go sa.SendSharedBatch([]*SharedFrame{sf}, SharedSendOpts{})
 	f, err := sb.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +216,7 @@ func BenchmarkRelayFanoutShared(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i, fw := range writers {
-			if err := fw.WriteSharedFrame(sf, seqs[i], uint64(n), 0); err != nil {
+			if err := fw.WriteSharedFrameLeg(sf, seqs[i], uint64(n), 0, nil, 0); err != nil {
 				b.Fatal(err)
 			}
 			seqs[i]++

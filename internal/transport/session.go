@@ -42,7 +42,7 @@ type Session struct {
 
 	// ctx, when bound via DialContext/AcceptContext, cancels the session:
 	// cancellation force-closes the connection (unblocking any Recv or
-	// Send in flight) and subsequent I/O errors surface the context's
+	// send in flight) and subsequent I/O errors surface the context's
 	// cause so callers can distinguish a cancel from a network fault.
 	ctx       context.Context
 	stopWatch func() bool
@@ -102,7 +102,7 @@ type pingRecord struct {
 }
 
 // sessionCounters is the live traffic accounting. All fields are
-// atomics, so Send and Recv paths never contend on a stats lock and
+// atomics, so send and Recv paths never contend on a stats lock and
 // Stats() can be sampled from any goroutine (e.g. a metrics scrape).
 type sessionCounters struct {
 	bytesSent      atomic.Int64
@@ -165,8 +165,8 @@ func Dial(conn net.Conn, hello Hello) (*Session, Hello, error) {
 }
 
 // DialContext is Dial with lifecycle: canceling ctx aborts an in-flight
-// handshake and, afterwards, tears the session down (Recv/Send unblock
-// and return the context's cause).
+// handshake and, afterwards, tears the session down (Recv and sends
+// unblock and return the context's cause).
 func DialContext(ctx context.Context, conn net.Conn, hello Hello) (*Session, Hello, error) {
 	s := newSession(conn)
 	s.bind(ctx)
@@ -285,13 +285,14 @@ func (s *Session) sent(bytes, frames int) {
 // connection in one Write (one per 64 KiB for a batch larger than that),
 // where sending them one by one costs a write, and on a real socket a
 // syscall and a segment, per wire frame. The bytes on the wire are
-// exactly those of sending each frame in turn: per-channel sequence
-// numbers advance frame by frame, and nothing from another goroutine
-// (a pong, a control frame) can land inside the batch. One session
-// timestamp and — for traced frames — one SendTS are taken for the whole
-// batch, immediately before it is serialized; hop records awaiting their
-// send stamp get that SendTS. A batch of one frame is one write of the
-// bytes Send would have written.
+// exactly those of sending each frame in a batch of its own: per-channel
+// sequence numbers advance frame by frame, and nothing from another
+// goroutine (a pong, a control frame) can land inside the batch. One
+// session timestamp and — for traced frames — one SendTS are taken for
+// the whole batch, immediately before it is serialized; hop records
+// awaiting their send stamp get that SendTS. A batch of one frame is one write of that
+// frame alone: SendBatch is the session's only media send, whatever the
+// frame count.
 //
 // The batch is validated whole first: an invalid frame fails the call
 // with nothing stamped and nothing written. frames is stamped in place
@@ -339,58 +340,9 @@ func wireLen(f *Frame) int {
 	return n
 }
 
-// Send transmits a semantic payload on a channel.
-func (s *Session) Send(channel uint16, flags uint16, payload []byte) error {
-	return s.send(&Frame{Type: TypeSemantic, Channel: channel, Flags: flags, Payload: payload})
-}
-
-// SendTraced transmits a semantic payload carrying the end-to-end trace
-// extension: the media frame's capture wall clock (unix µs) and trace
-// ID. The send timestamp is stamped internally at write time.
-func (s *Session) SendTraced(channel uint16, flags uint16, payload []byte, captureTS, traceID uint64) error {
-	return s.send(&Frame{
-		Type: TypeSemantic, Channel: channel, Flags: flags | FlagTrace,
-		CaptureTS: captureTS, TraceID: traceID, Payload: payload,
-	})
-}
-
-// SendTracedHops is SendTraced upgraded to the hop-annotated trace: the
-// frame carries the given hop path (typically one HopSender record whose
-// RecvMicros is the capture stamp). Hop records with SendMicros == 0 are
-// stamped at write time, like the base extension's send stamp. hops is
-// serialized before the call returns and not retained, so callers may
-// reuse a scratch slice across frames.
-func (s *Session) SendTracedHops(channel uint16, flags uint16, payload []byte, captureTS, traceID uint64, hops []obs.Hop) error {
-	return s.send(&Frame{
-		Type: TypeSemantic, Channel: channel, Flags: flags | FlagTrace | FlagHops,
-		CaptureTS: captureTS, TraceID: traceID, Hops: hops, Payload: payload,
-	})
-}
-
 // SendControl transmits a control payload.
 func (s *Session) SendControl(payload []byte) error {
 	return s.send(&Frame{Type: TypeControl, Channel: ChannelControl, Payload: payload})
-}
-
-// SendShared transmits a pre-serialized broadcast frame. The session
-// still assigns its own per-channel sequence number and timestamp (and,
-// for traced frames, restamps the send wall clock), so the wire bytes
-// are exactly what Send would have produced — but the payload is
-// neither copied nor re-checksummed: one SharedFrame can be emitted to
-// any number of sessions at O(header) marginal cost each. Safe for
-// concurrent use with Send/SendControl (writes serialize on the same
-// lock).
-func (s *Session) SendShared(sf *SharedFrame) error {
-	return s.SendSharedLeg(sf, SharedSendOpts{})
-}
-
-// SendSharedEgress is SendShared for hop-traced broadcast frames: each
-// emission appends egress as its own final hop record (SendMicros zero
-// means "stamp at write time"), so every fan-out leg records its own
-// queue dwell and write instant without perturbing the shared payload.
-// Falls back to SendShared semantics when sf carries no hop extension.
-func (s *Session) SendSharedEgress(sf *SharedFrame, egress obs.Hop) error {
-	return s.SendSharedLeg(sf, SharedSendOpts{Egress: &egress})
 }
 
 // SharedSendOpts tunes one per-leg SharedFrame emission.
@@ -403,12 +355,11 @@ type SharedSendOpts struct {
 	// this leg sends after changing tier, telling the receiver to reset
 	// decoder warm state before decoding. Only valid on tiered frames.
 	TierSwitch bool
-	// TrailingPing (SendSharedBatch only) puts a ping behind the frames,
-	// in the same write, sent as of the start of that write. The peer
-	// answers it once it has read every byte ahead of it, so its round
-	// trip, less the unloaded one and the time the peer's application
-	// held it, is the time the link took to carry the frames:
-	// Capacity's sample.
+	// TrailingPing puts a ping behind the frames, in the same write,
+	// sent as of the start of that write. The peer answers it once it
+	// has read every byte ahead of it, so its round trip, less the
+	// unloaded one and the time the peer's application held it, is the
+	// time the link took to carry the frames: Capacity's sample.
 	TrailingPing bool
 }
 
@@ -421,17 +372,6 @@ func (o SharedSendOpts) orFlags(i int) uint16 {
 	return 0
 }
 
-// SendSharedLeg is SendShared/SendSharedEgress generalized to per-leg
-// options: each egress leg of a fan-out can carry its own final hop
-// record and its own tier-switch marker without perturbing the shared
-// payload or its cached CRC.
-func (s *Session) SendSharedLeg(sf *SharedFrame, o SharedSendOpts) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	_, err := s.sendSharedLocked(sf, o)
-	return err
-}
-
 // nextSeq hands out channel's next sequence number; the caller holds wmu.
 func (s *Session) nextSeq(channel uint16) uint32 {
 	seq := s.seq[channel]
@@ -439,32 +379,19 @@ func (s *Session) nextSeq(channel uint16) uint32 {
 	return seq
 }
 
-// sendSharedLocked writes one shared frame by reference — header, shared
-// payload, trailer — and returns the wire bytes written; the caller
-// holds wmu.
-func (s *Session) sendSharedLocked(sf *SharedFrame, o SharedSendOpts) (int, error) {
-	ts, sendTS := s.now(sf.Flags)
-	if err := s.fw.WriteSharedFrameLeg(sf, s.nextSeq(sf.Channel), ts, sendTS, o.Egress, o.orFlags(0)); err != nil {
-		return 0, s.wrapErr(err)
-	}
-	n := sf.legWireLen(o.Egress)
-	s.sent(n, 1)
-	return n, nil
-}
-
 // SendSharedBatch is SendBatch for pre-serialized broadcast frames: the
 // wire frames of one media frame as a relay leg forwards it — one rung to
 // a subscriber, the whole ladder down a trunk — stamped under one hold of
 // the write lock and handed to the connection in one Write, byte for
-// byte what SendSharedLeg would have emitted frame by frame (per-channel
-// sequence numbers, one SendTS for the batch, cached payload CRCs
-// spliced in, never re-hashed). o.Egress is appended to every hop-traced
+// byte what one-frame calls would have emitted frame by frame
+// (per-channel sequence numbers, one SendTS for the batch, cached payload
+// CRCs spliced in, never re-hashed). o.Egress is appended to every hop-traced
 // frame of the batch; o.TierSwitch marks the first frame only — the
 // boundary a receiver resets its decoder on; o.TrailingPing closes the
 // write with a ping.
 //
-// A batch of one frame without a trailing ping is SendSharedLeg's own
-// path, scatter-gather writes included, on purpose: see
+// A batch of one frame without a trailing ping is written by reference,
+// scatter-gather writes included, on purpose: see
 // WriteSharedFrameLeg. With one, the frame and the ping must share a
 // write, or the ping would time the write boundaries too. The batch is
 // validated whole before anything is written. Returns the wire bytes
@@ -473,7 +400,15 @@ func (s *Session) SendSharedBatch(frames []*SharedFrame, o SharedSendOpts) (int,
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if len(frames) == 1 && !o.TrailingPing {
-		return s.sendSharedLocked(frames[0], o)
+		// By reference: header, shared payload, trailer.
+		sf := frames[0]
+		ts, sendTS := s.now(sf.Flags)
+		if err := s.fw.WriteSharedFrameLeg(sf, s.nextSeq(sf.Channel), ts, sendTS, o.Egress, o.orFlags(0)); err != nil {
+			return 0, s.wrapErr(err)
+		}
+		n := sf.legWireLen(o.Egress)
+		s.sent(n, 1)
+		return n, nil
 	}
 	var flags uint16
 	total := 0
@@ -691,7 +626,7 @@ func (s *Session) Instrument(reg *obs.Registry, site string) {
 }
 
 // Close sends a close frame and closes the connection. It is idempotent
-// and safe to call concurrently with Recv/Send (which then return
+// and safe to call concurrently with Recv and sends (which then return
 // errors), so lifecycle teardown can always call it unconditionally.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {

@@ -60,8 +60,8 @@ func TestCancelUnblocksRecv(t *testing.T) {
 		t.Fatal("Recv never unblocked after context cancellation")
 	}
 	// Sends on the canceled session also surface the cause.
-	if err := sa.Send(1, 0, []byte("x")); !errors.Is(err, context.Canceled) {
-		t.Errorf("Send after cancel: %v, want a context.Canceled chain", err)
+	if err := sendData(sa, 1, 0, []byte("x")); !errors.Is(err, context.Canceled) {
+		t.Errorf("send after cancel: %v, want a context.Canceled chain", err)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestCloseNeverBlocksOnStalledWriter(t *testing.T) {
 	s := newSession(a)
 	go func() {
 		// Blocks forever: nobody reads b.
-		_ = s.Send(1, 0, make([]byte, 64))
+		_ = sendData(s, 1, 0, make([]byte, 64))
 	}()
 	time.Sleep(10 * time.Millisecond) // let the writer take the lock
 	done := make(chan struct{})

@@ -121,7 +121,7 @@ func TestSharedFrameTierByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shared bytes.Buffer
-	if err := NewFrameWriter(&shared).WriteSharedFrame(sf, f.Seq, f.Timestamp, 0); err != nil {
+	if err := NewFrameWriter(&shared).WriteSharedFrameLeg(sf, f.Seq, f.Timestamp, 0, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(direct.Bytes(), shared.Bytes()) {

@@ -149,14 +149,20 @@ func sessionPair(t *testing.T, cfg netsim.LinkConfig) (*Session, *Session, *nets
 	return sa, r.s, link
 }
 
+// sendData sends one semantic frame as a batch of one.
+func sendData(s *Session, channel, flags uint16, payload []byte) error {
+	_, err := s.SendBatch([]Frame{{Type: TypeSemantic, Channel: channel, Flags: flags, Payload: payload}})
+	return err
+}
+
 func TestSessionHandshakeAndData(t *testing.T) {
 	sa, sb, link := sessionPair(t, netsim.LinkConfig{})
 	defer link.Close()
 	defer sa.Close()
 
 	go func() {
-		sa.Send(ChannelData, FlagKeyframe, []byte("frame-0"))
-		sa.Send(ChannelData, 0, []byte("frame-1"))
+		sendData(sa, ChannelData, FlagKeyframe, []byte("frame-0"))
+		sendData(sa, ChannelData, 0, []byte("frame-1"))
 	}()
 	f0, err := sb.Recv()
 	if err != nil {
@@ -193,7 +199,7 @@ func TestSessionPingRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A must Recv to process the pong.
-	go sa.Send(ChannelData, 0, []byte("unblock-b"))
+	go sendData(sa, ChannelData, 0, []byte("unblock-b"))
 	recvDone := make(chan struct{})
 	go func() {
 		sa.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -218,7 +224,7 @@ func TestSessionOverConstrainedLink(t *testing.T) {
 	defer sa.Close()
 	payload := make([]byte, 100*1024)
 	start := time.Now()
-	go sa.Send(ChannelData, 0, payload)
+	go sendData(sa, ChannelData, 0, payload)
 	f, err := sb.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +301,7 @@ func TestSessionOverTCP(t *testing.T) {
 	if peer.Peer != "server" {
 		t.Errorf("peer = %+v", peer)
 	}
-	if err := s.Send(ChannelData, FlagKeyframe, []byte("over tcp")); err != nil {
+	if err := sendData(s, ChannelData, FlagKeyframe, []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
 	r := <-ch
@@ -339,7 +345,7 @@ func TestConcurrentSendsAreSerialized(t *testing.T) {
 			defer wg.Done()
 			payload := bytes.Repeat([]byte{byte(g)}, 100+g)
 			for i := 0; i < perSender; i++ {
-				if err := sa.Send(ChannelData+uint16(g), 0, payload); err != nil {
+				if err := sendData(sa, ChannelData+uint16(g), 0, payload); err != nil {
 					t.Errorf("sender %d: %v", g, err)
 					return
 				}

@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"io"
+	"math"
+	"runtime"
 	"testing"
 
 	"semholo/internal/obs"
@@ -44,8 +46,8 @@ func tracedSharedFrame(t testing.TB, payload []byte) *SharedFrame {
 func encodeEgressFrame(t testing.TB, sf *SharedFrame) []byte {
 	t.Helper()
 	var wire bytes.Buffer
-	if err := NewFrameWriter(&wire).WriteSharedFrameEgress(sf, 0, 0, 0,
-		obs.Hop{Kind: obs.HopRelayEgress, Site: 1, RecvMicros: 3}); err != nil {
+	if err := NewFrameWriter(&wire).WriteSharedFrameLeg(sf, 0, 0, 0,
+		&obs.Hop{Kind: obs.HopRelayEgress, Site: 1, RecvMicros: 3}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return wire.Bytes()
@@ -55,7 +57,7 @@ func encodeEgressFrame(t testing.TB, sf *SharedFrame) []byte {
 // the cascade cost model: a trunk leg must cost what a subscriber leg
 // costs. Measured three ways:
 //
-//  1. the per-leg write itself — WriteSharedFrameEgress — allocates
+//  1. the per-leg write itself — WriteSharedFrameLeg — allocates
 //     nothing on either kind of leg (the ≤2 allocs/frame of the shared
 //     path are the ingress capture, paid once, not per leg);
 //  2. a write on a SharedFromWire re-shared frame (what a downstream
@@ -76,8 +78,8 @@ func TestTrunkLegAllocsMatchSubscriberLeg(t *testing.T) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			if err := fw.WriteSharedFrameEgress(sf, uint32(n), uint64(n), 0,
-				obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 3}); err != nil {
+			if err := fw.WriteSharedFrameLeg(sf, uint32(n), uint64(n), 0,
+				&obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 3}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,8 +104,8 @@ func TestTrunkLegAllocsMatchSubscriberLeg(t *testing.T) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			if err := fw.WriteSharedFrameEgress(rsf, uint32(n), uint64(n), 0,
-				obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 4}); err != nil {
+			if err := fw.WriteSharedFrameLeg(rsf, uint32(n), uint64(n), 0,
+				&obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 4}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,8 +139,8 @@ func TestTrunkLegAllocsMatchSubscriberLeg(t *testing.T) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := fw.WriteSharedFrameEgress(rsf, uint32(n), uint64(n), 0,
-				obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 4}); err != nil {
+			if err := fw.WriteSharedFrameLeg(rsf, uint32(n), uint64(n), 0,
+				&obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 4}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -158,8 +160,8 @@ func TestTrunkLegAllocsMatchSubscriberLeg(t *testing.T) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := fw.WriteSharedFrameEgress(rsf, uint32(n), uint64(n), 0,
-				obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 4}); err != nil {
+			if err := fw.WriteSharedFrameLeg(rsf, uint32(n), uint64(n), 0,
+				&obs.Hop{Kind: obs.HopRelayEgress, RecvMicros: 4}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -200,7 +202,7 @@ func TestSharedFromWireRoundTrip(t *testing.T) {
 	// Re-emit and decode: the spliced CRC must verify and the payload
 	// survive untouched.
 	var wire bytes.Buffer
-	if err := NewFrameWriter(&wire).WriteSharedFrame(sf, 7, 8, 9); err != nil {
+	if err := NewFrameWriter(&wire).WriteSharedFrameLeg(sf, 7, 8, 9, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	rf, err := NewFrameReader(&wire).ReadFrame()
@@ -230,5 +232,81 @@ func TestAdoptPayloadRefusesClones(t *testing.T) {
 	// The original is still adoptable: the refusal must not detach.
 	if _, _, ok := fr.AdoptPayload(f); !ok {
 		t.Fatal("original frame no longer adoptable after a refused clone")
+	}
+}
+
+// FuzzSharedFromWire runs fuzzed bytes through a trunk ingress's capture
+// — ReadFrame, then AdoptPayload and SharedFromWire, with the copying
+// SharedFromFrame checked alongside as the fallback — and re-emits each
+// captured frame through WriteSharedFrameLeg with the frame's own seq,
+// timestamp and send stamp. The wire format has one encoding per frame
+// and a capture drops nothing, so each re-emission must be exactly the
+// bytes the reader consumed, and every frame the reader accepts must be
+// capturable. A whole input — read, both captures, re-emission —
+// allocates at most 76 KiB (the reader's 64 KiB first chunk, the reader's
+// and writer's 4 KiB buffers, error values), four times its length and
+// 512 B per frame, never a declared length alone. Seeded with the golden-bytes layout in
+// every flag combination.
+func FuzzSharedFromWire(f *testing.F) {
+	frames := wireFrames(f)
+	for _, fr := range frames {
+		f.Add(fr)
+	}
+	f.Add(bytes.Join(frames, nil))
+	f.Add(append(bytes.Join(frames[:4], nil), hostileHeader()...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := reshare(t, data)
+		// TotalAlloc is process-wide: take the fewest bytes over three runs.
+		alloc := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			reshare(t, data)
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(76<<10 + 4*len(data) + 512*n); alloc > limit {
+			t.Fatalf("%d-byte input (%d frames) allocated %d B, ceiling %d", len(data), n, alloc, limit)
+		}
+	})
+}
+
+// reshare captures and re-emits every frame of data up to the first read
+// error, failing t where a re-emission differs from the bytes read, and
+// returns the number of frames read.
+func reshare(t *testing.T, data []byte) int {
+	src := bytes.NewReader(data)
+	fr := NewFrameReader(src)
+	var out bytes.Buffer
+	fw := NewFrameWriter(&out)
+	for n := 0; ; n++ {
+		start := len(data) - src.Len()
+		f, err := fr.ReadFrame()
+		if err != nil {
+			return n
+		}
+		consumed := data[start : len(data)-src.Len()]
+		copied, err := SharedFromFrame(f)
+		if err != nil {
+			t.Fatalf("frame %d: read but SharedFromFrame refused it: %v", n, err)
+		}
+		payload, crc, ok := fr.AdoptPayload(f)
+		if !ok {
+			t.Fatalf("frame %d: payload not adoptable", n)
+		}
+		adopted, err := SharedFromWire(f, payload, crc)
+		if err != nil {
+			t.Fatalf("frame %d: read but SharedFromWire refused it: %v", n, err)
+		}
+		for _, sf := range []*SharedFrame{adopted, copied} {
+			out.Reset()
+			if err := fw.WriteSharedFrameLeg(sf, f.Seq, f.Timestamp, f.SendTS, nil, 0); err != nil {
+				t.Fatalf("frame %d: re-emit: %v", n, err)
+			}
+			if !bytes.Equal(out.Bytes(), consumed) {
+				t.Fatalf("frame %d re-emitted as\n%x\nread from\n%x", n, out.Bytes(), consumed)
+			}
+		}
 	}
 }

@@ -61,8 +61,6 @@ type (
 	Capture = capture.Capture
 	// WireFrame is one protocol data unit on the wire.
 	WireFrame = transport.Frame
-	// BodyParams is one frame of body pose/shape/expression parameters.
-	BodyParams = body.Params
 	// RelayOptions tunes relay queue depth and metrics.
 	RelayOptions = core.RelayOptions
 	// PipelineMetrics aggregates per-stage and end-to-end frame latency
@@ -96,7 +94,7 @@ var (
 	// NewPipelineGroup builds an errgroup-style lifecycle group.
 	NewPipelineGroup = pipeline.NewGroup
 	// ConnectContext dials a session whose lifetime is bound to a
-	// context: cancellation unblocks Recv/Send and tears the session down.
+	// context: cancellation unblocks Recv and sends and tears the session down.
 	ConnectContext = transport.DialContext
 	// ServeContext accepts a session bound to a context.
 	ServeContext = transport.AcceptContext
@@ -345,20 +343,6 @@ func NewHybridPipeline(w *World, opt HybridOptions) (*core.HybridEncoder, *core.
 		Selector:             sel,
 	}
 	return enc, dec
-}
-
-// AppendWireFrames appends one semantic WireFrame per encoded channel to
-// dst and returns the extended slice — the amortized-zero-allocation
-// bridge between Encoder output and Decoder input for callers that
-// bypass a Session (benchmarks, relays). Pass dst[:0] to reuse a
-// previous frame's backing array.
-func AppendWireFrames(dst []WireFrame, ef core.EncodedFrame) []WireFrame {
-	for _, ch := range ef.Channels {
-		dst = append(dst, WireFrame{
-			Type: FrameTypeSemantic, Channel: ch.Channel, Flags: ch.Flags, Payload: ch.Payload,
-		})
-	}
-	return dst
 }
 
 // Connect dials a SemHolo session over an established connection.
