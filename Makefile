@@ -116,7 +116,7 @@ run-patterns-check:
 ## cache-determinism: the reconstruction byte-identity regression tests
 ## — golden digests of 20 talking frames through Reconstruct and through
 ## Skin at res 32/64 (the skin digest covers the canonical pass and
-## BindWeights) and of 5 full-grid frames at res 32 and workers 1/3, a reused
+## BindWeights) and of 5 serial full-grid frames at res 32, a reused
 ## Reconstructor against a fresh one per frame (50 motion frames,
 ## workers 1/4, and across a large pose jump), the narrow-band extractor
 ## against the dense sweep and across worker counts, grid anchoring, the
@@ -180,7 +180,7 @@ tier-check:
 	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
 ## cluster-check: the sharded-cluster gate — race-enabled placement /
-## cascade / churn suites (bounded-load ring, depth-2
+## cascade / churn suites (bounded-load ring, room spread, depth-2
 ## byte identity, depth-3 hop-cap drop, trunk-reconnect seq contiguity,
 ## admission), the payload-adoption wire suites, and the seeded-jitter
 ## mesh tests. The trunk-vs-subscriber alloc-parity regression and the

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"semholo/internal/core"
 	"semholo/internal/transport"
 )
 
@@ -40,7 +41,7 @@ func TestPublicAPISession(t *testing.T) {
 		meshes := 0
 		for {
 			raw, err := receiver.NextRaw()
-			if errors.Is(err, ErrSessionClosed) || errors.Is(err, io.EOF) {
+			if errors.Is(err, core.ErrSessionClosed) || errors.Is(err, io.EOF) {
 				done <- result{meshes: meshes}
 				return
 			}
@@ -93,7 +94,6 @@ func TestPublicAPIPipelineConstructors(t *testing.T) {
 		{"keypoint", func() Encoder { e, _ := NewKeypointPipeline(world, KeypointOptions{Resolution: -1}); return e }()},
 		{"traditional", func() Encoder { e, _ := NewTraditionalPipeline(); return e }()},
 		{"text", func() Encoder { e, _ := NewTextPipeline(TextOptions{}); return e }()},
-		{"cloud", func() Encoder { e, _ := NewCloudPipeline(); return e }()},
 	} {
 		ef, err := mk.enc.Encode(c)
 		if err != nil {
@@ -107,10 +107,6 @@ func TestPublicAPIPipelineConstructors(t *testing.T) {
 	encH, decH := NewHybridPipeline(world, HybridOptions{})
 	if encH == nil || decH == nil {
 		t.Fatal("hybrid constructor returned nil")
-	}
-	encI, decI := NewImagePipeline(world, ImageOptions{})
-	if encI == nil || decI == nil {
-		t.Fatal("image constructor returned nil")
 	}
 }
 

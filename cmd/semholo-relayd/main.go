@@ -78,7 +78,7 @@ func main() {
 		// Every daemon builds the identical ring from the identical
 		// table, so all shards agree on each room's home without any
 		// coordination traffic.
-		ring := cluster.NewRing(*vnodes, 0)
+		ring := cluster.NewRing(*vnodes)
 		for peerID := range table {
 			ring.AddShard(peerID)
 		}

@@ -17,7 +17,7 @@ import (
 func extractDense(r *Reconstructor, p *body.Params) (*mesh.Mesh, uint64) {
 	bg := r.posedBones(p)
 	f := &frameField{cur: bg, k: r.smoothK()}
-	m := mesh.ExtractIsosurfaceParallel(f.Eval, r.gridFor(bg), r.Workers)
+	m := mesh.ExtractIsosurface(f.Eval, r.gridFor(bg))
 	return m, f.evaluated.Load()
 }
 

@@ -2,18 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-
-	"semholo/internal/obs"
 )
 
 // ManagerOptions tunes a RoomManager.
 type ManagerOptions struct {
-	// VNodes and LoadFactor configure the placement ring (zero values
-	// take the ring defaults).
-	VNodes     int
-	LoadFactor float64
 	// Fanout is K of the cascade tree: each shard in a room's tree
 	// feeds at most K downstream shards, so depth grows log_K with the
 	// member count. Default DefaultFanout.
@@ -22,10 +15,6 @@ type ManagerOptions struct {
 	// in-process over net.Pipe. Benchmarks substitute netsim pipes so
 	// trunks cross emulated WANs.
 	TrunkDial TrunkDialFunc
-	// Registry, when non-nil, receives cluster-level capacity series
-	// (shard / room / trunk counts). Per-shard and per-room series live
-	// on each ShardOptions.Registry.
-	Registry *obs.Registry
 }
 
 // DefaultFanout is the cascade tree's K when ManagerOptions.Fanout is
@@ -78,41 +67,12 @@ func NewRoomManager(opt ManagerOptions) *RoomManager {
 	if opt.TrunkDial == nil {
 		opt.TrunkDial = pipeTrunkDial
 	}
-	m := &RoomManager{
+	return &RoomManager{
 		opt:    opt,
-		ring:   NewRing(opt.VNodes, opt.LoadFactor),
+		ring:   NewRing(DefaultVirtualNodes),
 		shards: map[string]*Shard{},
 		rooms:  map[string]*roomState{},
 	}
-	if opt.Registry != nil {
-		m.instrument(opt.Registry)
-	}
-	return m
-}
-
-func (m *RoomManager) instrument(reg *obs.Registry) {
-	reg.GaugeFunc("semholo_cluster_shards", "Shards registered with the room manager.",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.shards))
-		})
-	reg.GaugeFunc("semholo_cluster_rooms", "Rooms placed by the room manager.",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.rooms))
-		})
-	reg.GaugeFunc("semholo_cluster_trunks", "Live trunk links across all cascade trees.",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			n := 0
-			for _, rs := range m.rooms {
-				n += len(rs.trunks)
-			}
-			return float64(n)
-		})
 }
 
 // AddShard registers a shard with the manager and hooks its room
@@ -130,18 +90,6 @@ func (m *RoomManager) AddShard(s *Shard) error {
 	s.onRoomActive = func(room string) error { return m.ActivateRoom(room, s.id) }
 	s.mu.Unlock()
 	return nil
-}
-
-// Shards returns the registered shard IDs, sorted.
-func (m *RoomManager) Shards() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.shards))
-	for id := range m.shards {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // HomeShard returns (assigning on first ask) the room's home shard —

@@ -18,9 +18,10 @@ import (
 // assignment (Mirrokni et al.'s "consistent hashing with bounded
 // loads"): a room hashes to a point on the ring and walks clockwise to
 // the first shard that is neither at its load bound nor vetoed by the
-// caller's availability predicate. The bound — ceil(factor × rooms /
-// shards) — caps how far any shard can drift above the mean, so one
-// unlucky hash range can never melt a shard while its neighbors idle.
+// caller's availability predicate. The bound — ceil(DefaultLoadFactor
+// × rooms / shards) — caps how far any shard can drift above the mean,
+// so one unlucky hash range can never melt a shard while its neighbors
+// idle.
 //
 // Assignment is deterministic in (shard set, assignment order): the
 // same rooms assigned in the same order land on the same shards, which
@@ -28,7 +29,6 @@ import (
 // safe for concurrent use; the RoomManager serializes access.
 type Ring struct {
 	vnodes int
-	factor float64
 
 	points   []ringPoint // sorted by hash
 	loads    map[string]int
@@ -41,27 +41,23 @@ type ringPoint struct {
 }
 
 // DefaultVirtualNodes is the per-shard virtual-node count used when
-// RingOptions pass zero: enough points that an 8-shard ring's arc
+// NewRing is passed zero: enough points that an 8-shard ring's arc
 // lengths even out, small enough that rebuild cost is trivial.
 const DefaultVirtualNodes = 64
 
-// DefaultLoadFactor is the bounded-load headroom (ceil(1.25 × mean))
-// used when zero is passed.
+// DefaultLoadFactor is the bounded-load headroom: no shard takes more
+// than ceil(1.25 × mean) rooms. It must exceed 1, or assignment would
+// deadlock (some shard must be allowed to sit above the exact mean).
 const DefaultLoadFactor = 1.25
 
-// NewRing builds an empty ring. vnodes ≤ 0 and factor ≤ 1 fall back to
-// the defaults (a factor at or below 1 would deadlock assignment: some
-// shard must be allowed to sit above the exact mean).
-func NewRing(vnodes int, factor float64) *Ring {
+// NewRing builds an empty ring with vnodes virtual nodes per shard
+// (≤ 0 means DefaultVirtualNodes).
+func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	if factor <= 1 {
-		factor = DefaultLoadFactor
-	}
 	return &Ring{
 		vnodes:   vnodes,
-		factor:   factor,
 		loads:    map[string]int{},
 		assigned: map[string]string{},
 	}
@@ -81,16 +77,6 @@ func (r *Ring) AddShard(id string) {
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 }
 
-// Shards returns the member shard IDs, sorted.
-func (r *Ring) Shards() []string {
-	ids := make([]string, 0, len(r.loads))
-	for id := range r.loads {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Assign places a room: the sticky prior assignment if one exists,
 // otherwise the first clockwise shard from the room's hash point that
 // is under the load bound and passes ok (nil means every shard is
@@ -102,7 +88,7 @@ func (r *Ring) Assign(room string, ok func(shard string) bool) (string, error) {
 	if len(r.points) == 0 {
 		return "", fmt.Errorf("cluster: ring has no shards")
 	}
-	bound := int(math.Ceil(r.factor * float64(len(r.assigned)+1) / float64(len(r.loads))))
+	bound := int(math.Ceil(DefaultLoadFactor * float64(len(r.assigned)+1) / float64(len(r.loads))))
 	h := hash64(room)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	seen := make(map[string]bool, len(r.loads))
@@ -148,10 +134,20 @@ func (r *Ring) Lookup(room string) string {
 	return r.points[i%len(r.points)].shard
 }
 
-// hash64 is FNV-1a — deterministic across runs and platforms, which
-// placement tests and reproducible benchmarks depend on.
+// hash64 is FNV-1a followed by splitmix64's finaliser — deterministic
+// across runs and platforms, which placement tests and reproducible
+// benchmarks depend on. Bare FNV-1a put every one of room-0…room-299
+// on two shards of six; the finaliser spreads each input bit over the
+// whole word, so sequential names scatter round the ring
+// (TestRingLookupSpreadsRooms).
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

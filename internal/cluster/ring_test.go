@@ -16,7 +16,7 @@ func ringShards(n int) []string {
 
 func TestRingBoundedLoad(t *testing.T) {
 	const shards, rooms = 8, 1000
-	r := NewRing(0, 0)
+	r := NewRing(0)
 	for _, id := range ringShards(shards) {
 		r.AddShard(id)
 	}
@@ -49,7 +49,7 @@ func TestRingBoundedLoad(t *testing.T) {
 
 func TestRingDeterministicAndSticky(t *testing.T) {
 	build := func() map[string]string {
-		r := NewRing(32, 1.25)
+		r := NewRing(32)
 		for _, id := range ringShards(5) {
 			r.AddShard(id)
 		}
@@ -79,17 +79,24 @@ func TestRingDeterministicAndSticky(t *testing.T) {
 }
 
 func TestRingAvailabilityPredicate(t *testing.T) {
-	r := NewRing(16, 8) // generous factor: only the predicate constrains
+	r := NewRing(16)
 	r.AddShard("up")
 	r.AddShard("down")
+	// Every room goes to "up" until its load bound stops it; a vetoed
+	// shard is never the fallback.
+	placed := 0
 	for i := 0; i < 50; i++ {
 		s, err := r.Assign(fmt.Sprintf("room-%d", i), func(id string) bool { return id != "down" })
 		if err != nil {
-			t.Fatal(err)
+			break
 		}
 		if s != "up" {
 			t.Fatalf("room-%d placed on vetoed shard %s", i, s)
 		}
+		placed++
+	}
+	if placed == 0 {
+		t.Fatal("no room placed on the one available shard")
 	}
 	if _, err := r.Assign("rejected", func(string) bool { return false }); err == nil {
 		t.Fatal("assign with all shards vetoed should fail")
@@ -102,12 +109,12 @@ func TestRingAvailabilityPredicate(t *testing.T) {
 // hashed to the missing shard (room-0's, so some room does) resolve
 // elsewhere.
 func TestRingLookupMinimalDisruption(t *testing.T) {
-	full := NewRing(0, 0)
+	full := NewRing(0)
 	for _, id := range ringShards(6) {
 		full.AddShard(id)
 	}
 	victim := full.Lookup("room-0")
-	smaller := NewRing(0, 0)
+	smaller := NewRing(0)
 	for _, id := range ringShards(6) {
 		if id != victim {
 			smaller.AddShard(id)
@@ -118,6 +125,30 @@ func TestRingLookupMinimalDisruption(t *testing.T) {
 		a, b := full.Lookup(room), smaller.Lookup(room)
 		if a != victim && a != b {
 			t.Errorf("lookup moved room %s %s→%s though its shard survived", room, a, b)
+		}
+	}
+}
+
+// TestRingLookupSpreadsRooms: the pure Lookup semholo-relayd homes
+// rooms with must use every shard. Sequential room names differ only in
+// their last digits, which a hash without a finaliser leaves clustered
+// on one arc of the ring.
+func TestRingLookupSpreadsRooms(t *testing.T) {
+	const rooms = 300
+	for _, shards := range []int{2, 3, 6, 8} {
+		r := NewRing(0)
+		for _, id := range ringShards(shards) {
+			r.AddShard(id)
+		}
+		loads := map[string]int{}
+		for i := 0; i < rooms; i++ {
+			loads[r.Lookup(fmt.Sprintf("room-%d", i))]++
+		}
+		mean := float64(rooms) / float64(shards)
+		for _, id := range ringShards(shards) {
+			if float64(loads[id]) < mean/2 {
+				t.Errorf("%d shards: %s homes %d rooms, under half the mean %.1f", shards, id, loads[id], mean)
+			}
 		}
 	}
 }

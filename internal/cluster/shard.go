@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,18 +118,6 @@ func (s *Shard) snapshotRelays() []*core.Relay {
 		out = append(out, r)
 	}
 	return out
-}
-
-// Rooms returns the currently hosted room IDs, sorted.
-func (s *Shard) Rooms() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rooms := make([]string, 0, len(s.relays))
-	for room := range s.relays {
-		rooms = append(rooms, room)
-	}
-	sort.Strings(rooms)
-	return rooms
 }
 
 // Relay returns the room's relay, or nil when the room is not hosted

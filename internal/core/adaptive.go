@@ -12,9 +12,7 @@ import (
 type AdaptiveDecoder struct {
 	Keypoint    *KeypointDecoder
 	Traditional *TraditionalDecoder
-	Cloud       *CloudDecoder
 	Text        *TextDecoder
-	Image       *ImageDecoder
 	Hybrid      *HybridDecoder
 }
 
@@ -31,10 +29,7 @@ func (a *AdaptiveDecoder) ResetState() {
 	if a.Text != nil {
 		a.Text.ResetState()
 	}
-	if a.Image != nil {
-		a.Image.ResetState()
-	}
-	// Traditional, Cloud and Hybrid decoders carry no per-frame state.
+	// Traditional and Hybrid decoders carry no per-frame state.
 }
 
 // Decode implements Decoder.
@@ -51,12 +46,8 @@ func (a *AdaptiveDecoder) Decode(channels []transport.Frame) (FrameData, error) 
 		return a.Keypoint.Decode(channels)
 	case closing == ChanMeshData && a.Traditional != nil:
 		return a.Traditional.Decode(channels)
-	case closing == ChanCloudData && a.Cloud != nil:
-		return a.Cloud.Decode(channels)
 	case closing == ChanTextGlobal && a.Text != nil:
 		return a.Text.Decode(channels)
-	case closing >= ChanImageView && a.Image != nil:
-		return a.Image.Decode(channels)
 	default:
 		return FrameData{}, fmt.Errorf("core: no decoder for closing channel %d", closing)
 	}

@@ -85,8 +85,6 @@ type FrameData struct {
 	// cache it may be the cached mesh itself, shared with other streams
 	// and read-only: Clone() before mutating.
 	Mesh *mesh.Mesh
-	// VertexColors carries per-vertex texture for Mesh when available.
-	VertexColors []pointcloud.Color
 	// Cloud carries reconstructed point clouds (text mode).
 	Cloud *pointcloud.Cloud
 	// NovelView carries a rendered receiver-side view (image mode).

@@ -400,30 +400,6 @@ func TestDecoderChannelValidation(t *testing.T) {
 	}
 }
 
-func TestTraditionalLODLadder(t *testing.T) {
-	c := testSeq.FrameAt(7)
-	full := &TraditionalEncoder{}
-	lod := &TraditionalEncoder{TargetFaces: 800}
-	efFull, _ := full.Encode(c)
-	efLOD, _ := lod.Encode(c)
-	if efLOD.TotalBytes() >= efFull.TotalBytes() {
-		t.Errorf("LOD frame %d B not smaller than full %d B", efLOD.TotalBytes(), efFull.TotalBytes())
-	}
-	dec := &TraditionalDecoder{}
-	data, err := dec.Decode(toFrames(efLOD))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data.Mesh.Faces) > 850 {
-		t.Errorf("decoded LOD has %d faces", len(data.Mesh.Faces))
-	}
-	// Shape still human-scale despite the decimation.
-	rep := metrics.CompareMeshes(data.Mesh, c.Mesh, 3000, 0.02)
-	if rep.Chamfer > 0.03 {
-		t.Errorf("LOD chamfer %.4f m", rep.Chamfer)
-	}
-}
-
 func TestCloudModeRoundTrip(t *testing.T) {
 	// Dense fusion: the realistic capture-density regime where the
 	// cloud dwarfs the keypoint stream.

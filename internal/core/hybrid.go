@@ -254,9 +254,9 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 			}
 			foveal = &d.patch
 		case ChanTextureData:
-			// Texture riding along with the keypoint payloads; ignored
-			// here (the session runtime exposes it via KeypointDecoder
-			// when texturing is on).
+			// Texture riding along with the keypoint payloads; skipped.
+			// No decoder hands a decoded texture to the renderer:
+			// KeypointDecoder decodes it but only keeps the latest view.
 		default:
 			return FrameData{}, errUnexpectedChannel(ModeHybrid, f.Channel)
 		}

@@ -388,7 +388,7 @@ func (r *Relay) AttachPeer(name string, sess *transport.Session, opt AttachOptio
 		} else {
 			p.sel = transport.NewTierSelector(r.tierLevels)
 		}
-		p.est = transport.NewBandwidthEstimator()
+		p.est = &transport.BandwidthEstimator{}
 	}
 	// Shed frames — evicted by a full Put or superseded at dequeue —
 	// become flight-recorder events carrying the dropped frame's trace

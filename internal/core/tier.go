@@ -101,9 +101,6 @@ func NewTierLadder(tiers []Tier) (*TierLadder, error) {
 	}, nil
 }
 
-// TierCount returns the number of rungs.
-func (l *TierLadder) TierCount() int { return len(l.tiers) }
-
 // Levels returns the ladder's rung names (for TierSelector
 // construction), cheapest first.
 func (l *TierLadder) Levels() []transport.RateLevel {

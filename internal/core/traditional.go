@@ -5,7 +5,6 @@ import (
 
 	"semholo/internal/capture"
 	"semholo/internal/compress/dracogo"
-	"semholo/internal/mesh"
 	"semholo/internal/transport"
 )
 
@@ -19,10 +18,6 @@ type TraditionalEncoder struct {
 	// compression" arm of Table 2); the raw encoding is the codec at
 	// effectively lossless settings, measured before entropy coding.
 	Uncompressed bool
-	// TargetFaces, when positive, decimates the mesh to this budget with
-	// quadric edge collapses before encoding — the level-of-detail rungs
-	// a rate-adaptive traditional stream switches between.
-	TargetFaces int
 }
 
 // Mode implements Encoder.
@@ -34,9 +29,6 @@ func (e *TraditionalEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 		return EncodedFrame{}, fmt.Errorf("core: traditional encoder needs the captured mesh")
 	}
 	m := c.Mesh
-	if e.TargetFaces > 0 && len(m.Faces) > e.TargetFaces {
-		m = mesh.SimplifyQuadric(m, e.TargetFaces)
-	}
 	var payload []byte
 	flags := transport.FlagKeyframe | transport.FlagEndOfFrame
 	if e.Uncompressed {

@@ -191,52 +191,6 @@ func (m Mat4) InverseRigid() Mat4 {
 	return RigidTransform(rt, t)
 }
 
-// Inverse returns the general inverse via Gauss-Jordan elimination and
-// whether the matrix was invertible.
-func (m Mat4) Inverse() (Mat4, bool) {
-	// Augmented [m | I], reduce in place.
-	var a [4][8]float64
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			a[i][j] = m[i*4+j]
-		}
-		a[i][4+i] = 1
-	}
-	for col := 0; col < 4; col++ {
-		// Partial pivoting.
-		pivot := col
-		for r := col + 1; r < 4; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-300 {
-			return Identity4(), false
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		p := a[col][col]
-		for j := 0; j < 8; j++ {
-			a[col][j] /= p
-		}
-		for r := 0; r < 4; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col]
-			for j := 0; j < 8; j++ {
-				a[r][j] -= f * a[col][j]
-			}
-		}
-	}
-	var inv Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			inv[i*4+j] = a[i][4+j]
-		}
-	}
-	return inv, true
-}
-
 // RotationX returns the rotation matrix about the X axis by angle radians.
 func RotationX(angle float64) Mat3 {
 	c, s := math.Cos(angle), math.Sin(angle)

@@ -85,17 +85,6 @@ func TestInverseRigid(t *testing.T) {
 	}
 }
 
-func TestGeneralInverseMatchesRigid(t *testing.T) {
-	m := RigidTransform(RotationY(1.1), V3(3, -2, 0.5))
-	ginv, ok := m.Inverse()
-	if !ok {
-		t.Fatal("rigid transform reported singular")
-	}
-	if !mat4AlmostEq(ginv, m.InverseRigid(), 1e-9) {
-		t.Error("general inverse disagrees with rigid inverse")
-	}
-}
-
 func TestMat4TransposeInvolution(t *testing.T) {
 	f := func(vals [16]float64) bool {
 		m := Mat4(vals)

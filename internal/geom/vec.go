@@ -33,9 +33,6 @@ func (a Vec2) Dot(b Vec2) float64 { return a.X*b.X + a.Y*b.Y }
 // Len returns the Euclidean length of a.
 func (a Vec2) Len() float64 { return math.Hypot(a.X, a.Y) }
 
-// LenSq returns the squared length of a.
-func (a Vec2) LenSq() float64 { return a.X*a.X + a.Y*a.Y }
-
 // Dist returns the Euclidean distance between a and b.
 func (a Vec2) Dist(b Vec2) float64 { return a.Sub(b).Len() }
 
@@ -128,11 +125,6 @@ func (a Vec3) Max(b Vec3) Vec3 {
 	return Vec3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)}
 }
 
-// Abs returns the component-wise absolute value of a.
-func (a Vec3) Abs() Vec3 {
-	return Vec3{math.Abs(a.X), math.Abs(a.Y), math.Abs(a.Z)}
-}
-
 // MaxComponent returns the largest component of a.
 func (a Vec3) MaxComponent() float64 { return math.Max(a.X, math.Max(a.Y, a.Z)) }
 
@@ -161,9 +153,6 @@ func V4(x, y, z, w float64) Vec4 { return Vec4{x, y, z, w} }
 // FromVec3 lifts v into homogeneous coordinates with the given w.
 func FromVec3(v Vec3, w float64) Vec4 { return Vec4{v.X, v.Y, v.Z, w} }
 
-// Vec3 drops the homogeneous coordinate (no perspective divide).
-func (a Vec4) Vec3() Vec3 { return Vec3{a.X, a.Y, a.Z} }
-
 // Dehomogenize performs the perspective divide; it returns the zero
 // vector when w is (numerically) zero.
 func (a Vec4) Dehomogenize() Vec3 {
@@ -172,15 +161,6 @@ func (a Vec4) Dehomogenize() Vec3 {
 	}
 	return Vec3{a.X / a.W, a.Y / a.W, a.Z / a.W}
 }
-
-// Add returns a + b.
-func (a Vec4) Add(b Vec4) Vec4 { return Vec4{a.X + b.X, a.Y + b.Y, a.Z + b.Z, a.W + b.W} }
-
-// Scale returns a * s.
-func (a Vec4) Scale(s float64) Vec4 { return Vec4{a.X * s, a.Y * s, a.Z * s, a.W * s} }
-
-// Dot returns the dot product a · b.
-func (a Vec4) Dot(b Vec4) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z + a.W*b.W }
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -4,16 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"semholo/internal/geom"
 )
 
 // WriteOBJ serializes the mesh in Wavefront OBJ text format (a strict
-// subset: v/vn/vt/f records). This is the interchange format the examples
-// use to dump reconstructions for inspection; the *wire* encoding is the
-// binary codec in internal/compress/dracogo.
+// subset: v/vn/vt/f records). This is the interchange format
+// semholo-receiver dumps reconstructions in for inspection; the *wire*
+// encoding is the binary codec in internal/compress/dracogo.
 func WriteOBJ(w io.Writer, m *Mesh) error {
 	bw := bufio.NewWriter(w)
 	for _, v := range m.Vertices {
@@ -37,85 +33,4 @@ func WriteOBJ(w io.Writer, m *Mesh) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadOBJ parses the subset of OBJ emitted by WriteOBJ. Face records may
-// use the "v", "v/vt", or "v/vt/vn" index forms; only the vertex index is
-// used.
-func ReadOBJ(r io.Reader) (*Mesh, error) {
-	m := &Mesh{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		switch fields[0] {
-		case "v":
-			v, err := parseVec3(fields[1:])
-			if err != nil {
-				return nil, fmt.Errorf("obj line %d: %w", line, err)
-			}
-			m.Vertices = append(m.Vertices, v)
-		case "vn":
-			v, err := parseVec3(fields[1:])
-			if err != nil {
-				return nil, fmt.Errorf("obj line %d: %w", line, err)
-			}
-			m.Normals = append(m.Normals, v)
-		case "vt":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("obj line %d: vt needs 2 coordinates", line)
-			}
-			u, err1 := strconv.ParseFloat(fields[1], 64)
-			v, err2 := strconv.ParseFloat(fields[2], 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("obj line %d: bad vt", line)
-			}
-			m.UVs = append(m.UVs, geom.V2(u, v))
-		case "f":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("obj line %d: only triangles supported, got %d indices", line, len(fields)-1)
-			}
-			var idx [3]int
-			for i := 0; i < 3; i++ {
-				tok := fields[i+1]
-				if slash := strings.IndexByte(tok, '/'); slash >= 0 {
-					tok = tok[:slash]
-				}
-				n, err := strconv.Atoi(tok)
-				if err != nil {
-					return nil, fmt.Errorf("obj line %d: bad face index %q", line, fields[i+1])
-				}
-				if n < 0 {
-					n = len(m.Vertices) + 1 + n // relative indexing
-				}
-				idx[i] = n - 1
-			}
-			m.Faces = append(m.Faces, Face{idx[0], idx[1], idx[2]})
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func parseVec3(fields []string) (geom.Vec3, error) {
-	if len(fields) < 3 {
-		return geom.Vec3{}, fmt.Errorf("need 3 coordinates, got %d", len(fields))
-	}
-	x, err1 := strconv.ParseFloat(fields[0], 64)
-	y, err2 := strconv.ParseFloat(fields[1], 64)
-	z, err3 := strconv.ParseFloat(fields[2], 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return geom.Vec3{}, fmt.Errorf("bad coordinates %v", fields)
-	}
-	return geom.V3(x, y, z), nil
 }

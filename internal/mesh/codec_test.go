@@ -2,78 +2,29 @@ package mesh
 
 import (
 	"bytes"
-	"strings"
 	"testing"
+
+	"semholo/internal/geom"
 )
 
+// TestOBJRoundTrip pins WriteOBJ's text: v, vn and vt records in that
+// order, then 1-based triangle faces.
 func TestOBJRoundTrip(t *testing.T) {
-	m := UnitSphere(2)
+	m := &Mesh{
+		Vertices: []geom.Vec3{{X: 0, Y: 0, Z: 0}, {X: 1, Y: 0, Z: 0}, {X: 0, Y: 1.5, Z: -0.25}},
+		Normals:  []geom.Vec3{{X: 0, Y: 0, Z: 1}, {X: 0, Y: 0, Z: 1}, {X: 0, Y: 0, Z: 1}},
+		UVs:      []geom.Vec2{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 0, Y: 0.5}},
+		Faces:    []Face{{0, 1, 2}},
+	}
 	var buf bytes.Buffer
 	if err := WriteOBJ(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadOBJ(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Vertices) != len(m.Vertices) || len(got.Faces) != len(m.Faces) {
-		t.Fatalf("sizes changed: %d/%d verts, %d/%d faces",
-			len(got.Vertices), len(m.Vertices), len(got.Faces), len(m.Faces))
-	}
-	if len(got.Normals) != len(m.Normals) {
-		t.Fatalf("normals: %d vs %d", len(got.Normals), len(m.Normals))
-	}
-	for i := range m.Vertices {
-		if got.Vertices[i].Dist(m.Vertices[i]) > 1e-12 {
-			t.Fatalf("vertex %d moved", i)
-		}
-	}
-	if got.Faces[7] != m.Faces[7] {
-		t.Error("face indices changed")
-	}
-}
-
-func TestReadOBJVariants(t *testing.T) {
-	src := `
-# comment
-v 0 0 0
-v 1 0 0
-v 0 1 0
-vt 0 0
-vt 1 0
-vt 0 1
-f 1/1 2/2 3/3
-`
-	m, err := ReadOBJ(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Vertices) != 3 || len(m.Faces) != 1 || len(m.UVs) != 3 {
-		t.Fatalf("parsed %d verts %d faces %d uvs", len(m.Vertices), len(m.Faces), len(m.UVs))
-	}
-}
-
-func TestReadOBJNegativeIndices(t *testing.T) {
-	src := "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
-	m, err := ReadOBJ(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Faces[0] != (Face{0, 1, 2}) {
-		t.Errorf("face = %+v", m.Faces[0])
-	}
-}
-
-func TestReadOBJErrors(t *testing.T) {
-	cases := []string{
-		"v 1 2\n",              // too few coords
-		"v a b c\n",            // non-numeric
-		"v 0 0 0\nf 1 2 5\n",   // out of range
-		"v 0 0 0\nf 1 1 1 1\n", // quad
-	}
-	for _, src := range cases {
-		if _, err := ReadOBJ(strings.NewReader(src)); err == nil {
-			t.Errorf("accepted malformed OBJ %q", src)
-		}
+	const want = "v 0 0 0\nv 1 0 0\nv 0 1.5 -0.25\n" +
+		"vn 0 0 1\nvn 0 0 1\nvn 0 0 1\n" +
+		"vt 0 0\nvt 1 0\nvt 0 0.5\n" +
+		"f 1 2 3\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteOBJ wrote\n%s\nwant\n%s", got, want)
 	}
 }

@@ -5,15 +5,14 @@ import (
 	"sync"
 
 	"semholo/internal/geom"
-	"semholo/internal/par"
 )
 
 // ScalarField is a signed scalar function over 3D space. By SDF
 // convention, negative values are inside the surface and positive values
 // outside; the isosurface is the zero level set.
 //
-// Fields must be safe for concurrent calls: the parallel extractors
-// evaluate lattice points from multiple goroutines. Pure functions of
+// Fields must be safe for concurrent calls: the narrow-band extractor
+// evaluates lattice points from multiple goroutines. Pure functions of
 // the input point (like the avatar capsule SDF) satisfy this trivially.
 type ScalarField func(p geom.Vec3) float64
 
@@ -95,8 +94,6 @@ func (g GridSpec) layout() (l gridLayout, ok bool) {
 
 // latticeEdge identifies the lattice edge an interpolated vertex lies
 // on, by the linear indices of its two lattice endpoints (lo < hi).
-// Edge identity is global across slabs, which is what makes the
-// parallel merge deterministic.
 type latticeEdge struct{ lo, hi int }
 
 // corner offsets of a unit cube, in the conventional order.
@@ -115,12 +112,9 @@ var cubeTets = [6][4]int{
 	{0, 4, 5, 6},
 }
 
-// slabMesh accumulates polygonization output for one contiguous range of
-// z-slabs: vertices, faces over local vertex indices, and the slab-local
-// map from the lattice edge a vertex lies on to its index (vertex dedup
-// within the slab, and across slabs in mergeSlabs). Serial extraction
-// uses a single slabMesh covering the whole grid; parallel extraction
-// builds one per slab and merges them in slab order.
+// slabMesh accumulates polygonization output over a lattice: vertices,
+// faces over vertex indices, and the map from the lattice edge a vertex
+// lies on to its index (vertex dedup).
 type slabMesh struct {
 	verts  []geom.Vec3
 	faces  []Face
@@ -163,11 +157,10 @@ func (s *slabMesh) latticePoint(i, j, k int) geom.Vec3 {
 	}
 }
 
-// lidx linearizes a lattice vertex over (vx, vy, ·); k is global, so
-// indices agree across slabs.
+// lidx linearizes a lattice vertex over (vx, vy, ·).
 func (s *slabMesh) lidx(i, j, k int) int { return (k*s.vy+j)*s.vx + i }
 
-// edgeVertex returns the local index of the interpolated vertex on the
+// edgeVertex returns the index of the interpolated vertex on the
 // lattice edge (la, lb), creating it on first use.
 func (s *slabMesh) edgeVertex(la, lb int, pa, pb geom.Vec3, va, vb float64) int {
 	key := latticeEdge{la, lb}
@@ -273,12 +266,6 @@ func (s *slabMesh) polygonizeTet(tet [4]int, vals [8]float64, ci, cj, ck int) {
 	}
 }
 
-// mesh converts the accumulated slab into a Mesh, reusing the slab's
-// backing arrays (valid for a single slab covering the whole grid).
-func (s *slabMesh) mesh() *Mesh {
-	return &Mesh{Vertices: s.verts, Faces: s.faces}
-}
-
 // slabBufPool recycles the per-slab sample planes ([]float64 of vx·vy)
 // across extractions, so steady-state reconstruction loops stop
 // allocating lattice scratch.
@@ -312,42 +299,17 @@ var polyArenaPool = sync.Pool{New: func() any {
 }}
 
 // ExtractIsosurface polygonizes the zero level set of field over the grid
-// using marching tetrahedra. The result shares interpolated vertices along
-// lattice edges, so the output is watertight wherever the surface does not
-// leave the grid bounds. Cost is Θ(nx·ny·nz) field evaluations — the
-// O(Resolution³) scaling that dominates the paper's Figure 4.
-//
-// This is the strict serial path: ExtractIsosurfaceParallel(field, grid, 1).
+// using marching tetrahedra, one serial sweep over the whole lattice. The
+// result shares interpolated vertices along lattice edges, so the output
+// is watertight wherever the surface does not leave the grid bounds. Cost
+// is Θ(nx·ny·nz) field evaluations — the O(Resolution³) scaling the
+// narrow-band extractor avoids; it stays as the reference that extractor
+// is checked against.
 func ExtractIsosurface(field ScalarField, grid GridSpec) *Mesh {
-	return ExtractIsosurfaceParallel(field, grid, 1)
-}
-
-// ExtractIsosurfaceParallel is ExtractIsosurface with the cell grid split
-// into contiguous z-slab ranges extracted concurrently by up to workers
-// goroutines (workers <= 0 means GOMAXPROCS; 1 is the serial fallback).
-// Each slab polygonizes with its own vertex-dedup map; slabs are then
-// merged in z order, deduplicating boundary vertices by their global
-// lattice-edge key. Because cube visit order within a slab matches the
-// serial scan and the merge walks slabs in ascending z, the output is
-// byte-identical to the serial path for every worker count.
-func ExtractIsosurfaceParallel(field ScalarField, grid GridSpec, workers int) *Mesh {
 	lay, ok := grid.layout()
 	if !ok {
 		return &Mesh{}
 	}
-	ranges := par.Split(workers, lay.nz)
-	slabs := make([]*slabMesh, len(ranges))
-	par.For(len(ranges), len(ranges), func(c int) {
-		slabs[c] = extractSlabRange(field, lay, ranges[c].Lo, ranges[c].Hi)
-	})
-	if len(slabs) == 1 {
-		return slabs[0].mesh()
-	}
-	return mergeSlabs(slabs)
-}
-
-// extractSlabRange polygonizes cubes with k in [k0, k1).
-func extractSlabRange(field ScalarField, lay gridLayout, k0, k1 int) *slabMesh {
 	nx, ny, vx, vy := lay.nx, lay.ny, lay.vx, lay.vy
 	s := newSlabMesh(lay)
 	cur := getSlabBuf(vx * vy)
@@ -362,8 +324,8 @@ func extractSlabRange(field ScalarField, lay gridLayout, k0, k1 int) *slabMesh {
 			}
 		}
 	}
-	sampleSlab(k0, cur)
-	for k := k0; k < k1; k++ {
+	sampleSlab(0, cur)
+	for k := 0; k < lay.nz; k++ {
 		sampleSlab(k+1, next)
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -393,42 +355,5 @@ func extractSlabRange(field ScalarField, lay gridLayout, k0, k1 int) *slabMesh {
 		}
 		cur, next = next, cur
 	}
-	return s
-}
-
-// mergeSlabs concatenates slab meshes in z order into one Mesh,
-// deduplicating vertices shared across slab boundaries by lattice-edge
-// key. Vertex and face order match a serial full-grid extraction.
-func mergeSlabs(slabs []*slabMesh) *Mesh {
-	totalV, totalF := 0, 0
-	for _, s := range slabs {
-		totalV += len(s.verts)
-		totalF += len(s.faces)
-	}
-	out := &Mesh{
-		Vertices: make([]geom.Vec3, 0, totalV),
-		Faces:    make([]Face, 0, totalF),
-	}
-	global := make(map[latticeEdge]int, totalV)
-	for _, s := range slabs {
-		keys := make([]latticeEdge, len(s.verts))
-		for key, li := range s.shared {
-			keys[li] = key
-		}
-		remap := make([]int, len(s.verts))
-		for li, key := range keys {
-			if gi, ok := global[key]; ok {
-				remap[li] = gi
-				continue
-			}
-			gi := len(out.Vertices)
-			out.Vertices = append(out.Vertices, s.verts[li])
-			global[key] = gi
-			remap[li] = gi
-		}
-		for _, f := range s.faces {
-			out.Faces = append(out.Faces, Face{remap[f.A], remap[f.B], remap[f.C]})
-		}
-	}
-	return out
+	return &Mesh{Vertices: s.verts, Faces: s.faces}
 }

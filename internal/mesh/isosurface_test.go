@@ -108,31 +108,6 @@ func TestIsosurfaceTwoBlobs(t *testing.T) {
 	}
 }
 
-func TestSimplifyClustering(t *testing.T) {
-	m := UnitSphere(3) // 1280 faces
-	s := SimplifyClustering(m, 8)
-	if len(s.Faces) >= len(m.Faces) {
-		t.Errorf("simplify did not reduce: %d -> %d faces", len(m.Faces), len(s.Faces))
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("simplified mesh invalid: %v", err)
-	}
-	// Shape roughly preserved.
-	for _, v := range s.Vertices {
-		if v.Len() > 1.2 || v.Len() < 0.5 {
-			t.Fatalf("simplified vertex %v far off sphere", v)
-		}
-	}
-}
-
-func TestSimplifyIdentityWhenCoarse(t *testing.T) {
-	m := tetra()
-	s := SimplifyClustering(m, 0)
-	if len(s.Faces) != len(m.Faces) {
-		t.Error("cells<1 should clone")
-	}
-}
-
 func BenchmarkIsosurfaceRes32(b *testing.B) {
 	grid := GridSpec{
 		Bounds:     geom.NewAABB(geom.V3(-1.5, -1.5, -1.5), geom.V3(1.5, 1.5, 1.5)),

@@ -329,3 +329,37 @@ func (m *Mesh) Merge(other *Mesh) {
 		m.UVs = nil
 	}
 }
+
+// CompactVertices removes vertices not referenced by any face, remapping
+// face indices. Attribute arrays are compacted in parallel.
+func (m *Mesh) CompactVertices() {
+	used := make([]bool, len(m.Vertices))
+	for _, f := range m.Faces {
+		used[f.A], used[f.B], used[f.C] = true, true, true
+	}
+	remap := make([]int, len(m.Vertices))
+	next := 0
+	for i, u := range used {
+		if u {
+			remap[i] = next
+			m.Vertices[next] = m.Vertices[i]
+			if m.Normals != nil {
+				m.Normals[next] = m.Normals[i]
+			}
+			if m.UVs != nil {
+				m.UVs[next] = m.UVs[i]
+			}
+			next++
+		}
+	}
+	m.Vertices = m.Vertices[:next]
+	if m.Normals != nil {
+		m.Normals = m.Normals[:next]
+	}
+	if m.UVs != nil {
+		m.UVs = m.UVs[:next]
+	}
+	for i, f := range m.Faces {
+		m.Faces[i] = Face{remap[f.A], remap[f.B], remap[f.C]}
+	}
+}

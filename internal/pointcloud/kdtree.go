@@ -181,32 +181,3 @@ func (t *KDTree) kNearest(node int32, q geom.Vec3, k int, h *neighborHeap) {
 		t.kNearest(second, q, k, h)
 	}
 }
-
-// Radius returns all neighbors within r of q (unordered).
-func (t *KDTree) Radius(q geom.Vec3, r float64) []Neighbor {
-	if len(t.pts) == 0 || r < 0 {
-		return nil
-	}
-	var out []Neighbor
-	t.radius(0, q, r*r, &out)
-	return out
-}
-
-func (t *KDTree) radius(node int32, q geom.Vec3, r2 float64, out *[]Neighbor) {
-	n := &t.nodes[node]
-	if n.axis < 0 {
-		for _, i := range t.idx[n.start:n.end] {
-			if d := t.pts[i].DistSq(q); d <= r2 {
-				*out = append(*out, Neighbor{Index: i, DistSq: d})
-			}
-		}
-		return
-	}
-	d := axisCoord(q, n.axis) - n.split
-	if d <= 0 || d*d <= r2 {
-		t.radius(n.left, q, r2, out)
-	}
-	if d >= 0 || d*d <= r2 {
-		t.radius(n.right, q, r2, out)
-	}
-}

@@ -73,31 +73,6 @@ func TestKDTreeKNearestMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestKDTreeRadiusMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	c := randomCloud(400, 15)
-	tree := NewKDTree(c.Points)
-	for i := 0; i < 50; i++ {
-		q := geom.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-		r := rng.Float64() * 2
-		got := tree.Radius(q, r)
-		want := 0
-		for _, p := range c.Points {
-			if p.DistSq(q) <= r*r {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("radius %v: got %d, want %d", r, len(got), want)
-		}
-		for _, nb := range got {
-			if nb.DistSq > r*r {
-				t.Fatalf("radius result outside radius")
-			}
-		}
-	}
-}
-
 func TestKDTreeEmpty(t *testing.T) {
 	tree := NewKDTree(nil)
 	if _, ok := tree.Nearest(geom.Vec3{}); ok {
@@ -105,9 +80,6 @@ func TestKDTreeEmpty(t *testing.T) {
 	}
 	if got := tree.KNearest(geom.Vec3{}, 3); got != nil {
 		t.Error("empty tree KNearest non-nil")
-	}
-	if got := tree.Radius(geom.Vec3{}, 1); got != nil {
-		t.Error("empty tree Radius non-nil")
 	}
 }
 

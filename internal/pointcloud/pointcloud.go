@@ -1,6 +1,6 @@
 // Package pointcloud implements the point-cloud substrate: colored point
 // sets, a k-d tree for nearest-neighbor queries, voxel-grid downsampling,
-// statistical outlier removal, normal estimation, and multi-view RGB-D
+// statistical outlier removal, and multi-view RGB-D
 // fusion. Point clouds are one of the two traditional volumetric content
 // representations (§2.1) and the output format of the text-based semantic
 // reconstruction path (Table 1).
@@ -16,15 +16,6 @@ import (
 // Color is an RGB color with components in [0,1].
 type Color struct {
 	R, G, B float64
-}
-
-// Lerp linearly interpolates between c and o.
-func (c Color) Lerp(o Color, t float64) Color {
-	return Color{
-		R: c.R + (o.R-c.R)*t,
-		G: c.G + (o.G-c.G)*t,
-		B: c.B + (o.B-c.B)*t,
-	}
 }
 
 // Dist returns the Euclidean distance in RGB space.
@@ -114,19 +105,6 @@ func (c *Cloud) Centroid() geom.Vec3 {
 		s = s.Add(p)
 	}
 	return s.Scale(1 / float64(len(c.Points)))
-}
-
-// Transform applies t to all points (and rotates normals).
-func (c *Cloud) Transform(t geom.Mat4) {
-	for i, p := range c.Points {
-		c.Points[i] = t.TransformPoint(p)
-	}
-	if c.Normals != nil {
-		lin := t.Mat3()
-		for i, n := range c.Normals {
-			c.Normals[i] = lin.MulVec(n).Normalize()
-		}
-	}
 }
 
 // Merge appends other into c.
@@ -277,74 +255,4 @@ func (c *Cloud) RemoveStatisticalOutliers(k int, stddevMul float64) *Cloud {
 		}
 	}
 	return out
-}
-
-// EstimateNormals fills c.Normals using PCA over the k nearest neighbors
-// of each point, orienting each normal toward the given viewpoint.
-func (c *Cloud) EstimateNormals(k int, viewpoint geom.Vec3) {
-	n := len(c.Points)
-	c.Normals = make([]geom.Vec3, n)
-	if n < 3 || k < 3 {
-		return
-	}
-	if k >= n {
-		k = n - 1
-	}
-	tree := NewKDTree(c.Points)
-	for i, p := range c.Points {
-		nbrs := tree.KNearest(p, k+1)
-		// Covariance of neighbors.
-		var mean geom.Vec3
-		for _, nb := range nbrs {
-			mean = mean.Add(c.Points[nb.Index])
-		}
-		mean = mean.Scale(1 / float64(len(nbrs)))
-		var cxx, cxy, cxz, cyy, cyz, czz float64
-		for _, nb := range nbrs {
-			d := c.Points[nb.Index].Sub(mean)
-			cxx += d.X * d.X
-			cxy += d.X * d.Y
-			cxz += d.X * d.Z
-			cyy += d.Y * d.Y
-			cyz += d.Y * d.Z
-			czz += d.Z * d.Z
-		}
-		cov := geom.Mat3{cxx, cxy, cxz, cxy, cyy, cyz, cxz, cyz, czz}
-		normal := smallestEigenvector(cov)
-		if normal.Dot(viewpoint.Sub(p)) < 0 {
-			normal = normal.Neg()
-		}
-		c.Normals[i] = normal
-	}
-}
-
-// smallestEigenvector returns the eigenvector of the symmetric matrix m
-// with the smallest eigenvalue, via inverse power iteration with shifts.
-func smallestEigenvector(m geom.Mat3) geom.Vec3 {
-	// Shift by a bit more than the largest eigenvalue bound (Gershgorin)
-	// and run power iteration on (shift·I − m), whose dominant
-	// eigenvector is m's smallest.
-	shift := 0.0
-	for r := 0; r < 3; r++ {
-		s := math.Abs(m[r*3]) + math.Abs(m[r*3+1]) + math.Abs(m[r*3+2])
-		if s > shift {
-			shift = s
-		}
-	}
-	shift += 1e-12
-	a := geom.Mat3{
-		shift - m[0], -m[1], -m[2],
-		-m[3], shift - m[4], -m[5],
-		-m[6], -m[7], shift - m[8],
-	}
-	v := geom.V3(0.577, 0.577, 0.577)
-	for i := 0; i < 50; i++ {
-		nv := a.MulVec(v)
-		l := nv.Len()
-		if l < 1e-300 {
-			return geom.V3(0, 0, 1)
-		}
-		v = nv.Scale(1 / l)
-	}
-	return v
 }

@@ -1,7 +1,6 @@
 package pointcloud
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -37,23 +36,6 @@ func TestCloudBasics(t *testing.T) {
 	want := geom.V3(2, 2, 2)
 	if got := c.Centroid(); got.Dist(want) > 1e-12 {
 		t.Errorf("Centroid = %v, want %v", got, want)
-	}
-}
-
-func TestCloudTransform(t *testing.T) {
-	c := randomCloud(100, 1)
-	c.EstimateNormals(8, geom.V3(0, 0, 100))
-	orig := c.Clone()
-	tr := geom.Translation(geom.V3(1, 2, 3))
-	c.Transform(tr)
-	for i := range c.Points {
-		if c.Points[i].Dist(orig.Points[i].Add(geom.V3(1, 2, 3))) > 1e-12 {
-			t.Fatal("translation wrong")
-		}
-		// Normals unchanged by pure translation.
-		if c.Normals[i].Dist(orig.Normals[i]) > 1e-12 {
-			t.Fatal("translation rotated normals")
-		}
 	}
 }
 
@@ -113,31 +95,5 @@ func TestRemoveStatisticalOutliers(t *testing.T) {
 		if p.Len() > 10 {
 			t.Fatalf("outlier %v survived", p)
 		}
-	}
-}
-
-func TestEstimateNormalsPlane(t *testing.T) {
-	c := New(0)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		c.Points = append(c.Points, geom.V3(rng.Float64()*2-1, rng.Float64()*2-1, 0))
-	}
-	c.EstimateNormals(10, geom.V3(0, 0, 5))
-	for i, n := range c.Normals {
-		if math.Abs(n.Z) < 0.99 {
-			t.Fatalf("normal %d = %v, want ±Z", i, n)
-		}
-		if n.Z < 0 {
-			t.Fatalf("normal %d points away from viewpoint", i)
-		}
-	}
-}
-
-func TestSmallestEigenvector(t *testing.T) {
-	// Diagonal covariance: smallest along Z.
-	m := geom.Mat3{5, 0, 0, 0, 3, 0, 0, 0, 0.1}
-	v := smallestEigenvector(m)
-	if math.Abs(v.Z) < 0.99 {
-		t.Errorf("smallest eigenvector = %v, want ±Z", v)
 	}
 }

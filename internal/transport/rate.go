@@ -14,19 +14,12 @@ import (
 // A stream that goes quiet stops calling Observe, so the estimate would
 // otherwise freeze at its last value forever — a leg scored at its old
 // throughput long after it stalled. After an idle gap longer than
-// StaleWindows windows the estimate ages: it halves per further stale
-// period, and the next Observe both commits the decay and reopens the
-// measurement window at the arrival instant so the silent gap never
-// dilutes the new window's rate.
+// estimatorStaleWindows windows the estimate ages: it halves per
+// further stale period, and the next Observe both commits the decay and
+// reopens the measurement window at the arrival instant so the silent
+// gap never dilutes the new window's rate. The zero value is ready to
+// use.
 type BandwidthEstimator struct {
-	// Window is the measurement interval (default 250 ms).
-	Window time.Duration
-	// Alpha is the EWMA weight for the newest window (default 0.3).
-	Alpha float64
-	// StaleWindows is how many silent windows the estimate survives
-	// unchanged before aging kicks in (default 4).
-	StaleWindows int
-
 	mu          sync.Mutex
 	windowOpen  time.Time
 	lastArrival time.Time
@@ -35,23 +28,15 @@ type BandwidthEstimator struct {
 	hasSample   bool
 }
 
-// NewBandwidthEstimator returns an estimator with defaults.
-func NewBandwidthEstimator() *BandwidthEstimator {
-	return &BandwidthEstimator{Window: 250 * time.Millisecond, Alpha: 0.3}
-}
-
-// stalePeriod is the silent span after which the estimate starts aging.
-func (e *BandwidthEstimator) stalePeriod() time.Duration {
-	w := e.Window
-	if w <= 0 {
-		w = 250 * time.Millisecond
-	}
-	sw := e.StaleWindows
-	if sw <= 0 {
-		sw = 4
-	}
-	return time.Duration(sw) * w
-}
+const (
+	// estimatorWindow is the measurement interval.
+	estimatorWindow = 250 * time.Millisecond
+	// estimatorAlpha is the EWMA weight for the newest window.
+	estimatorAlpha = 0.3
+	// estimatorStaleWindows is how many silent windows the estimate
+	// survives unchanged before aging kicks in.
+	estimatorStaleWindows = 4
+)
 
 // decayFactor is the aging multiplier for a silent gap ending at now:
 // 1 inside the stale period, then halving per further period.
@@ -59,7 +44,7 @@ func (e *BandwidthEstimator) decayFactor(now time.Time) float64 {
 	if !e.hasSample || e.lastArrival.IsZero() {
 		return 1
 	}
-	stale := e.stalePeriod()
+	const stale = estimatorStaleWindows * estimatorWindow
 	gap := now.Sub(e.lastArrival)
 	if gap <= stale {
 		return 1
@@ -84,10 +69,10 @@ func (e *BandwidthEstimator) Observe(now time.Time, n int) {
 	}
 	e.lastArrival = now
 	e.bytes += int64(n)
-	if elapsed := now.Sub(e.windowOpen); elapsed >= e.Window {
+	if elapsed := now.Sub(e.windowOpen); elapsed >= estimatorWindow {
 		bps := float64(e.bytes*8) / elapsed.Seconds()
 		if e.hasSample {
-			e.estimate = e.Alpha*bps + (1-e.Alpha)*e.estimate
+			e.estimate = estimatorAlpha*bps + (1-estimatorAlpha)*e.estimate
 		} else {
 			e.estimate = bps
 			e.hasSample = true
@@ -105,8 +90,9 @@ func (e *BandwidthEstimator) Estimate() float64 {
 
 // EstimateAt is Estimate evaluated at an explicit instant: the estimate
 // decays geometrically once the stream has been silent for longer than
-// StaleWindows windows. It does not mutate state (the decay is committed
-// by the next Observe), so repeated calls at the same instant agree.
+// estimatorStaleWindows windows. It does not mutate state (the decay is
+// committed by the next Observe), so repeated calls at the same instant
+// agree.
 func (e *BandwidthEstimator) EstimateAt(now time.Time) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -210,10 +210,6 @@ func SharedFromWire(f Frame, payload []byte, payloadCRC uint32) (*SharedFrame, e
 	return sf, nil
 }
 
-// Payload exposes the frame's owned payload. Callers must treat it as
-// read-only: the bytes are shared by every subscriber.
-func (sf *SharedFrame) Payload() []byte { return sf.payload }
-
 // Hops exposes the hop path captured so far. Read-only for callers.
 func (sf *SharedFrame) Hops() []obs.Hop { return sf.hops }
 

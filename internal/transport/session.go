@@ -15,17 +15,14 @@ import (
 )
 
 // Hello is the handshake payload exchanged at session start. It carries
-// the control-plane metadata that is static per session: the semantics
-// mode and the participant's body shape (identity is fitted once, not
-// per frame — §3.1).
+// the control-plane metadata that is static per session: the peer's
+// name, its semantics mode, capture rate and room.
 type Hello struct {
 	// Peer is a human-readable participant name.
 	Peer string `json:"peer"`
 	// Mode names the semantics pipeline ("keypoint", "image", "text",
 	// "traditional", "hybrid").
 	Mode string `json:"mode"`
-	// Shape carries the body shape coefficients.
-	Shape []float64 `json:"shape,omitempty"`
 	// FPS is the sender's capture rate.
 	FPS float64 `json:"fps,omitempty"`
 	// Room names the conference room this session joins — the unit a
@@ -220,10 +217,6 @@ func AcceptContext(ctx context.Context, conn net.Conn, hello Hello) (*Session, H
 	}
 	return s, peer, nil
 }
-
-// Context returns the session's lifecycle context (Background when the
-// session was built without one).
-func (s *Session) Context() context.Context { return s.ctx }
 
 // send stamps sequence and timestamp and writes the frame.
 func (s *Session) send(f *Frame) error {

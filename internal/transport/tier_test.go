@@ -377,7 +377,7 @@ func TestTierSelectorDropAndRTTSignals(t *testing.T) {
 // Observe. The estimate must age across idle gaps, and the first
 // Observe after a gap must not fold the silent span into its window.
 func TestBandwidthEstimatorStaleDecay(t *testing.T) {
-	e := NewBandwidthEstimator() // 250 ms windows, 4-window stale period
+	e := &BandwidthEstimator{} // 250 ms windows, 4-window stale period
 	t0 := time.Now()
 
 	// 2 Mbps steady for 1 s: 12.5 KB every 50 ms.

@@ -135,7 +135,7 @@ func sessionPair(t *testing.T, cfg netsim.LinkConfig) (*Session, *Session, *nets
 		s, _, err := Accept(b, Hello{Peer: "B", Mode: "keypoint"})
 		ch <- res{s, err}
 	}()
-	sa, peer, err := Dial(a, Hello{Peer: "A", Mode: "keypoint", Shape: []float64{1, 2}})
+	sa, peer, err := Dial(a, Hello{Peer: "A", Mode: "keypoint"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSessionOverConstrainedLink(t *testing.T) {
 }
 
 func TestBandwidthEstimatorConverges(t *testing.T) {
-	e := NewBandwidthEstimator()
+	e := &BandwidthEstimator{}
 	now := time.Now()
 	// 1 MB/s = 8 Mbps fed in 10 ms ticks for 2 s.
 	for i := 0; i < 200; i++ {

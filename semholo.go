@@ -13,10 +13,12 @@
 //	sender := &semholo.Sender{Session: sess, Encoder: enc}
 //	...
 //
-// The five pipelines mirror the paper's taxonomy (§2.3): traditional
-// (compressed mesh baseline), keypoint (the §4 proof-of-concept), image
-// (receiver-side NeRF, §3.2), text (captions + text-to-3D, §3.3), and
-// hybrid (gaze-contingent foveal mesh + peripheral keypoints, §3.1).
+// The constructors cover four of the paper's pipelines (§2.3):
+// traditional (compressed mesh baseline), keypoint (the §4
+// proof-of-concept), text (captions + text-to-3D, §3.3), and hybrid
+// (gaze-contingent foveal mesh + peripheral keypoints, §3.1). The image
+// pipeline (receiver-side NeRF, §3.2) and the point-cloud baseline live
+// in internal/core, where the experiments build them.
 package semholo
 
 import (
@@ -30,7 +32,6 @@ import (
 	"semholo/internal/gaze"
 	"semholo/internal/geom"
 	"semholo/internal/keypoint"
-	"semholo/internal/nerf"
 	"semholo/internal/netsim"
 	"semholo/internal/obs"
 	"semholo/internal/pipeline"
@@ -41,8 +42,6 @@ import (
 
 // Re-exported core types: the surface cmd/ and examples/ build on.
 type (
-	// Mode names a semantics pipeline.
-	Mode = core.Mode
 	// Encoder turns captures into wire payloads.
 	Encoder = core.Encoder
 	// Decoder reconstructs frames from wire payloads.
@@ -100,17 +99,8 @@ var (
 	ServeContext = transport.AcceptContext
 )
 
-// The taxonomy modes.
-const (
-	ModeTraditional = core.ModeTraditional
-	ModeKeypoint    = core.ModeKeypoint
-	ModeImage       = core.ModeImage
-	ModeText        = core.ModeText
-	ModeHybrid      = core.ModeHybrid
-)
-
-// ErrSessionClosed reports a graceful peer close from Receiver.NextRaw.
-var ErrSessionClosed = core.ErrSessionClosed
+// ModeKeypoint names the keypoint pipeline in a session's Hello.
+const ModeKeypoint = core.ModeKeypoint
 
 // FrameTypeSemantic marks media payload frames on the wire.
 const FrameTypeSemantic = transport.TypeSemantic
@@ -232,13 +222,6 @@ func NewTraditionalPipeline() (Encoder, Decoder) {
 	return &core.TraditionalEncoder{Options: dracogo.Options{}}, &core.TraditionalDecoder{}
 }
 
-// NewCloudPipeline builds the point-cloud variant of the traditional
-// baseline (Figure 1's "PtCl" branch): fused multi-view clouds,
-// Draco-style compressed.
-func NewCloudPipeline() (Encoder, Decoder) {
-	return &core.CloudEncoder{}, &core.CloudDecoder{}
-}
-
 // TextOptions tunes the text pipeline.
 type TextOptions struct {
 	// CellSize is the absolute caption grid pitch (default 0.25 m).
@@ -259,46 +242,6 @@ func NewTextPipeline(opt TextOptions) (Encoder, Decoder) {
 		KeyframeInterval: opt.KeyframeInterval,
 	}
 	dec := &core.TextDecoder{Codec: compress.LZR()}
-	return enc, dec
-}
-
-// ImageOptions tunes the image pipeline.
-type ImageOptions struct {
-	// Widths are the slimmable NeRF operating points (default 8, 16).
-	Widths []int
-	// ColdStartSteps / FineTuneSteps control receiver training budgets.
-	ColdStartSteps, FineTuneSteps int
-	// ViewCamera, when set, renders this novel view every frame.
-	ViewCamera *geom.Camera
-	// Seed makes receiver training reproducible.
-	Seed int64
-	// Parallelism bounds receiver NeRF training/rendering workers (0 =
-	// GOMAXPROCS, 1 = serial).
-	Parallelism int
-}
-
-// NewImagePipeline builds the image-semantics pipeline (§3.2): BTC-
-// compressed 2D views on the wire, a continuously fine-tuned NeRF at the
-// receiver with slimmable-width rate adaptation.
-func NewImagePipeline(w *World, opt ImageOptions) (Encoder, *core.ImageDecoder) {
-	widths := opt.Widths
-	if len(widths) == 0 {
-		widths = []int{8, 16}
-	}
-	scene := nerf.Scene{
-		Bounds:  geom.NewAABB(geom.V3(-1, -0.2, -1), geom.V3(1, 2.1, 1)),
-		Near:    1.2,
-		Far:     4.2,
-		Samples: 16,
-	}
-	enc := &core.ImageEncoder{Scene: scene, Widths: widths}
-	dec := &core.ImageDecoder{
-		ColdStartSteps: opt.ColdStartSteps,
-		FineTuneSteps:  opt.FineTuneSteps,
-		ViewCamera:     opt.ViewCamera,
-		Seed:           opt.Seed,
-		Workers:        opt.Parallelism,
-	}
 	return enc, dec
 }
 
