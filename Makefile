@@ -143,9 +143,13 @@ trace-check:
 
 ## tier-check: the adaptive-tiering gate — race-enabled ladder encode
 ## suites (rung ordering, per-tier state reuse, ladder-of-one byte
-## identity, every rung byte-identical to its standalone encoder on the
-## quantised pose while a standalone encoder keeps the float64 frame,
-## rung 0's wire frame inside a 200 kbps leg's headroom at 30 fps), the
+## identity, every rung byte-identical to a reference built without the
+## ladder on the quantised pose while a standalone encoder keeps the
+## float64 frame, rung 0's wire frame inside a 200 kbps leg's headroom at
+## 30 fps, TestSemanticLadderGoldenDigest's SHA-256 over every rung's
+## wire bytes and decoded Params and Mesh across five frames), rung 1's
+## texture shipped but not drawn (TestRung1GarbageTextureDecodesAsRung0:
+## a garbage texture payload decodes to rung 0's output), the
 ## quantised pose codec's round-trip and fallback suite, the tier
 ## wire-extension compat suites, the TierSelector
 ## signal/backoff unit tests and its capacity gate
@@ -176,7 +180,7 @@ trace-check:
 ## is the wall-clock test that catches a starved leg probing upward
 ## when its shedding stops reaching the TierSelector.
 tier-check:
-	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder|TestCompactPose' ./internal/core ./internal/transport ./internal/service ./internal/body
+	$(GO) test -race -skip 'TestRelayTiersPerSubscriber' -run 'TestTier|TestSemanticLadder|TestRung1GarbageTexture|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestRelayTrunkSupersedesWholeLadders|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder|TestCompactPose' ./internal/core ./internal/transport ./internal/service ./internal/body
 	$(GO) test -race -count=5 -run 'TestRelayTiersPerSubscriber' ./internal/core
 
 ## cluster-check: the sharded-cluster gate — race-enabled placement /
@@ -218,20 +222,20 @@ cluster-check:
 ## fails with ErrCorrupt having allocated ≤ 64 KiB; a 24-byte frame
 ## header declaring a 16 MiB payload, then EOF, fails
 ## FrameReader.ReadFrame having allocated ≤ 64 KiB (plus the error);
-## dracogo.DecodeMesh/DecodeCloud of a short stream declaring 2^24
-## vertices/points fail having allocated ≤ 64 KiB.
+## dracogo.DecodeMesh of a short stream declaring 2^24 vertices fails
+## having allocated ≤ 64 KiB.
 ## Relay: a leg's tiered cadence send (a rung plus its trailing capacity
 ## ping, one write) and a plain leg's send (one hop-traced frame with its
 ## egress hop, no ping) allocate nothing in steady state.
 alloc-check:
-	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestHybridDecodePatchAllocs|TestFovealEncodeAllocs|TestCompressPoseAllocs|TestCompressPoseOneAlloc|TestDecompressPoseOneAlloc|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestDecodeCloudHostileCountAllocs|TestRenderMeshAllocs|TestCaptureAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render ./internal/capture
+	$(GO) test -run 'TestReconstructCacheHitAllocs|TestSkinAllocs|TestHybridGraftAllocs|TestHybridDecodePatchAllocs|TestFovealEncodeAllocs|TestCompressPoseAllocs|TestCompressPoseOneAlloc|TestDecompressPoseOneAlloc|TestDecompressHostileLengthAllocs|TestSamplePointsAllocs|TestReadFrameHostileLengthAllocs|TestDecodeMeshHostileCountAllocs|TestRenderMeshAllocs|TestCaptureAllocs|TestSendSharedBatchTrailingPingAllocs' ./internal/avatar ./internal/core ./internal/compress/lzr ./internal/mesh ./internal/transport ./internal/compress/dracogo ./internal/render ./internal/capture
 
 ## fuzz-smoke: 10 s of coverage-guided fuzzing per parser of peer bytes
 ## — the pose frame (both magics), lzr streams (alone, and against the
 ## reference coder stream for stream), the hop-trace wire extension,
 ## the frame reader over every flag combination and batch boundary, the
 ## trunk ingress's capture and re-emission (read, adopt or copy, re-emit:
-## byte for byte what was read), dracogo mesh and cloud streams, the
+## byte for byte what was read), dracogo mesh streams, the
 ## texture rung's BTC payload, the text rung's keyframe and delta
 ## documents through TextDecoder — plus
 ## the rasteriser against its reference (triangle soups with vertices
@@ -251,7 +255,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedFromWire$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMesh$$' -fuzztime 10s ./internal/compress/dracogo
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCloud$$' -fuzztime 10s ./internal/compress/dracogo
 	$(GO) test -run '^$$' -fuzz '^FuzzRenderMesh$$' -fuzztime 10s ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompressBTC$$' -fuzztime 10s ./internal/texture
 	$(GO) test -run '^$$' -fuzz '^FuzzTextDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core

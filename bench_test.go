@@ -203,7 +203,7 @@ func BenchmarkHybridDecodeSteady(b *testing.B) {
 	const frames = 16
 	world := NewWorld(WorldOptions{Seed: 3})
 	enc, dec := NewHybridPipeline(world, HybridOptions{PeripheralResolution: 64})
-	dec.Cache = &avatar.MeshCache{Capacity: frames}
+	dec.Cache = &avatar.MeshCache{}
 	anchor := geom.V3(0, 1.5, 0.1)
 	enc.SetGazeAnchor(anchor)
 	dec.SetGazeAnchor(anchor)

@@ -60,10 +60,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Uniform counter hookup: reconstruction telemetry from the panel
-	// renders below is scrape-able whenever the debug server is up.
+	// Reconstruction telemetry from the panel renders below is
+	// scrape-able whenever the debug server is up.
 	var recon metrics.ReconCounters
-	metrics.RegisterAll(obs.Default, &recon)
+	recon.Register(obs.Default)
 
 	// Shared, read-only scene inputs; each panel task below only reads.
 	model := body.NewModel(nil, body.ModelOptions{Detail: 2})

@@ -1,14 +1,12 @@
 package avatar
 
-// Pose-keyed mesh LRU: repeated (or, with quantization, near-identical)
-// poses skip reconstruction entirely. The paper's receiver runs the
+// Pose-keyed mesh LRU: repeated poses skip reconstruction entirely. The paper's receiver runs the
 // reconstruction hot path per frame and per receiver; idle avatars,
 // looped motions, and multi-receiver cloud sessions all replay poses the
 // cache has already paid for.
 
 import (
 	"container/list"
-	"math"
 	"sync"
 
 	"semholo/internal/body"
@@ -16,11 +14,11 @@ import (
 	"semholo/internal/metrics"
 )
 
-// DefaultMeshCacheCapacity bounds a MeshCache when Capacity is unset.
+// DefaultMeshCacheCapacity is the number of meshes a MeshCache holds.
 const DefaultMeshCacheCapacity = 32
 
-// MeshCache is a bounded LRU of reconstructed meshes keyed by quantized
-// body parameters plus the reconstruction configuration (model,
+// MeshCache is a bounded LRU of reconstructed meshes keyed by the exact
+// bits of the body parameters plus the reconstruction configuration (model,
 // resolution, smoothing) and the kind of mesh (extracted by
 // Reconstruct or skinned by Skin) — one cache can safely back several
 // reconstructors, including differently configured ones, and never hands
@@ -31,17 +29,6 @@ const DefaultMeshCacheCapacity = 32
 // to every hit, every single-flight waiter and the caller that computed
 // it. A returned mesh is shared and read-only: Clone it before mutating.
 type MeshCache struct {
-	// Capacity is the maximum number of cached meshes; <= 0 means
-	// DefaultMeshCacheCapacity.
-	Capacity int
-	// Quant is the pose quantization step: rotation-vector components
-	// (radians), translation (meters), and shape/expression coefficients
-	// are snapped to multiples of Quant before keying, so poses within
-	// half a step of each other share an entry (and the hit returns the
-	// mesh of the bucket's first-seen pose). Quant <= 0 keys on exact
-	// bitwise parameters — the default, which never substitutes a
-	// different pose's mesh.
-	Quant float64
 	// Counters, when non-nil, receives hit/miss/eviction telemetry.
 	Counters *metrics.ReconCounters
 
@@ -77,58 +64,17 @@ type flight struct {
 	mesh  *mesh.Mesh
 }
 
-// Len returns the number of cached meshes.
-func (c *MeshCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.order == nil {
-		return 0
-	}
-	return c.order.Len()
-}
-
-func (c *MeshCache) capacity() int {
-	if c.Capacity > 0 {
-		return c.Capacity
-	}
-	return DefaultMeshCacheCapacity
-}
-
-func quantize(v, q float64) float64 {
-	return math.Round(v/q) * q
-}
-
-// keyFor canonicalizes the parameters (snapping each component to the
-// quantization lattice) and binds the reconstruction configuration and
-// mesh kind.
-func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor, skin bool) cacheKey {
-	key := cacheKey{
+// keyFor binds the parameters, bit for bit, to the reconstruction
+// configuration and mesh kind: a hit never substitutes a different
+// pose's mesh.
+func keyFor(p *body.Params, r *Reconstructor, skin bool) cacheKey {
+	return cacheKey{
 		params: *p,
 		model:  r.Model,
 		res:    r.Resolution,
 		smooth: r.smoothK(),
 		skin:   skin,
 	}
-	if q := c.Quant; q > 0 {
-		for j := range key.params.Pose {
-			key.params.Pose[j].X = quantize(key.params.Pose[j].X, q)
-			key.params.Pose[j].Y = quantize(key.params.Pose[j].Y, q)
-			key.params.Pose[j].Z = quantize(key.params.Pose[j].Z, q)
-		}
-		key.params.Translation.X = quantize(key.params.Translation.X, q)
-		key.params.Translation.Y = quantize(key.params.Translation.Y, q)
-		key.params.Translation.Z = quantize(key.params.Translation.Z, q)
-		for i := range key.params.Shape {
-			key.params.Shape[i] = quantize(key.params.Shape[i], q)
-		}
-		for i := range key.params.Expression {
-			key.params.Expression[i] = quantize(key.params.Expression[i], q)
-		}
-	}
-	return key
 }
 
 // getOrCompute returns the mesh of the given kind for p under r's
@@ -140,7 +86,7 @@ func (c *MeshCache) keyFor(p *body.Params, r *Reconstructor, skin bool) cacheKey
 // first producer count as cross-tenant hits. The returned mesh is the
 // cache's own: shared and read-only.
 func (c *MeshCache) getOrCompute(p *body.Params, r *Reconstructor, skin bool) *mesh.Mesh {
-	key := c.keyFor(p, r, skin)
+	key := keyFor(p, r, skin)
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.order.MoveToFront(el)
@@ -202,7 +148,7 @@ func (c *MeshCache) storeLocked(key cacheKey, owner *Reconstructor, m *mesh.Mesh
 		c.byKey = make(map[cacheKey]*list.Element)
 	}
 	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, mesh: m, owner: owner})
-	for c.order.Len() > c.capacity() {
+	for c.order.Len() > DefaultMeshCacheCapacity {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.byKey, back.Value.(*cacheEntry).key)

@@ -2,8 +2,7 @@ package avatar
 
 // Tests for reuse across frames: a reused Reconstructor's scratch must
 // not leak into its output (the acceptance bar is byte-identical meshes,
-// not approximately equal), the pose-keyed mesh LRU, and quantization
-// behavior at bucket edges.
+// not approximately equal) and the pose-keyed mesh LRU.
 
 import (
 	"reflect"
@@ -129,8 +128,8 @@ func TestReconstructCacheHitAllocs(t *testing.T) {
 	}
 }
 
-// TestMeshCacheExactByDefault: without quantization, a tiny perturbation
-// is a different key.
+// TestMeshCacheExactByDefault: the cache keys on exact bits, so a tiny
+// perturbation is a different key.
 func TestMeshCacheExactByDefault(t *testing.T) {
 	var c metrics.ReconCounters
 	rec := &Reconstructor{Model: fitModel, Resolution: 32, Cache: &MeshCache{Counters: &c}}
@@ -144,62 +143,34 @@ func TestMeshCacheExactByDefault(t *testing.T) {
 	}
 }
 
-// TestMeshCacheQuantizationBoundary pins the bucket edges: poses within
-// half a quantization step of each other share an entry; poses across
-// the rounding boundary do not.
-func TestMeshCacheQuantizationBoundary(t *testing.T) {
-	const q = 1e-3
-	var c metrics.ReconCounters
-	rec := &Reconstructor{Model: fitModel, Resolution: 32, Cache: &MeshCache{Quant: q, Counters: &c}}
-	base := body.Talking(nil).At(0.7)
-	base.Pose[body.Neck].X = 0.1 // exact bucket center at q=1e-3
-
-	rec.Reconstruct(base)
-
-	same := *base
-	same.Pose[body.Neck].X = 0.1 + 0.4*q // rounds to the same bucket
-	rec.Reconstruct(&same)
-	if s := c.Snapshot(); s.MeshHits != 1 {
-		t.Fatalf("within-bucket pose missed (hits=%d misses=%d)", s.MeshHits, s.MeshMisses)
-	}
-
-	other := *base
-	other.Pose[body.Neck].X = 0.1 + 0.6*q // rounds to the next bucket
-	rec.Reconstruct(&other)
-	if s := c.Snapshot(); s.MeshHits != 1 || s.MeshMisses != 2 {
-		t.Fatalf("cross-bucket pose hit (hits=%d misses=%d)", s.MeshHits, s.MeshMisses)
-	}
-}
-
-// TestMeshCacheLRUEviction fills a capacity-2 cache with three poses and
-// checks the least recently used entry is the one evicted.
+// TestMeshCacheLRUEviction fills the cache past DefaultMeshCacheCapacity
+// with distinct poses, touching the first just before it overflows, and
+// checks the least recently used entry — the second — is the one
+// evicted.
 func TestMeshCacheLRUEviction(t *testing.T) {
 	var c metrics.ReconCounters
-	cache := &MeshCache{Capacity: 2, Counters: &c}
-	rec := &Reconstructor{Model: fitModel, Resolution: 32, Cache: cache}
-	m := body.Talking(nil)
-	p1, p2, p3 := m.At(0.1), m.At(0.5), m.At(0.9)
-
-	rec.Reconstruct(p1)
-	rec.Reconstruct(p2)
-	rec.Reconstruct(p1) // p1 now most recent; p2 is LRU
-	rec.Reconstruct(p3) // evicts p2
-	if cache.Len() != 2 {
-		t.Fatalf("cache len %d, want 2", cache.Len())
+	rec := &Reconstructor{Model: fitModel, Resolution: 24, Cache: &MeshCache{Counters: &c}}
+	poses := motionFrames(body.Talking(nil), DefaultMeshCacheCapacity+1, 1.0/30)
+	for _, p := range poses[:DefaultMeshCacheCapacity] {
+		rec.Skin(p)
 	}
-	if s := c.Snapshot(); s.MeshEvictions != 1 {
-		t.Fatalf("evictions=%d, want 1", s.MeshEvictions)
+	rec.Skin(poses[0])                        // poses[0] now most recent; poses[1] is LRU
+	rec.Skin(poses[DefaultMeshCacheCapacity]) // evicts poses[1]
+	s := c.Snapshot()
+	if s.MeshEvictions != 1 || s.MeshMisses != DefaultMeshCacheCapacity+1 || s.MeshHits != 1 {
+		t.Fatalf("evictions=%d misses=%d hits=%d, want 1/%d/1", s.MeshEvictions, s.MeshMisses, s.MeshHits, DefaultMeshCacheCapacity+1)
 	}
 
 	before := c.Snapshot()
-	rec.Reconstruct(p1) // still cached
-	rec.Reconstruct(p2) // was evicted → miss
-	s := c.Snapshot()
-	if s.MeshHits != before.MeshHits+1 {
-		t.Error("p1 should have survived in the cache")
+	rec.Skin(poses[0]) // still cached
+	rec.Skin(poses[2]) // still cached
+	rec.Skin(poses[1]) // was evicted → miss
+	s = c.Snapshot()
+	if s.MeshHits != before.MeshHits+2 {
+		t.Error("poses 0 and 2 should have survived in the cache")
 	}
 	if s.MeshMisses != before.MeshMisses+1 {
-		t.Error("p2 should have been evicted")
+		t.Error("pose 1 should have been evicted")
 	}
 }
 
@@ -294,7 +265,8 @@ func TestMeshCacheSingleFlight(t *testing.T) {
 // goroutines walking interleaved pose streams — the -race regression for
 // the flights/LRU bookkeeping under real contention.
 func TestMeshCacheConcurrentDistinctPoses(t *testing.T) {
-	cache := &MeshCache{Capacity: 8}
+	var c metrics.ReconCounters
+	cache := &MeshCache{Counters: &c}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -311,7 +283,8 @@ func TestMeshCacheConcurrentDistinctPoses(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := cache.Len(); n == 0 || n > 8 {
-		t.Fatalf("cache length %d outside (0, 8]", n)
+	// Six distinct poses, none evicted: each misses exactly once.
+	if s := c.Snapshot(); s.MeshMisses != 6 || s.MeshEvictions != 0 || s.MeshHits != 4*12-6 {
+		t.Fatalf("misses=%d evictions=%d hits=%d, want 6/0/%d", s.MeshMisses, s.MeshEvictions, s.MeshHits, 4*12-6)
 	}
 }

@@ -49,8 +49,7 @@ type Reconstructor struct {
 	// bench/ sets it.
 	WarmStart bool
 	// Cache, when non-nil, short-circuits Reconstruct and Skin for
-	// repeated (optionally quantized) poses with a bounded LRU of shared,
-	// read-only meshes.
+	// repeated poses with a bounded LRU of shared, read-only meshes.
 	Cache *MeshCache
 	// Counters, when non-nil, receives frame counts and the lattice
 	// samples each extraction evaluated (the mesh LRU reports through
@@ -218,11 +217,10 @@ func (r *Reconstructor) gridFor(bg boneGeometry) mesh.GridSpec {
 
 // Reconstruct produces the output mesh for one frame of parameters.
 //
-// With Cache set, repeated (quantized) poses return the cached mesh
-// without reconstructing — the returned mesh is then shared with every
-// other caller of that pose and read-only: Clone() before mutating. It is
-// byte-identical to a reconstruction of the quantized key's first-seen
-// parameters.
+// With Cache set, repeated poses return the cached mesh without
+// reconstructing — the returned mesh is then shared with every other
+// caller of that pose and read-only: Clone() before mutating. It is
+// byte-identical to a fresh reconstruction of the same parameters.
 func (r *Reconstructor) Reconstruct(p *body.Params) *mesh.Mesh {
 	if r.Cache != nil {
 		return r.Cache.getOrCompute(p, r, false)

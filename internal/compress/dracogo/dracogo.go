@@ -1,7 +1,7 @@
-// Package dracogo implements a Draco-style lossy mesh and point-cloud
-// codec: attribute quantization over the bounding box, delta prediction,
-// variable-length integer packing, and a final entropy-coding pass with
-// the lzr range coder. It is the stand-in for Google Draco, which the
+// Package dracogo implements a Draco-style lossy mesh codec: attribute
+// quantization over the bounding box, delta prediction, variable-length
+// integer packing, and a final entropy-coding pass with the lzr range
+// coder. It is the stand-in for Google Draco, which the
 // paper uses to compress the traditional untextured mesh baseline
 // (§4.2, Table 2: 397.7 KB → 42.1 KB per frame).
 package dracogo
@@ -16,22 +16,19 @@ import (
 	"semholo/internal/compress/lzr"
 	"semholo/internal/geom"
 	"semholo/internal/mesh"
-	"semholo/internal/pointcloud"
 )
 
 // ErrCorrupt is returned for malformed streams.
 var ErrCorrupt = errors.New("dracogo: corrupt stream")
 
 const (
-	meshMagic  = "DGM1"
-	cloudMagic = "DGC1"
+	meshMagic = "DGM1"
 
 	flagNormals = 1 << 0
 	flagUVs     = 1 << 1
-	flagColors  = 1 << 2
 
-	// minElementBytes is the fewest payload bytes a vertex, face or point
-	// can take: three varints.
+	// minElementBytes is the fewest payload bytes a vertex or face can
+	// take: three varints.
 	minElementBytes = 3
 )
 
@@ -361,115 +358,4 @@ func resize[T any](s []T, n uint64) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// EncodeCloud compresses a point cloud: quantized positions (delta-coded
-// in Morton-ish append order) plus optional 8-bit colors.
-func EncodeCloud(c *pointcloud.Cloud, opt Options) []byte {
-	opt = opt.withDefaults()
-	buf := []byte(cloudMagic)
-	var flags byte
-	if c.Colors != nil {
-		flags |= flagColors
-	}
-	buf = append(buf, flags, byte(opt.PositionBits))
-	buf = binary.AppendUvarint(buf, uint64(len(c.Points)))
-
-	b := c.Bounds()
-	if b.IsEmpty() {
-		b = geom.AABB{}
-	}
-	for _, f := range []float64{b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z} {
-		buf = appendFloat(buf, f)
-	}
-	q := newQuantizer(b, opt.PositionBits)
-	var px, py, pz int64
-	for _, p := range c.Points {
-		x, y, z := q.quantize(p)
-		buf = binary.AppendUvarint(buf, zigzag(x-px))
-		buf = binary.AppendUvarint(buf, zigzag(y-py))
-		buf = binary.AppendUvarint(buf, zigzag(z-pz))
-		px, py, pz = x, y, z
-	}
-	if c.Colors != nil {
-		for _, col := range c.Colors {
-			buf = append(buf,
-				byte(geom.Clamp(col.R, 0, 1)*255),
-				byte(geom.Clamp(col.G, 0, 1)*255),
-				byte(geom.Clamp(col.B, 0, 1)*255))
-		}
-	}
-	return lzr.Compress(buf)
-}
-
-// DecodeCloud reverses EncodeCloud.
-func DecodeCloud(data []byte) (*pointcloud.Cloud, error) {
-	raw, err := lzr.Decompress(data)
-	if err != nil {
-		return nil, fmt.Errorf("dracogo: %w", err)
-	}
-	if len(raw) < 6 || string(raw[:4]) != cloudMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	flags := raw[4]
-	posBits := int(raw[5])
-	if posBits < 1 || posBits > 30 {
-		return nil, fmt.Errorf("%w: position bits %d", ErrCorrupt, posBits)
-	}
-	buf := raw[6:]
-	n, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("%w: implausible point count %d", ErrCorrupt, n)
-	}
-	if n > uint64(len(buf))/minElementBytes {
-		return nil, fmt.Errorf("%w: %d points in %d bytes", ErrCorrupt, n, len(buf))
-	}
-	var bounds [6]float64
-	for i := range bounds {
-		bounds[i], buf, err = readFloat(buf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	b := geom.AABB{
-		Min: geom.V3(bounds[0], bounds[1], bounds[2]),
-		Max: geom.V3(bounds[3], bounds[4], bounds[5]),
-	}
-	q := newQuantizer(b, posBits)
-
-	c := &pointcloud.Cloud{Points: make([]geom.Vec3, n)}
-	var px, py, pz int64
-	for i := uint64(0); i < n; i++ {
-		var dx, dy, dz uint64
-		if dx, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if dy, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		if dz, buf, err = readUvarint(buf); err != nil {
-			return nil, err
-		}
-		px += unzigzag(dx)
-		py += unzigzag(dy)
-		pz += unzigzag(dz)
-		c.Points[i] = q.dequantize(px, py, pz)
-	}
-	if flags&flagColors != 0 {
-		if uint64(len(buf)) < 3*n {
-			return nil, fmt.Errorf("%w: short color block", ErrCorrupt)
-		}
-		c.Colors = make([]pointcloud.Color, n)
-		for i := uint64(0); i < n; i++ {
-			c.Colors[i] = pointcloud.Color{
-				R: float64(buf[3*i]) / 255,
-				G: float64(buf[3*i+1]) / 255,
-				B: float64(buf[3*i+2]) / 255,
-			}
-		}
-	}
-	return c, nil
 }

@@ -1,13 +1,11 @@
 package dracogo
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"semholo/internal/geom"
 	"semholo/internal/mesh"
-	"semholo/internal/pointcloud"
 )
 
 func TestMeshRoundTripGeometry(t *testing.T) {
@@ -118,55 +116,6 @@ func TestMeshDecodeRejectsGarbage(t *testing.T) {
 	enc := EncodeMesh(mesh.UnitSphere(1), Options{})
 	if _, err := DecodeMesh(enc[:len(enc)/2]); err == nil {
 		t.Error("truncated stream accepted")
-	}
-}
-
-func TestCloudRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := pointcloud.New(0)
-	c.Colors = []pointcloud.Color{}
-	for i := 0; i < 2000; i++ {
-		c.Points = append(c.Points, geom.V3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
-		c.Colors = append(c.Colors, pointcloud.Color{R: rng.Float64(), G: rng.Float64(), B: rng.Float64()})
-	}
-	enc := EncodeCloud(c, Options{PositionBits: 14})
-	dec, err := DecodeCloud(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Len() != c.Len() {
-		t.Fatalf("point count %d vs %d", dec.Len(), c.Len())
-	}
-	ext := c.Bounds().Size().MaxComponent()
-	maxErr := ext / float64(1<<14) * 2
-	for i := range c.Points {
-		if d := dec.Points[i].Dist(c.Points[i]); d > maxErr {
-			t.Fatalf("point %d error %v", i, d)
-		}
-		if dec.Colors[i].Dist(c.Colors[i]) > 0.01 {
-			t.Fatalf("color %d error", i)
-		}
-	}
-}
-
-func TestCloudEmpty(t *testing.T) {
-	dec, err := DecodeCloud(EncodeCloud(pointcloud.New(0), Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Len() != 0 {
-		t.Error("empty cloud round trip not empty")
-	}
-}
-
-func TestCloudDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeCloud([]byte{9, 9, 9}); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Mesh stream fed to cloud decoder must be rejected by magic.
-	enc := EncodeMesh(mesh.UnitSphere(1), Options{})
-	if _, err := DecodeCloud(enc); err == nil {
-		t.Error("mesh stream accepted as cloud")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"semholo/internal/compress/lzr"
 	"semholo/internal/geom"
 	"semholo/internal/mesh"
-	"semholo/internal/pointcloud"
 )
 
 // allocatedBytes reports the fewest bytes the heap handed out across
@@ -39,14 +38,6 @@ func hostileMesh() []byte {
 	return lzr.Compress(append(raw, make([]byte, 6*8)...))
 }
 
-// hostileCloud is a cloud stream that declares 2^24 points, carries its
-// bounds, then ends.
-func hostileCloud() []byte {
-	raw := append([]byte(cloudMagic), 0, 14)
-	raw = binary.AppendUvarint(raw, 1<<24)
-	return lzr.Compress(append(raw, make([]byte, 6*8)...))
-}
-
 // checkHostileAllocs decodes a short stream declaring 2^24 elements: it
 // must fail with ErrCorrupt having allocated at most 64 KiB.
 func checkHostileAllocs(t *testing.T, data []byte, decode func([]byte) error) {
@@ -66,14 +57,10 @@ func TestDecodeMeshHostileCountAllocs(t *testing.T) {
 	checkHostileAllocs(t, hostileMesh(), func(b []byte) error { _, err := DecodeMesh(b); return err })
 }
 
-func TestDecodeCloudHostileCountAllocs(t *testing.T) {
-	checkHostileAllocs(t, hostileCloud(), func(b []byte) error { _, err := DecodeCloud(b); return err })
-}
-
 // checkDecodeAllocs decodes data and bounds what it allocated. Each
 // element takes at least minElementBytes of the decompressed payload and
 // costs at most 64 B of output (a vertex with position, normal and UV; a
-// face is 24 B, a coloured point 48 B), so the decoded slices stay under
+// face is 24 B), so the decoded slices stay under
 // 64/minElementBytes bytes per payload byte; lzr may reserve up to 64
 // bytes per input byte and grow its output buffer to a few times the
 // payload. A few input bytes can expand to megabytes of payload, so
@@ -97,9 +84,9 @@ func checkDecodeAllocs(t *testing.T, data []byte, decode func([]byte) error) {
 }
 
 // seedStreams are the round-trip tests' kinds of stream — a sphere with
-// normals, one with UVs, a coloured cloud, the empty ones — on small
-// spheres, so that minimising an input the engine finds takes seconds,
-// plus the hostile and garbage streams.
+// normals, one with UVs, the empty mesh, coarse and fine quantisation —
+// on small spheres, so that minimising an input the engine finds takes
+// seconds, plus the hostile, wrong-magic and garbage streams.
 func seedStreams() [][]byte {
 	sphere := mesh.UnitSphere(1)
 	uv := mesh.UnitSphere(1)
@@ -107,18 +94,13 @@ func seedStreams() [][]byte {
 	for i, v := range uv.Vertices {
 		uv.UVs[i] = geom.V2(0.5+0.5*v.X, 0.5+0.5*v.Y)
 	}
-	cloud := pointcloud.New(0)
-	for i, v := range mesh.UnitSphere(1).Vertices {
-		col := pointcloud.Color{R: float64(i%7) / 7, G: 0.5, B: 0.25}
-		cloud.Append(v, &col, nil)
-	}
 	return [][]byte{
 		EncodeMesh(sphere, Options{PositionBits: 14}),
 		EncodeMesh(uv, Options{}),
 		EncodeMesh(&mesh.Mesh{}, Options{}),
-		EncodeCloud(cloud, Options{PositionBits: 12}),
-		EncodeCloud(&pointcloud.Cloud{}, Options{}),
-		hostileMesh(), hostileCloud(),
+		EncodeMesh(sphere, Options{PositionBits: 12, NormalBits: 6}),
+		EncodeMesh(mesh.UnitSphere(0), Options{PositionBits: 30}),
+		hostileMesh(), lzr.Compress([]byte("DGC1\x00\x0e\x00")),
 		{1, 2, 3}, []byte("DGM1"),
 	}
 }
@@ -143,15 +125,5 @@ func FuzzDecodeMesh(f *testing.F) {
 		if err == nil && !reflect.DeepEqual(fresh, dirty) {
 			t.Fatalf("DecodeMeshInto over a used mesh differs from DecodeMesh")
 		}
-	})
-}
-
-// FuzzDecodeCloud is FuzzDecodeMesh for DecodeCloud.
-func FuzzDecodeCloud(f *testing.F) {
-	for _, s := range seedStreams() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecodeAllocs(t, data, func(b []byte) error { _, err := DecodeCloud(b); return err })
 	})
 }

@@ -19,17 +19,15 @@ type AdaptiveDecoder struct {
 // Mode implements Decoder (reports "adaptive").
 func (a *AdaptiveDecoder) Mode() Mode { return "adaptive" }
 
-// ResetState implements StateResetter by resetting every configured
-// sub-decoder that carries cross-frame state — a tier switch may land
-// on any pipeline, so all delta references must go.
+// ResetState implements StateResetter by resetting the one sub-decoder
+// that carries cross-frame state, Text's delta reference — a tier switch
+// may land on any pipeline. Keypoint, Hybrid and Traditional carry
+// none: rung 1's texture is shipped but not drawn, so no decoder keeps
+// it.
 func (a *AdaptiveDecoder) ResetState() {
-	if a.Keypoint != nil {
-		a.Keypoint.ResetState()
-	}
 	if a.Text != nil {
 		a.Text.ResetState()
 	}
-	// Traditional and Hybrid decoders carry no per-frame state.
 }
 
 // Decode implements Decoder.

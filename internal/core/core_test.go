@@ -13,7 +13,6 @@ import (
 	"semholo/internal/keypoint"
 	"semholo/internal/metrics"
 	"semholo/internal/nerf"
-	"semholo/internal/pointcloud"
 	"semholo/internal/textsem"
 	"semholo/internal/transport"
 )
@@ -45,18 +44,17 @@ func toFrames(e EncodedFrame) []transport.Frame {
 	return out
 }
 
-func newKeypointEncoder(sendTexture bool) *KeypointEncoder {
+func newKeypointEncoder() *KeypointEncoder {
 	return &KeypointEncoder{
-		Model:       testModel,
-		Detector:    keypoint.NewDetector(keypoint.DefaultDetector()),
-		Filter:      keypoint.NewOneEuroFilter(1.0, 0.3),
-		Codec:       compress.LZR(),
-		SendTexture: sendTexture,
+		Model:    testModel,
+		Detector: keypoint.NewDetector(keypoint.DefaultDetector()),
+		Filter:   keypoint.NewOneEuroFilter(1.0, 0.3),
+		Codec:    compress.LZR(),
 	}
 }
 
 func TestKeypointCodecRoundTrip(t *testing.T) {
-	enc := newKeypointEncoder(false)
+	enc := newKeypointEncoder()
 	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 40}
 	cap0 := testSeq.FrameAt(3)
 	ef, err := enc.Encode(cap0)
@@ -85,29 +83,10 @@ func TestKeypointCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKeypointWithTexture(t *testing.T) {
-	enc := newKeypointEncoder(true)
-	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 0}
-	ef, err := enc.Encode(testSeq.FrameAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ef.Channels) != 2 {
-		t.Fatalf("%d channels, want texture + pose", len(ef.Channels))
-	}
-	if _, err := dec.Decode(toFrames(ef)); err != nil {
-		t.Fatal(err)
-	}
-	tex, w, h := dec.LastTexture()
-	if tex == nil || w != 96 || h != 96 {
-		t.Errorf("texture %dx%d, nil=%v", w, h, tex == nil)
-	}
-}
-
 func TestKeypointUncompressedBigger(t *testing.T) {
-	comp := newKeypointEncoder(false)
-	raw := newKeypointEncoder(false)
-	raw.Uncompressed = true
+	comp := newKeypointEncoder()
+	raw := newKeypointEncoder()
+	raw.Codec = nil
 	c := testSeq.FrameAt(1)
 	efC, _ := comp.Encode(c)
 	efR, _ := raw.Encode(c)
@@ -151,7 +130,7 @@ func TestTraditionalCompressionRegime(t *testing.T) {
 	}
 	// And the semantic/traditional gap: raw mesh ≫ keypoint frame
 	// (paper: ~207×).
-	kp, _ := newKeypointEncoder(false).Encode(c)
+	kp, _ := newKeypointEncoder().Encode(c)
 	gap := float64(efRaw.TotalBytes()) / float64(kp.TotalBytes())
 	if gap < 50 {
 		t.Errorf("semantic gap only %.0f×, paper reports ~207×", gap)
@@ -272,7 +251,7 @@ func TestImageCodecColdStartAndFineTune(t *testing.T) {
 func TestHybridCodecGraftsFovealMesh(t *testing.T) {
 	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
 	enc := &HybridEncoder{
-		Keypoint:    newKeypointEncoder(false),
+		Keypoint:    newKeypointEncoder(),
 		Selector:    sel,
 		MeshOptions: dracogo.Options{PositionBits: 14},
 	}
@@ -297,7 +276,7 @@ func TestHybridCodecGraftsFovealMesh(t *testing.T) {
 	}
 	// Hybrid costs more than keypoints alone but far less than the
 	// full mesh (the §3.1 trade-off).
-	kpOnly, _ := newKeypointEncoder(false).Encode(c)
+	kpOnly, _ := newKeypointEncoder().Encode(c)
 	full, _ := (&TraditionalEncoder{}).Encode(c)
 	if ef.TotalBytes() <= kpOnly.TotalBytes() {
 		t.Errorf("hybrid %d ≤ keypoint %d bytes", ef.TotalBytes(), kpOnly.TotalBytes())
@@ -352,7 +331,7 @@ func TestAdaptiveDecoderDemuxes(t *testing.T) {
 	}
 	c := testSeq.FrameAt(6)
 
-	kpEF, _ := newKeypointEncoder(false).Encode(c)
+	kpEF, _ := newKeypointEncoder().Encode(c)
 	if d, err := ad.Decode(toFrames(kpEF)); err != nil || d.Params == nil {
 		t.Errorf("keypoint demux: %v", err)
 	}
@@ -400,42 +379,9 @@ func TestDecoderChannelValidation(t *testing.T) {
 	}
 }
 
-func TestCloudModeRoundTrip(t *testing.T) {
-	// Dense fusion: the realistic capture-density regime where the
-	// cloud dwarfs the keypoint stream.
-	enc := &CloudEncoder{Fuse: pointcloud.FuseOptions{Stride: 1, Voxel: 0.008}}
-	dec := &CloudDecoder{}
-	c := testSeq.FrameAt(5)
-	ef, err := enc.Encode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := dec.Decode(toFrames(ef))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data.Cloud == nil {
-		t.Fatal("no cloud decoded")
-	}
-	if data.Cloud.Len() < 200 {
-		t.Fatalf("cloud too sparse: %d points", data.Cloud.Len())
-	}
-	// The decoded cloud must lie on the captured surface.
-	rep := metrics.CompareClouds(data.Cloud.Points, c.Mesh.SamplePoints(4000), 0.02)
-	if rep.Chamfer > 0.03 {
-		t.Errorf("cloud mode chamfer %.4f", rep.Chamfer)
-	}
-	// And like the mesh baseline, it dwarfs the keypoint stream.
-	kp, _ := newKeypointEncoder(false).Encode(c)
-	if ef.TotalBytes() < 5*kp.TotalBytes() {
-		t.Errorf("cloud frame %d B suspiciously close to keypoint %d B",
-			ef.TotalBytes(), kp.TotalBytes())
-	}
-}
-
 func TestKeypointLiftingPath(t *testing.T) {
-	rgbd := newKeypointEncoder(false)
-	lifted := newKeypointEncoder(false)
+	rgbd := newKeypointEncoder()
+	lifted := newKeypointEncoder()
 	lifted.UseLifting = true
 	c := testSeq.FrameAt(9)
 	efR, err := rgbd.Encode(c)

@@ -60,24 +60,28 @@ func (e *HybridEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 	if err != nil {
 		return EncodedFrame{}, err
 	}
-	// Strip EndOfFrame from the keypoint payloads; the foveal mesh
-	// closes the frame.
+	// Strip EndOfFrame from the keypoint payloads in place (they are
+	// this encoder's own); the foveal mesh closes the frame.
 	for i := range kp.Channels {
 		kp.Channels[i].Flags &^= transport.FlagEndOfFrame
 	}
-	out := EncodedFrame{Channels: kp.Channels}
+	return EncodedFrame{Channels: append(kp.Channels, e.fovealChannel(c.Mesh))}, nil
+}
 
-	foveal := e.fovealSubmesh(c.Mesh)
+// fovealChannel is the channel that closes a hybrid frame — HybridEncoder
+// and the semantic ladder's rung 2 both build it here: m's foveal
+// submesh, Draco-coded, or an empty payload when no face of m falls
+// inside the fovea (or no gaze report has arrived yet).
+func (e *HybridEncoder) fovealChannel(m *mesh.Mesh) ChannelPayload {
 	var payload []byte
-	if foveal != nil && len(foveal.Faces) > 0 {
+	if foveal := e.fovealSubmesh(m); foveal != nil {
 		payload = dracogo.EncodeMesh(foveal, e.MeshOptions)
 	}
-	out.Channels = append(out.Channels, ChannelPayload{
+	return ChannelPayload{
 		Channel: ChanFovealMesh,
 		Flags:   transport.FlagKeyframe | transport.FlagCompressed | transport.FlagEndOfFrame,
-		Payload: payload, // empty payload = no foveal region this frame
-	})
-	return out, nil
+		Payload: payload,
+	}
 }
 
 // fovealSubmesh extracts the faces of m inside the foveal region (nil
@@ -189,8 +193,8 @@ type HybridDecoder struct {
 	// WarmStart has no effect on decoded meshes; kept because bench/
 	// sets it.
 	WarmStart bool
-	// Cache, when non-nil, serves repeated (quantized) poses from a mesh
-	// LRU before peripheral skinning runs.
+	// Cache, when non-nil, serves repeated poses from a mesh LRU before
+	// peripheral skinning runs.
 	Cache *avatar.MeshCache
 	// Counters, when non-nil, accumulates cache telemetry and counts each
 	// skinned frame as a cold frame.
@@ -198,7 +202,9 @@ type HybridDecoder struct {
 	// FieldStats has no effect; kept because bench/ sets it.
 	FieldStats *metrics.FieldCounters
 
-	rec *avatar.Reconstructor
+	// periphery runs the pose-and-skin step, rebound to this decoder's
+	// settings each frame.
+	periphery KeypointDecoder
 	// anchor is written from the control/input plane while Decode reads
 	// it from the pipeline goroutine; see HybridEncoder.anchor.
 	anchor atomic.Pointer[geom.Vec3]
@@ -224,27 +230,23 @@ func (d *HybridDecoder) Mode() Mode { return ModeHybrid }
 
 // Decode implements Decoder.
 func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
+	res := d.PeripheralResolution
+	if res <= 0 {
+		res = 48
+	}
+	p := &d.periphery
+	p.Model, p.Codec, p.Resolution, p.Workers = d.Model, d.Codec, res, d.Workers
+	p.Cache, p.Counters = d.Cache, d.Counters
+
 	var params *body.Params
-	var foveal *mesh.Mesh
+	var peripheral, foveal *mesh.Mesh
 	for _, f := range channels {
 		switch f.Channel {
 		case ChanKeypointData:
-			raw := f.Payload
-			if f.Flags&transport.FlagCompressed != 0 {
-				if d.Codec == nil {
-					return FrameData{}, fmt.Errorf("core: compressed payload but no codec configured")
-				}
-				dec, err := d.Codec.Decode(f.Payload)
-				if err != nil {
-					return FrameData{}, fmt.Errorf("core: hybrid pose decompress: %w", err)
-				}
-				raw = dec
+			var err error
+			if params, peripheral, err = p.poseAndSkin(f); err != nil {
+				return FrameData{}, err
 			}
-			p, err := body.UnmarshalParams(raw)
-			if err != nil {
-				return FrameData{}, fmt.Errorf("core: hybrid pose: %w", err)
-			}
-			params = p
 		case ChanFovealMesh:
 			if len(f.Payload) == 0 {
 				continue // no foveal region this frame
@@ -254,9 +256,8 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 			}
 			foveal = &d.patch
 		case ChanTextureData:
-			// Texture riding along with the keypoint payloads; skipped.
-			// No decoder hands a decoded texture to the renderer:
-			// KeypointDecoder decodes it but only keeps the latest view.
+			// Rung 1's texture rides along in a rung-2 frame; shipped, not
+			// drawn (see KeypointDecoder).
 		default:
 			return FrameData{}, errUnexpectedChannel(ModeHybrid, f.Channel)
 		}
@@ -264,18 +265,9 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	if params == nil {
 		return FrameData{}, fmt.Errorf("core: hybrid decoder got no pose payload")
 	}
-	res := d.PeripheralResolution
-	if res <= 0 {
-		res = 48
+	if peripheral == nil {
+		peripheral = &mesh.Mesh{} // no Model: nothing to skin, as Skin returns
 	}
-	if d.rec == nil || d.rec.Model != d.Model {
-		d.rec = &avatar.Reconstructor{Model: d.Model}
-	}
-	d.rec.Resolution = res
-	d.rec.Workers = d.Workers
-	d.rec.Cache = d.Cache
-	d.rec.Counters = d.Counters
-	peripheral := d.rec.Skin(params)
 
 	// peripheral shares its faces with the rest surface and may be a
 	// cached mesh other streams are reading: graft into a copy, never in

@@ -19,7 +19,7 @@ import (
 func TestHybridGazeAnchorConcurrentUpdates(t *testing.T) {
 	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
 	enc := &HybridEncoder{
-		Keypoint:    newKeypointEncoder(false),
+		Keypoint:    newKeypointEncoder(),
 		Selector:    sel,
 		MeshOptions: dracogo.Options{PositionBits: 14},
 	}

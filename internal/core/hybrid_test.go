@@ -104,7 +104,7 @@ func TestHybridCutMatchesReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			enc := &HybridEncoder{Selector: tc.sel, MeshOptions: opts}
 			enc.SetGazeAnchor(*tc.encAnchor)
-			cache := &avatar.MeshCache{Capacity: frames}
+			cache := &avatar.MeshCache{}
 			dec := &HybridDecoder{Model: testModel, PeripheralResolution: res, Selector: tc.sel, Cache: cache}
 			if tc.decAnchor != nil {
 				dec.SetGazeAnchor(*tc.decAnchor)

@@ -9,10 +9,9 @@ import (
 	"semholo/internal/compress"
 	"semholo/internal/geom"
 	"semholo/internal/keypoint"
+	"semholo/internal/mesh"
 	"semholo/internal/metrics"
 	"semholo/internal/obs"
-	"semholo/internal/pointcloud"
-	"semholo/internal/texture"
 	"semholo/internal/transport"
 )
 
@@ -20,9 +19,8 @@ import (
 // detect 3D keypoints from the RGB-D views, temporally filter them,
 // encode them into body-model parameters (the SMPL-X alignment step),
 // and ship the ~1.6 KB float64 parameter frame (body.Params.Marshal)
-// LZMA-compressed — Table 2's left half. Optionally one compressed 2D
-// texture view rides along for receiver-side projection mapping (§3.1's
-// texture-alignment agenda).
+// LZMA-compressed — Table 2's left half; with Codec nil it ships the
+// frame raw (Table 2's "w/o compression" arm).
 //
 // The pose encoder of NewSemanticLadder ships the 408-byte quantised
 // frame (body.Params.MarshalCompact) instead, falling back to the
@@ -36,12 +34,6 @@ type KeypointEncoder struct {
 	Codec    compress.Codec
 	// Shape carries the session's fitted shape coefficients.
 	Shape []float64
-	// SendTexture additionally ships view 0's color image BTC-compressed
-	// on ChanTextureData.
-	SendTexture bool
-	// Uncompressed skips the general-purpose codec (Table 2's "w/o
-	// compression" arm).
-	Uncompressed bool
 	// UseLifting switches detection to the RGB-only 2D→3D lifting path
 	// (§2.3): noisier and more compute than direct RGB-D detection, for
 	// deployments without depth sensors.
@@ -107,32 +99,16 @@ func (e *KeypointEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 	}
 	flags := transport.FlagKeyframe | transport.FlagEndOfFrame
 	payload := raw
-	if !e.Uncompressed && e.Codec != nil {
+	if e.Codec != nil {
 		payload = e.Codec.Encode(raw)
 		flags |= transport.FlagCompressed
 	}
-	out := EncodedFrame{Channels: e.chanScratch[:0]}
-	if e.SendTexture && len(c.Views) > 0 && c.Views[0].Colors != nil {
-		intr := c.Views[0].Camera.Intr
-		tex, err := texture.CompressBTC(c.Views[0].Colors, intr.Width, intr.Height)
-		if err != nil {
-			return EncodedFrame{}, fmt.Errorf("core: texture compress: %w", err)
-		}
-		// The texture channel precedes the pose channel; EndOfFrame
-		// stays on the pose payload.
-		out.Channels = append(out.Channels, ChannelPayload{
-			Channel: ChanTextureData,
-			Flags:   transport.FlagKeyframe | transport.FlagCompressed,
-			Payload: tex,
-		})
-	}
-	out.Channels = append(out.Channels, ChannelPayload{
+	e.chanScratch = append(e.chanScratch[:0], ChannelPayload{
 		Channel: ChanKeypointData,
 		Flags:   flags,
 		Payload: payload,
 	})
-	e.chanScratch = out.Channels
-	return out, nil
+	return EncodedFrame{Channels: e.chanScratch}, nil
 }
 
 // observationsToPositions extracts raw positions when no temporal filter
@@ -153,7 +129,8 @@ func observationsToPositions(obs []keypoint.Observation) []geom.Vec3 {
 // and binds it to the skeleton; every frame then poses that surface by
 // linear blend skinning (avatar.Reconstructor.Skin), so per-frame cost is
 // O(vertices), not a lattice extraction. Decoded meshes share their
-// faces with that rest surface: read-only, Clone to mutate.
+// faces with that rest surface: read-only, Clone to mutate. A texture
+// channel (semantic-ladder rung 1) is skipped: no decoder draws it.
 type KeypointDecoder struct {
 	Model *body.Model
 	Codec compress.Codec
@@ -168,8 +145,8 @@ type KeypointDecoder struct {
 	// WarmStart has no effect on decoded meshes; kept because bench/
 	// sets it.
 	WarmStart bool
-	// Cache, when non-nil, serves repeated (quantized) poses from a mesh
-	// LRU before any skinning runs.
+	// Cache, when non-nil, serves repeated poses from a mesh LRU before
+	// any skinning runs.
 	Cache *avatar.MeshCache
 	// Counters, when non-nil, accumulates cache telemetry and counts each
 	// skinned frame as a cold frame.
@@ -180,24 +157,10 @@ type KeypointDecoder struct {
 	// from the enclosing decode span.
 	Obs *obs.PipelineMetrics
 
+	// rec is the persistent reconstructor, rebuilt only when the model
+	// changes (it re-runs its rest-surface pass itself on a resolution
+	// change).
 	rec *avatar.Reconstructor
-	// Views enables texture decoding when the sender ships it.
-	lastTexture []pointcloud.Color
-	texW, texH  int
-}
-
-// reconstructor returns the decoder's persistent reconstructor, rebuilt
-// only when the model changes (the reconstructor itself re-runs its
-// rest-surface pass on resolution changes).
-func (d *KeypointDecoder) reconstructor() *avatar.Reconstructor {
-	if d.rec == nil || d.rec.Model != d.Model {
-		d.rec = &avatar.Reconstructor{Model: d.Model}
-	}
-	d.rec.Resolution = d.Resolution
-	d.rec.Workers = d.Workers
-	d.rec.Cache = d.Cache
-	d.rec.Counters = d.Counters
-	return d.rec
 }
 
 // Mode implements Decoder.
@@ -214,33 +177,13 @@ func (d *KeypointDecoder) Decode(channels []transport.Frame) (FrameData, error) 
 	for _, f := range channels {
 		switch f.Channel {
 		case ChanTextureData:
-			colors, w, h, err := texture.DecompressBTCInto(d.lastTexture, f.Payload)
-			if err != nil {
-				return FrameData{}, fmt.Errorf("core: texture decode: %w", err)
-			}
-			d.lastTexture, d.texW, d.texH = colors, w, h
+			// Shipped by rung 1, not drawn; see the type comment.
 		case ChanKeypointData:
-			raw := f.Payload
-			if f.Flags&transport.FlagCompressed != 0 {
-				if d.Codec == nil {
-					return FrameData{}, fmt.Errorf("core: compressed payload but no codec configured")
-				}
-				dec, err := d.Codec.Decode(f.Payload)
-				if err != nil {
-					return FrameData{}, fmt.Errorf("core: keypoint decompress: %w", err)
-				}
-				raw = dec
-			}
-			params, err := body.UnmarshalParams(raw)
+			params, m, err := d.poseAndSkin(f)
 			if err != nil {
-				return FrameData{}, fmt.Errorf("core: keypoint decode: %w", err)
+				return FrameData{}, err
 			}
-			out.Params = params
-			if d.Resolution > 0 && d.Model != nil {
-				stop := d.Obs.StartStage(obs.StageReconstruct)
-				out.Mesh = d.reconstructor().Skin(params)
-				stop()
-			}
+			out.Params, out.Mesh = params, m
 		default:
 			return FrameData{}, errUnexpectedChannel(ModeKeypoint, f.Channel)
 		}
@@ -251,16 +194,38 @@ func (d *KeypointDecoder) Decode(channels []transport.Frame) (FrameData, error) 
 	return out, nil
 }
 
-// LastTexture exposes the most recent decoded texture view, if any.
-func (d *KeypointDecoder) LastTexture() ([]pointcloud.Color, int, int) {
-	return d.lastTexture, d.texW, d.texH
-}
-
-// ResetState implements StateResetter: drop texture history so the next
-// frame decodes exactly as a cold start — the receiver-side half of a
-// mid-stream tier switch. The rest surface is per identity, not per
-// frame, and survives.
-func (d *KeypointDecoder) ResetState() {
-	d.lastTexture = nil
-	d.texW, d.texH = 0, 0
+// poseAndSkin is the pose step both skinned decoders run (HybridDecoder
+// through its periphery decoder): decompress the pose channel when it is
+// flagged compressed, read the parameters, and — with a Model and a
+// positive Resolution — skin the rest surface into that pose.
+func (d *KeypointDecoder) poseAndSkin(f transport.Frame) (*body.Params, *mesh.Mesh, error) {
+	raw := f.Payload
+	if f.Flags&transport.FlagCompressed != 0 {
+		if d.Codec == nil {
+			return nil, nil, fmt.Errorf("core: compressed payload but no codec configured")
+		}
+		dec, err := d.Codec.Decode(f.Payload)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: pose decompress: %w", err)
+		}
+		raw = dec
+	}
+	params, err := body.UnmarshalParams(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: pose decode: %w", err)
+	}
+	if d.Resolution <= 0 || d.Model == nil {
+		return params, nil, nil
+	}
+	if d.rec == nil || d.rec.Model != d.Model {
+		d.rec = &avatar.Reconstructor{Model: d.Model}
+	}
+	d.rec.Resolution = d.Resolution
+	d.rec.Workers = d.Workers
+	d.rec.Cache = d.Cache
+	d.rec.Counters = d.Counters
+	stop := d.Obs.StartStage(obs.StageReconstruct)
+	m := d.rec.Skin(params)
+	stop()
+	return params, m, nil
 }

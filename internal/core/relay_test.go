@@ -84,7 +84,7 @@ func TestRelayFansOutToAllOthers(t *testing.T) {
 	}
 
 	// Alice streams one keypoint frame.
-	enc := newKeypointEncoder(false)
+	enc := newKeypointEncoder()
 	ef, err := enc.Encode(testSeq.FrameAt(0))
 	if err != nil {
 		t.Fatal(err)

@@ -195,7 +195,7 @@ func TestRelayTiersFollowLinkCollapse(t *testing.T) {
 		{Name: "text", Bitrate: 0.05e6, Encoder: &TextEncoder{
 			Captioner: textsem.Captioner{CellSize: 0.25, Precision: 2}, Codec: compress.LZR(),
 		}},
-		{Name: "keypoint", Bitrate: 0.4e6, Encoder: newKeypointEncoder(false)},
+		{Name: "keypoint", Bitrate: 0.4e6, Encoder: newKeypointEncoder()},
 		{Name: "traditional", Bitrate: 3e6, Encoder: &TraditionalEncoder{}},
 	})
 	if err != nil {

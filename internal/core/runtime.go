@@ -60,16 +60,11 @@ type Sender struct {
 }
 
 // SendFrame encodes and transmits one capture, taking "now" as the
-// capture instant.
-func (s *Sender) SendFrame(c capture.Capture) error {
-	return s.SendFrameCaptured(c, time.Now())
-}
-
-// SendFrameCaptured encodes and transmits one capture taken at
-// capturedAt — the wall-clock origin of the frame's motion-to-photon
+// capture instant — the wall-clock origin of the frame's motion-to-photon
 // trace when Obs is set. It is the sequential composition of the
 // EncodeFrame and Transmit stages the staged runtime overlaps.
-func (s *Sender) SendFrameCaptured(c capture.Capture, capturedAt time.Time) error {
+func (s *Sender) SendFrame(c capture.Capture) error {
+	capturedAt := time.Now()
 	enc, err := s.EncodeFrame(c)
 	if err != nil {
 		return err

@@ -48,7 +48,7 @@ func nextFrame(r *Receiver, dec Decoder) (FrameData, error) {
 }
 
 func TestEndToEndKeypointSession(t *testing.T) {
-	enc := newKeypointEncoder(false)
+	enc := newKeypointEncoder()
 	dec := &KeypointDecoder{Model: testModel, Codec: compress.LZR(), Resolution: 32}
 	sender, receiver, link := startSession(t, netsim.BroadbandUS(23), enc)
 	defer link.Close()
@@ -111,7 +111,7 @@ func TestEndToEndTraditionalSessionSlower(t *testing.T) {
 	}
 	sentT := senderT.Session.Stats().BytesSent
 
-	encK := newKeypointEncoder(false)
+	encK := newKeypointEncoder()
 	decK := &KeypointDecoder{Model: testModel, Codec: compress.LZR()}
 	senderK, receiverK, linkK := startSession(t, link, encK)
 	defer linkK.Close()
@@ -127,7 +127,7 @@ func TestEndToEndTraditionalSessionSlower(t *testing.T) {
 }
 
 func TestGazeControlReachesSenderEncoder(t *testing.T) {
-	sender, receiver, link := startSession(t, netsim.LinkConfig{}, newKeypointEncoder(false))
+	sender, receiver, link := startSession(t, netsim.LinkConfig{}, newKeypointEncoder())
 	defer link.Close()
 
 	got := make(chan geom.Vec3, 1)
@@ -200,7 +200,7 @@ func TestHandleControlIgnoresRetiredKinds(t *testing.T) {
 }
 
 func TestSessionGracefulClose(t *testing.T) {
-	sender, receiver, link := startSession(t, netsim.LinkConfig{}, newKeypointEncoder(false))
+	sender, receiver, link := startSession(t, netsim.LinkConfig{}, newKeypointEncoder())
 	defer link.Close()
 	go sender.Session.Close()
 	_, err := receiver.NextRaw()

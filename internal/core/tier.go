@@ -7,8 +7,6 @@ import (
 	"semholo/internal/capture"
 	"semholo/internal/texture"
 	"semholo/internal/transport"
-
-	"semholo/internal/compress/dracogo"
 )
 
 // KeyframeForcer is implemented by encoders whose output is
@@ -21,7 +19,7 @@ type KeyframeForcer interface {
 }
 
 // StateResetter is implemented by decoders that carry cross-frame
-// state (delta references, texture history, trained fields).
+// state (delta references, trained fields).
 // ResetState drops that state so the next decoded frame is treated as
 // a cold start — the receiver-side half of a mid-stream tier switch:
 // resetting exactly on the tier-switch keyframe boundary makes the
@@ -183,24 +181,20 @@ func (l *TierLadder) EncodeAll(c capture.Capture) (LadderFrame, error) {
 // switches pose to the quantised frame; a standalone KeypointEncoder
 // keeps the float64 one.
 //
-// Tiers 1 and 2 derive from tier 0's frame — keypoint detection, the
+// Tiers 1 and 2 derive from the rung below — keypoint detection, the
 // body fit, and pose compression run once per capture; each rung adds
-// only its own increment (texture compression, foveal mesh encode), and
-// carries the same quantised pose. The derived channels are
-// byte-identical to what KeypointEncoder{SendTexture: true} and
-// HybridEncoder would emit for the same capture with the quantised pose,
-// so a subscriber pinned to one tier sees exactly that single-encoder
-// stream.
+// only its own increment. Tier 1 is the only encoder of the texture
+// channel (view 0's colours, BTC-compressed, ahead of the pose channel).
+// That texture is shipped but not drawn: KeypointDecoder and
+// HybridDecoder skip it, so tiers 0 and 1 decode to the same mesh.
+// Tier 2's foveal channel is HybridEncoder.fovealChannel, so its foveal
+// bytes are what hybrid itself would emit for the same capture.
 //
-// pose must have SendTexture false (tier 1 adds the texture channel);
 // hybrid supplies the gaze anchor and mesh options for tier 2 (its own
 // Keypoint encoder is not used).
 func NewSemanticLadder(pose *KeypointEncoder, hybrid *HybridEncoder, bitrates [3]float64) (*TierLadder, error) {
 	if pose == nil || hybrid == nil {
 		return nil, fmt.Errorf("core: semantic ladder needs pose and hybrid encoders")
-	}
-	if pose.SendTexture {
-		return nil, fmt.Errorf("core: semantic ladder tier 0 must not send texture (tier 1 adds it)")
 	}
 	pose.compactPose = true
 	return NewTierLadder([]Tier{
@@ -215,8 +209,8 @@ func NewSemanticLadder(pose *KeypointEncoder, hybrid *HybridEncoder, bitrates [3
 					if err != nil {
 						return EncodedFrame{}, fmt.Errorf("core: texture compress: %w", err)
 					}
-					// Texture precedes pose, exactly as KeypointEncoder
-					// orders it; EndOfFrame stays on the pose payload.
+					// Texture precedes pose; EndOfFrame stays on the pose
+					// payload.
 					out.Channels = append(out.Channels, ChannelPayload{
 						Channel: ChanTextureData,
 						Flags:   transport.FlagKeyframe | transport.FlagCompressed,
@@ -232,22 +226,12 @@ func NewSemanticLadder(pose *KeypointEncoder, hybrid *HybridEncoder, bitrates [3
 			Derive: func(c capture.Capture, lower EncodedFrame) (EncodedFrame, error) {
 				out := EncodedFrame{Channels: make([]ChannelPayload, 0, len(lower.Channels)+1)}
 				for _, ch := range lower.Channels {
-					// The foveal mesh closes the frame, as in
-					// HybridEncoder.Encode — but strip the flag on a copy;
-					// tier 1 still ships the original channels.
+					// The foveal mesh closes the frame — but strip the flag
+					// on a copy; tier 1 still ships the original channels.
 					ch.Flags &^= transport.FlagEndOfFrame
 					out.Channels = append(out.Channels, ch)
 				}
-				foveal := hybrid.fovealSubmesh(c.Mesh)
-				var payload []byte
-				if foveal != nil && len(foveal.Faces) > 0 {
-					payload = dracogo.EncodeMesh(foveal, hybrid.MeshOptions)
-				}
-				out.Channels = append(out.Channels, ChannelPayload{
-					Channel: ChanFovealMesh,
-					Flags:   transport.FlagKeyframe | transport.FlagCompressed | transport.FlagEndOfFrame,
-					Payload: payload, // empty payload = no foveal region this frame
-				})
+				out.Channels = append(out.Channels, hybrid.fovealChannel(c.Mesh))
 				return out, nil
 			},
 		},

@@ -12,6 +12,7 @@ import (
 	"semholo/internal/geom"
 	"semholo/internal/obs"
 	"semholo/internal/textsem"
+	"semholo/internal/texture"
 	"semholo/internal/transport"
 )
 
@@ -22,12 +23,12 @@ func newSemanticLadderFixture(t *testing.T) (*TierLadder, gaze.FovealSelector, g
 	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
 	anchor := geom.V3(0, 1.5, 0.1)
 	hybrid := &HybridEncoder{
-		Keypoint:    newKeypointEncoder(false),
+		Keypoint:    newKeypointEncoder(),
 		Selector:    sel,
 		MeshOptions: dracogo.Options{PositionBits: 14},
 	}
 	hybrid.SetGazeAnchor(anchor)
-	ladder, err := NewSemanticLadder(newKeypointEncoder(false), hybrid, [3]float64{0.3e6, 2e6, 8e6})
+	ladder, err := NewSemanticLadder(newKeypointEncoder(), hybrid, [3]float64{0.3e6, 2e6, 8e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func framesEqual(t *testing.T, tag string, got, want EncodedFrame) {
 }
 
 func TestTierLadderValidation(t *testing.T) {
-	kp := newKeypointEncoder(false)
+	kp := newKeypointEncoder()
 	cases := []struct {
 		name  string
 		tiers []Tier
@@ -77,11 +78,11 @@ func TestTierLadderValidation(t *testing.T) {
 // ladder of one tier is the plain encoder — every frame's channels are
 // byte-identical to a separate encoder instance fed the same sequence.
 func TestTierLadderOfOneByteIdentity(t *testing.T) {
-	ladder, err := NewTierLadder([]Tier{{Name: "keypoint", Bitrate: 0.3e6, Encoder: newKeypointEncoder(false)}})
+	ladder, err := NewTierLadder([]Tier{{Name: "keypoint", Bitrate: 0.3e6, Encoder: newKeypointEncoder()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newKeypointEncoder(false)
+	ref := newKeypointEncoder()
 	for i := 0; i < 6; i++ {
 		c := testSeq.FrameAt(i)
 		lf, err := ladder.EncodeAll(c)
@@ -100,28 +101,39 @@ func TestTierLadderOfOneByteIdentity(t *testing.T) {
 }
 
 // TestSemanticLadderMatchesSingleEncoders pins each rung of the shared
-// ladder against the standalone encoder it replaces, each switched to
-// the quantised pose frame as the ladder switches its own: tier 0
-// against KeypointEncoder, tier 1 against KeypointEncoder{SendTexture:
-// true}, tier 2 against HybridEncoder — byte-identical across a motion
+// ladder against a reference built without it, each pose switched to the
+// quantised frame as the ladder switches its own: tier 0 against
+// KeypointEncoder, tier 1 against that frame behind a texture channel
+// built here (view 0, BTC-compressed), tier 2 against HybridEncoder
+// behind the same texture channel — byte-identical across a motion
 // sequence, even though the ladder runs keypoint detection and the body
 // fit once per capture instead of three times. A standalone encoder left
 // alone still ships the float64 frame.
 func TestSemanticLadderMatchesSingleEncoders(t *testing.T) {
 	ladder, sel, anchor := newSemanticLadderFixture(t)
-	refKP := newKeypointEncoder(false)
-	refTex := newKeypointEncoder(true)
+	refKP := newKeypointEncoder()
 	refHybrid := &HybridEncoder{
-		Keypoint:    newKeypointEncoder(true),
+		Keypoint:    newKeypointEncoder(),
 		Selector:    sel,
 		MeshOptions: dracogo.Options{PositionBits: 14},
 	}
 	refHybrid.SetGazeAnchor(anchor)
-	for _, e := range []*KeypointEncoder{refKP, refTex, refHybrid.Keypoint} {
-		e.compactPose = true
+	refKP.compactPose, refHybrid.Keypoint.compactPose = true, true
+	standalone := newKeypointEncoder()
+	standalone.Codec = nil
+	withTexture := func(c capture.Capture, f EncodedFrame) EncodedFrame {
+		t.Helper()
+		intr := c.Views[0].Camera.Intr
+		tex, err := texture.CompressBTC(c.Views[0].Colors, intr.Width, intr.Height)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return EncodedFrame{Channels: append([]ChannelPayload{{
+			Channel: ChanTextureData,
+			Flags:   transport.FlagKeyframe | transport.FlagCompressed,
+			Payload: tex,
+		}}, f.Channels...)}
 	}
-	standalone := newKeypointEncoder(false)
-	standalone.Uncompressed = true
 
 	for i := 0; i < 5; i++ {
 		c := testSeq.FrameAt(i)
@@ -137,13 +149,12 @@ func TestSemanticLadderMatchesSingleEncoders(t *testing.T) {
 		if raw, _ := standalone.Encode(c); raw.TotalBytes() != body.MarshaledSize {
 			t.Fatalf("frame %d: standalone encoder ships %d raw bytes, want the float64 frame's %d", i, raw.TotalBytes(), body.MarshaledSize)
 		}
-		wantTex, _ := refTex.Encode(c)
-		framesEqual(t, "tier1", lf.Tiers[1], wantTex)
+		framesEqual(t, "tier1", lf.Tiers[1], withTexture(c, wantKP))
 		wantHybrid, err := refHybrid.Encode(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		framesEqual(t, "tier2", lf.Tiers[2], wantHybrid)
+		framesEqual(t, "tier2", lf.Tiers[2], withTexture(c, wantHybrid))
 	}
 }
 
@@ -162,7 +173,7 @@ func TestSemanticLadderRung0FitsStarvedLeg(t *testing.T) {
 		numFrames = 8
 	)
 	ladder, _, _ := newSemanticLadderFixture(t)
-	standalone := newKeypointEncoder(false)
+	standalone := newKeypointEncoder()
 	for i := 0; i < numFrames; i++ {
 		c := testSeq.FrameAt(i)
 		lf, err := ladder.EncodeAll(c)

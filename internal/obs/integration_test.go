@@ -79,7 +79,7 @@ func TestEndToEndScrape(t *testing.T) {
 	enc, kd := semholo.NewKeypointPipeline(world, semholo.KeypointOptions{Resolution: 16})
 	var recon metrics.ReconCounters
 	recon.Register(reg)
-	kd.Cache = &avatar.MeshCache{Capacity: 4, Quant: 0.05}
+	kd.Cache = &avatar.MeshCache{}
 	kd.Counters = &recon
 	kd.Obs = pm
 	svc := semholo.NewDecodeService(semholo.ServiceOptions{
@@ -128,7 +128,11 @@ func TestEndToEndScrape(t *testing.T) {
 			capturedAt := time.Now()
 			cap := world.FrameAt(i)
 			pm.ObserveStage(obs.StageCapture, time.Since(capturedAt))
-			if err := sender.SendFrameCaptured(cap, capturedAt); err != nil {
+			enc, err := sender.EncodeFrame(cap)
+			if err == nil {
+				err = sender.Transmit(enc, capturedAt)
+			}
+			if err != nil {
 				sendErr <- err
 				return
 			}

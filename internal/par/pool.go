@@ -125,15 +125,3 @@ func (p *Pool) Release(n int) {
 	}
 	p.mu.Unlock()
 }
-
-// Go runs fn on its own goroutine under a one-slot reservation: at most
-// Capacity() Go-launched functions execute concurrently, and a burst of
-// submissions queues FIFO behind the running ones. Go itself never
-// blocks the caller.
-func (p *Pool) Go(fn func()) {
-	go func() {
-		g, _ := p.Reserve(context.Background(), 1)
-		defer p.Release(g)
-		fn()
-	}()
-}

@@ -152,38 +152,6 @@ func TestPoolReserveCancelRace(t *testing.T) {
 	}
 }
 
-// TestPoolGoBoundsConcurrency submits a burst of Go tasks and checks at
-// most Capacity run at once while all eventually complete.
-func TestPoolGoBoundsConcurrency(t *testing.T) {
-	const capacity, tasks = 3, 30
-	p := NewPool(capacity)
-	var running, peak, total atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(tasks)
-	for i := 0; i < tasks; i++ {
-		p.Go(func() {
-			defer wg.Done()
-			now := running.Add(1)
-			for {
-				old := peak.Load()
-				if now <= old || peak.CompareAndSwap(old, now) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			running.Add(-1)
-			total.Add(1)
-		})
-	}
-	wg.Wait()
-	if got := peak.Load(); got > capacity {
-		t.Fatalf("Go ran %d tasks concurrently, capacity %d", got, capacity)
-	}
-	if total.Load() != tasks {
-		t.Fatalf("ran %d tasks, want %d", total.Load(), tasks)
-	}
-}
-
 // TestPoolReleaseOverflowPanics guards the misuse detector.
 func TestPoolReleaseOverflowPanics(t *testing.T) {
 	defer func() {

@@ -210,9 +210,6 @@ func (s *DecodeService) TenantCount() int {
 // Pool exposes the shared worker budget.
 func (s *DecodeService) Pool() *par.Pool { return s.opt.Pool }
 
-// Cache exposes the shared pose-keyed mesh cache.
-func (s *DecodeService) Cache() *avatar.MeshCache { return s.opt.Cache }
-
 // Counters exposes the shared reconstruction telemetry.
 func (s *DecodeService) Counters() *metrics.ReconCounters { return s.opt.Counters }
 

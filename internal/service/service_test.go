@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"semholo/internal/avatar"
 	"semholo/internal/body"
 	"semholo/internal/compress"
 	"semholo/internal/core"
@@ -179,7 +178,7 @@ func (w testingWriter) Write(p []byte) (int, error) {
 func TestServiceConcurrentAdmitDetachHammer(t *testing.T) {
 	const tenants = 32
 	codec := compress.LZR()
-	svc := New(Options{Model: testModel, Resolution: 16, Cache: &avatar.MeshCache{Capacity: 16}})
+	svc := New(Options{Model: testModel, Resolution: 16})
 	defer svc.Close()
 	var wg sync.WaitGroup
 	for ti := 0; ti < tenants; ti++ {

@@ -49,6 +49,7 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 	codec := compress.LZR()
 	anchor := geom.V3(0, 1.5, 0.1)
 	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
+	cache := &avatar.MeshCache{}
 	svc := New(Options{
 		Model: testModel, Resolution: res,
 		NewDecoder: func(o Options) core.Decoder {
@@ -65,7 +66,7 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 				Hybrid: hy,
 			}
 		},
-		Cache: &avatar.MeshCache{Capacity: 2 * frames},
+		Cache: cache,
 	})
 	defer svc.Close()
 
@@ -119,7 +120,7 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 	reader.Add(1)
 	go func() {
 		defer reader.Done()
-		rec := &avatar.Reconstructor{Model: testModel, Resolution: res, Cache: svc.Cache()}
+		rec := &avatar.Reconstructor{Model: testModel, Resolution: res, Cache: cache}
 		for {
 			for _, p := range poses {
 				select {
@@ -135,7 +136,7 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 	close(done)
 	reader.Wait()
 
-	cached := &avatar.Reconstructor{Model: testModel, Resolution: res, Cache: svc.Cache()}
+	cached := &avatar.Reconstructor{Model: testModel, Resolution: res, Cache: cache}
 	solo := &core.KeypointDecoder{Model: testModel, Codec: codec, Resolution: res}
 	for i, p := range poses {
 		ref, err := solo.Decode(wireRaw(codec, p).Frames)

@@ -91,9 +91,9 @@ func (st *StreamCtx) Decode(ctx context.Context, raw core.RawFrame) (core.FrameD
 
 	if tierSwitched(raw) {
 		// Mid-stream tier switch: drop the decoder's cross-frame state
-		// (texture history, delta references, trained fields) on
-		// exactly this keyframe boundary, so the switched stream decodes
-		// byte-identically to a cold decode of the new tier.
+		// (delta references, trained fields) on exactly this keyframe
+		// boundary, so the switched stream decodes byte-identically to a
+		// cold decode of the new tier.
 		if rs, ok := st.dec.(core.StateResetter); ok {
 			rs.ResetState()
 		}

@@ -17,8 +17,8 @@
 // traditional (compressed mesh baseline), keypoint (the §4
 // proof-of-concept), text (captions + text-to-3D, §3.3), and hybrid
 // (gaze-contingent foveal mesh + peripheral keypoints, §3.1). The image
-// pipeline (receiver-side NeRF, §3.2) and the point-cloud baseline live
-// in internal/core, where the experiments build them.
+// pipeline (receiver-side NeRF, §3.2) lives in internal/core, where the
+// experiments build it.
 package semholo
 
 import (
@@ -183,8 +183,6 @@ type KeypointOptions struct {
 	// Resolution is the receiver's rest-surface resolution (default 64;
 	// negative disables geometry reconstruction).
 	Resolution int
-	// SendTexture ships a compressed 2D texture view alongside the pose.
-	SendTexture bool
 	// Detector overrides the simulated detector characteristics.
 	Detector *keypoint.DetectorOptions
 }
@@ -206,11 +204,10 @@ func NewKeypointPipeline(w *World, opt KeypointOptions) (Encoder, *core.Keypoint
 		res = 0
 	}
 	enc := &core.KeypointEncoder{
-		Model:       w.Model,
-		Detector:    keypoint.NewDetector(det),
-		Filter:      keypoint.NewOneEuroFilter(1.0, 0.3),
-		Codec:       compress.LZR(),
-		SendTexture: opt.SendTexture,
+		Model:    w.Model,
+		Detector: keypoint.NewDetector(det),
+		Filter:   keypoint.NewOneEuroFilter(1.0, 0.3),
+		Codec:    compress.LZR(),
 	}
 	dec := &core.KeypointDecoder{Model: w.Model, Codec: compress.LZR(), Resolution: res}
 	return enc, dec
