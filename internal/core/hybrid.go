@@ -238,15 +238,12 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 	p.Model, p.Codec, p.Resolution, p.Workers = d.Model, d.Codec, res, d.Workers
 	p.Cache, p.Counters = d.Cache, d.Counters
 
-	var params *body.Params
-	var peripheral, foveal *mesh.Mesh
-	for _, f := range channels {
+	var pose *transport.Frame
+	var foveal *mesh.Mesh
+	for i, f := range channels {
 		switch f.Channel {
 		case ChanKeypointData:
-			var err error
-			if params, peripheral, err = p.poseAndSkin(f); err != nil {
-				return FrameData{}, err
-			}
+			pose = &channels[i]
 		case ChanFovealMesh:
 			if len(f.Payload) == 0 {
 				continue // no foveal region this frame
@@ -262,8 +259,14 @@ func (d *HybridDecoder) Decode(channels []transport.Frame) (FrameData, error) {
 			return FrameData{}, errUnexpectedChannel(ModeHybrid, f.Channel)
 		}
 	}
-	if params == nil {
+	if pose == nil {
 		return FrameData{}, fmt.Errorf("core: hybrid decoder got no pose payload")
+	}
+	// Skin only once every channel has decoded, so a frame that fails
+	// costs no skinning and leaves the shared cache untouched.
+	params, peripheral, err := p.poseAndSkin(*pose)
+	if err != nil {
+		return FrameData{}, err
 	}
 	if peripheral == nil {
 		peripheral = &mesh.Mesh{} // no Model: nothing to skin, as Skin returns

@@ -12,6 +12,7 @@ import (
 	"semholo/internal/gaze"
 	"semholo/internal/geom"
 	"semholo/internal/mesh"
+	"semholo/internal/metrics"
 	"semholo/internal/transport"
 )
 
@@ -173,6 +174,23 @@ func TestHybridDecoderCompressedWithoutCodec(t *testing.T) {
 	_, err := dec.Decode(frames)
 	if err == nil || !strings.Contains(err.Error(), "compressed payload but no codec configured") {
 		t.Fatalf("err = %v, want the no-codec error", err)
+	}
+}
+
+// TestHybridDecodeFailedFrameSkinsNothing: a frame whose foveal payload
+// does not decode is an error before any skinning — the shared cache
+// sees no lookup and stays empty.
+func TestHybridDecodeFailedFrameSkinsNothing(t *testing.T) {
+	counters := &metrics.ReconCounters{}
+	dec := &HybridDecoder{
+		Model: testModel, PeripheralResolution: 16,
+		Cache: &avatar.MeshCache{Counters: counters}, Counters: counters,
+	}
+	if _, err := dec.Decode(hybridWire(body.Talking(nil).At(0.2), []byte("not a mesh"))); err == nil {
+		t.Fatal("garbage foveal payload decoded")
+	}
+	if s := counters.Snapshot(); s.MeshHits+s.MeshMisses+s.Frames != 0 {
+		t.Fatalf("failed frame skinned: %+v", s)
 	}
 }
 

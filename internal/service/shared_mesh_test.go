@@ -41,11 +41,12 @@ func hashMesh(m *mesh.Mesh) uint64 {
 // TestServiceSharedMeshReadOnly: the cache hands the same mesh to every
 // tenant, so no decode may write to it. A hybrid tenant (which grafts a
 // foveal patch over the peripheral mesh) and a keypoint tenant decode
-// the same 50-pose stream concurrently while a third goroutine keeps
-// re-reading every cached mesh; afterwards each cached mesh must still
-// equal a solo skinned decode, and so must every keypoint output.
+// the same stream concurrently while a third goroutine keeps re-reading
+// every cached mesh; afterwards each cached mesh must still equal a solo
+// skinned decode, and so must every keypoint output. The stream has as
+// many poses as the cache holds, so every mesh read is the cached one.
 func TestServiceSharedMeshReadOnly(t *testing.T) {
-	const frames, res = 50, 24
+	const frames, res = avatar.DefaultMeshCacheCapacity, 24
 	codec := compress.LZR()
 	anchor := geom.V3(0, 1.5, 0.1)
 	sel := gaze.FovealSelector{Radius: 8, ViewDistance: 2}
@@ -149,5 +150,8 @@ func TestServiceSharedMeshReadOnly(t *testing.T) {
 		if kpOut[i] != nil && !reflect.DeepEqual(kpOut[i], ref.Mesh) {
 			t.Fatalf("pose %d: keypoint tenant's mesh differs from a solo skinned decode", i)
 		}
+	}
+	if ev := svc.Counters().Snapshot().MeshEvictions; ev != 0 {
+		t.Fatalf("cache evicted %d meshes; the readers above did not all read cached meshes", ev)
 	}
 }
